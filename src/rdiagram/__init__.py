@@ -54,6 +54,7 @@ from .homology import (
     homology_presentation,
     homology_rdiagram,
     kernel_split,
+    reduce_homology,
     rewrite_differential,
     validate_complex,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "homology_presentation",
     "homology_rdiagram",
     "kernel_split",
+    "reduce_homology",
     "rewrite_differential",
     "validate_complex",
     "GroupInvariants",

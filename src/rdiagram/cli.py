@@ -34,6 +34,7 @@ from .homology import (
     ChainComplexR,
     homology_presentation,
     homology_rdiagram,
+    reduce_homology,
     validate_complex,
 )
 from .oracle import (
@@ -45,11 +46,11 @@ from .oracle import (
 from .pullback import quotient_ring_check
 from .reduction import (
     RDiagram,
+    _extract_rdiagram,
     reduce_K,
     reduce_barf,
     reduce_combined,
     reduce_monos,
-    reduce_sequential,
     validate_rdiagram,
 )
 
@@ -107,6 +108,10 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
         raise DocumentError('"differentials" must be a list')
     degrees = []
     ranks = doc.get("ranks")
+    if ranks is not None and not (
+        isinstance(ranks, list) and all(type(r) is int and r >= 0 for r in ranks)
+    ):
+        raise DocumentError('"ranks" must be a list of non-negative integers')
     for k, item in enumerate(diffs):
         if not isinstance(item, dict) or "d1" not in item or "d2" not in item:
             raise DocumentError(f"differential {k} must be an object with d1 and d2")
@@ -153,12 +158,6 @@ def _group_json(rank: int, factors) -> dict:
 
 def _matrix_rows(M) -> list:
     return [[str(x) for x in row] for row in M.entries]
-
-
-def _matrix_text(M) -> str:
-    if M.rows == 0 or M.cols == 0:
-        return f"[] ({M.rows}x{M.cols})"
-    return "[" + "; ".join(" ".join(str(x) for x in row) for row in M.entries) + "]"
 
 
 def _presentation_json(P) -> dict:
@@ -216,7 +215,8 @@ def _presentation_summary(pres) -> dict:
 
 
 def _rdiagram_payload(C: ChainComplexR, n: int, labels, trace: bool) -> dict:
-    rd = homology_rdiagram(C, n)
+    pres = homology_presentation(C, n)
+    rd = reduce_homology(pres)
     report = validate_rdiagram(rd)
     oracle = underlying_invariants_of_rdiagram(rd)
     r1, f1 = rd.S.M1.normal_form()
@@ -239,7 +239,6 @@ def _rdiagram_payload(C: ChainComplexR, n: int, labels, trace: bool) -> dict:
     if n < len(labels):
         payload["label"] = str(labels[n])
     if trace:
-        pres = homology_presentation(C, n)
         stages = [("presentation", pres)]
         stages.append(("reduce_K", reduce_K(pres)))
         stages.append(("reduce_barf", reduce_barf(stages[-1][1])))
@@ -365,17 +364,16 @@ def cmd_selftest(args) -> int:
         p = ps[trial % len(ps)]
         pres = random_presentation(rng, p)
         base = underlying_invariants_of_presentation(pres)
-        for name, stage in (
-            ("reduce_K", reduce_K(pres)),
-            ("reduce_barf", reduce_barf(reduce_K(pres))),
-            ("reduce_monos", reduce_monos(reduce_barf(reduce_K(pres)))),
-        ):
+        stages = [("reduce_K", reduce_K(pres))]
+        stages.append(("reduce_barf", reduce_barf(stages[-1][1])))
+        stages.append(("reduce_monos", reduce_monos(stages[-1][1])))
+        for name, stage in stages:
             got = underlying_invariants_of_presentation(stage)
             if not invariants_equal(base, got):
                 print(f"trial {trial}: {name} changed invariants {base} -> {got}")
                 failures += 1
         rd = reduce_combined(pres)
-        seq = reduce_sequential(pres)
+        seq = _extract_rdiagram(stages[-1][1])  # reduce_sequential(pres)
         if not validate_rdiagram(rd).ok:
             print(f"trial {trial}: combined output fails validation")
             failures += 1

@@ -4,8 +4,10 @@ A complex is stored as parallel integer differentials (d1, d2) that agree
 mod p; the bar differential is their common reduction.  For a degree n
 the pipeline builds a canonical separated diagram Q for ker d, rewrites
 the incoming differential in Q's generators to obtain a separated
-presentation of H^n, and reduces that to an R-diagram.  A closed-form
-evaluation of the reduced components acts as an independent cross-check.
+presentation of H^n, built once per degree, and reduces that to an
+R-diagram.  A closed-form evaluation of the reduced components from the
+same presentation, without diagram quotients, independently checks the
+reduction.
 
 The canonical presentation here is strictly more general than building
 Q from the five generator sets alone: the span of those generators can
@@ -57,6 +59,7 @@ __all__ = [
     "homology_presentation",
     "closed_form_components",
     "homology_rdiagram",
+    "reduce_homology",
 ]
 
 
@@ -367,19 +370,20 @@ def rewrite_differential(
     return DiagramMorphism(K, D, f1, f2, fbar)
 
 
-def _require_valid(C: ChainComplexR, n: int) -> None:
+def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
+    """Separated presentation of H^n: free source of rank C^{n-1} onto ker d.
+
+    The one place a degree is built: validation, the canonical kernel and
+    the divisibility check each run once here.
+    """
     if not 0 <= n < C.terms:
         raise ValueError(f"degree {n} outside the complex (0..{C.terms - 1})")
     report = validate_complex(C)
     if not report.ok:
         raise ValueError(f"invalid complex: {report}")
-
-
-def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
-    """Separated presentation of H^n: free source of rank C^{n-1} onto ker d."""
-    _require_valid(C, n)
     dout1, dout2 = C.pair(n)
     canon = canonical_kernel_presentation(dout1, dout2, C.p)
+    _divisibility_check(C, n, canon.sets)
     return SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon))
 
 
@@ -401,8 +405,12 @@ class ClosedFormComponents:
         raise AttributeError("ClosedFormComponents is immutable")
 
 
-def closed_form_components(C: ChainComplexR, n: int) -> ClosedFormComponents:
-    """Evaluate the reduced components of H^n in one pass.
+def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
+    """Evaluate the reduced components of a free-source presentation in one pass.
+
+    ``pres`` is the one built by ``homology_presentation`` and reduced by
+    ``reduce_combined``; re-deriving the components without
+    ``_apply_quotient`` keeps this an independent check of the reduction.
 
     With T_i the kernel of the rewritten component f_i and U a complement
     of ker fbar, the sub-diagram quotiented away in the general reduction
@@ -417,14 +425,13 @@ def closed_form_components(C: ChainComplexR, n: int) -> ClosedFormComponents:
     is not a p-th multiple of a module element, and the direct kernels
     stay correct in that case too.
     """
-    _require_valid(C, n)
-    p = C.p
-    dout1, dout2 = C.pair(n)
-    canon = canonical_kernel_presentation(dout1, dout2, p)
-    morphism = rewrite_differential(C.pair(n - 1), canon)
-    D = canon.diagram
-    f1, f2, fbar = morphism.f1, morphism.f2, morphism.fbar
+    p = pres.p
+    D = pres.S
+    f1, f2, fbar = pres.f1, pres.f2, pres.fbar
     ell = f1.matrix.cols
+    free, eye = ZModulePresentation.free(ell), FpMatrix.identity(p, ell)
+    if not (pres.K.M1 == pres.K.M2 == free and pres.K.p1 == pres.K.p2 == eye):
+        raise ValueError("the closed form needs a free source diagram")
 
     T1 = f1.kernel_lattice()
     T2 = f2.kernel_lattice()
@@ -489,41 +496,29 @@ def _divisibility_check(C: ChainComplexR, n: int, gs_out: GeneratorSets) -> None
             image = dmat.mul_vec(vec)
             if any(x % p for x in image):
                 raise ArithmeticError(f"{label} is not divisible by {p}: {image}")
-            if not basis and any(image):
+            coords = solve_in_span(IntMatrix.from_cols(basis, rows=dmat.rows), image)
+            if coords is None:
                 raise ArithmeticError(f"{label} lies outside the kernel")
-            if basis:
-                coords = solve_in_span(
-                    IntMatrix.from_cols(basis, rows=dmat.rows), image
+            if any(c % p for c in coords[len(gs_out.v12):]):
+                raise ArithmeticError(
+                    f"{label} has one-sided coordinates not divisible by {p}"
                 )
-                if coords is None:
-                    raise ArithmeticError(f"{label} lies outside the kernel")
-                offset = len(gs_out.v12)
-                if any(c % p for c in coords[offset:]):
-                    raise ArithmeticError(
-                        f"{label} has one-sided coordinates not divisible by {p}"
-                    )
 
 
 def homology_rdiagram(C: ChainComplexR, n: int) -> RDiagram:
     """The R-diagram of H^n, with the closed form verified against it."""
-    _require_valid(C, n)
-    dout1, dout2 = C.pair(n)
-    canon = canonical_kernel_presentation(dout1, dout2, C.p)
-    _divisibility_check(C, n, canon.sets)
-    pres = SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon))
+    return reduce_homology(homology_presentation(C, n))
+
+
+def reduce_homology(pres: SeparatedPresentation) -> RDiagram:
+    """Reduce a free-source presentation, verifying the closed form against it."""
     rd = reduce_combined(pres)
-    cf = closed_form_components(C, n)
-    agree = (
-        rd.kdim == cf.kdim
-        and rd.S.mbar_dim == cf.sbar_dim
-        and rd.S.M1.normal_form() == cf.s1.normal_form()
-        and rd.S.M2.normal_form() == cf.s2.normal_form()
-    )
-    if not agree:
+    cf = closed_form_components(pres)
+    want = (cf.kdim, cf.sbar_dim, cf.s1.normal_form(), cf.s2.normal_form())
+    got = (rd.kdim, rd.S.mbar_dim, rd.S.M1.normal_form(), rd.S.M2.normal_form())
+    if got != want:
         raise AssertionError(
             "closed-form components disagree with the reduced diagram: "
-            f"kdim {cf.kdim} vs {rd.kdim}, sbar {cf.sbar_dim} vs {rd.S.mbar_dim}, "
-            f"S1 {cf.s1.normal_form()} vs {rd.S.M1.normal_form()}, "
-            f"S2 {cf.s2.normal_form()} vs {rd.S.M2.normal_form()}"
+            f"(kdim, sbar, S1, S2) closed form {want} vs reduced {got}"
         )
     return rd

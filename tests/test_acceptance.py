@@ -17,6 +17,7 @@ from rdiagram.homology import (
     canonical_kernel_presentation,
     closed_form_components,
     congruent_kernel_lattice,
+    homology_presentation,
     homology_rdiagram,
     _divisibility_check,
 )
@@ -121,7 +122,7 @@ def complex_corpus():
         per_degree = []
         for n in range(C.terms):
             rd = homology_rdiagram(C, n)
-            cf = closed_form_components(C, n)
+            cf = closed_form_components(homology_presentation(C, n))
             per_degree.append((n, rd, cf))
         entries.append((C, per_degree))
     return entries

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, document handling, determinism."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import rdiagram.homology as homology
 from rdiagram.cli import load_document, main, rdiagram_from_payload, DocumentError
+from rdiagram.randomgen import random_complex_differentials
 from rdiagram.reduction import validate_rdiagram
 
 WORKED = {"p": 2, "differentials": [{"d1": [[2]], "d2": [[0]]}]}
@@ -38,6 +42,25 @@ class TestLoadDocument:
     def test_ranks_disambiguate_empty_matrices(self):
         C, _ = load_document('{"p": 3, "differentials": [{"d1": [], "d2": []}], "ranks": [2, 0]}')
         assert C.ranks == (2, 0)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"p": 2, "differentials": [], "ranks": 5}',
+            '{"p": 2, "differentials": [{"d1": [], "d2": []}], "ranks": "ab"}',
+            '{"p": 2, "differentials": [], "ranks": [1.7]}',
+            '{"p": 2, "differentials": [], "ranks": [true]}',
+            '{"p": 2, "differentials": [], "ranks": ["1"]}',
+            '{"p": 2, "differentials": [], "ranks": [-1]}',
+        ],
+    )
+    def test_rejects_malformed_ranks(self, doc, tmp_path, capsys):
+        with pytest.raises(DocumentError, match="ranks"):
+            load_document(doc)
+        path = tmp_path / "input.json"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 2
+        assert "ranks" in capsys.readouterr().err
 
     def test_labels_are_passed_through(self):
         _, labels = load_document(
@@ -148,6 +171,42 @@ class TestRDiagramCommand:
         assert main(["rdiagram", write(tmp_path, doc), "--degree", "0"]) == 1
 
 
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count the calls that build a degree's presentation."""
+    counts = {"canonical_kernel_presentation": 0, "validate_complex": 0}
+    for name in counts:
+        original = getattr(homology, name)
+
+        def shim(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(homology, name, shim)
+    return counts
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"]])
+def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
+    diffs = random_complex_differentials(random.Random(7), 3, [2, 3, 2], bound=2)
+    C = homology.ChainComplexR(3, diffs)
+    for n in range(C.terms):
+        build_counts.update(dict.fromkeys(build_counts, 0))
+        homology.homology_rdiagram(C, n)
+        assert build_counts == dict.fromkeys(build_counts, 1)
+    doc = {
+        "p": 3,
+        "differentials": [
+            {"d1": [list(r) for r in d1.entries], "d2": [list(r) for r in d2.entries]}
+            for d1, d2 in diffs
+        ],
+    }
+    build_counts.update(dict.fromkeys(build_counts, 0))
+    assert main(["rdiagram", write(tmp_path, doc), "--all", *flags]) == 0
+    assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
+    assert build_counts == dict.fromkeys(build_counts, C.terms)
+
+
 class TestInvariantsCommand:
     def test_zero_complex_doubles_the_rank(self, tmp_path, capsys):
         doc = {"p": 3, "differentials": [], "ranks": [2]}
@@ -173,10 +232,14 @@ class TestSelftestCommand:
 
 
 def test_console_entry_point_runs():
+    # the child sees the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rdiagram.cli", "selftest", "--trials", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "selftest: ok" in proc.stdout

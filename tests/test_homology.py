@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from rdiagram.fplinalg import FpMatrix
 from rdiagram.homology import (
     ChainComplexR,
+    GeneratorSets,
+    _divisibility_check,
     canonical_kernel_presentation,
     closed_form_components,
     congruent_kernel_lattice,
@@ -32,7 +34,7 @@ from rdiagram.randomgen import (
     random_congruent_pair,
     random_int_matrix,
 )
-from rdiagram.reduction import free_diagram, validate_rdiagram
+from rdiagram.reduction import free_diagram, rdiagram_as_presentation, validate_rdiagram
 
 rows = IntMatrix.from_rows
 
@@ -195,6 +197,20 @@ class TestCanonicalKernel:
             assert is_separated(canon.diagram).separated
 
 
+class TestDivisibilityCheck:
+    def test_image_outside_an_empty_kernel_basis_is_fatal(self):
+        # v2 = (1,) has d1-image (2,): divisible by p, but no kernel generator spans it
+        C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
+        with pytest.raises(ArithmeticError, match="outside the kernel"):
+            _divisibility_check(C, 1, GeneratorSets([], [], [], [], []))
+
+    def test_non_divisible_one_sided_coordinate_is_fatal(self):
+        # the same image (2,) on the one-sided generator (2,) has coordinate 1
+        C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _divisibility_check(C, 1, GeneratorSets([], [(2,)], [], [], []))
+
+
 class TestRewriteDifferential:
     def test_zero_incoming_map_is_the_zero_morphism(self):
         d1, d2 = two_by_two(2)
@@ -270,7 +286,7 @@ class TestClosedFormComponents:
     def test_zero_complex_keeps_the_kernel_components(self):
         z = IntMatrix.zeros(1, 2)
         C = ChainComplexR(2, [(z, z)], ranks=[2, 1])
-        cf = closed_form_components(C, 0)
+        cf = closed_form_components(homology_presentation(C, 0))
         canon = canonical_kernel_presentation(z, z, 2)
         assert cf.kdim == 0
         assert cf.s1.normal_form() == canon.diagram.M1.normal_form()
@@ -279,7 +295,7 @@ class TestClosedFormComponents:
 
     def test_running_example_values(self):
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
-        cf = closed_form_components(C, 1)
+        cf = closed_form_components(homology_presentation(C, 1))
         assert cf.kdim == 0
         assert cf.s1.normal_form() == (0, (2,))
         assert cf.s2.normal_form() == (1, ())
@@ -289,10 +305,17 @@ class TestClosedFormComponents:
         eye = IntMatrix.identity(2)
         C = ChainComplexR(3, [(eye, eye)])
         for n in (0, 1):
-            cf = closed_form_components(C, n)
+            cf = closed_form_components(homology_presentation(C, n))
             assert cf.kdim == 0 and cf.sbar_dim == 0
             assert cf.s1.normal_form() == (0, ())
             assert cf.s2.normal_form() == (0, ())
+
+    def test_rejects_a_source_that_is_not_free(self):
+        C = ChainComplexR(2, [(rows([[2]]), rows([[2]]))])
+        rd = homology_rdiagram(C, 1)
+        assert rd.kdim == 1
+        with pytest.raises(ValueError, match="free source"):
+            closed_form_components(rdiagram_as_presentation(rd))
 
 
 class TestHomologyRDiagram:
@@ -383,7 +406,7 @@ def test_homology_routes_agree(p, seed):
     assert validate_complex(C).ok
     for n in range(C.terms):
         rd = homology_rdiagram(C, n)
-        cf = closed_form_components(C, n)
+        cf = closed_form_components(homology_presentation(C, n))
         assert validate_rdiagram(rd).ok
         assert rd.kdim == cf.kdim
         assert rd.S.mbar_dim == cf.sbar_dim
