@@ -122,7 +122,7 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
             d1 = IntMatrix.zeros(0, ranks[k])
             d2 = IntMatrix.zeros(0, ranks[k])
         degrees.append((d1, d2))
-    labels = doc.get("labels") or []
+    labels = doc.get("labels", [])
     if not isinstance(labels, list):
         raise DocumentError('"labels" must be a list')
     try:

@@ -14,6 +14,14 @@ Conventions the rest of the package relies on:
   reduced into ``[0, pivot)``, and zero columns are pushed to the right.
   This form is unique per column span, which is what makes ``Lattice``
   values directly comparable with ``==``.
+* One column-major kernel computes that form in place on a list of column
+  lists.  It clears each row by a Euclid pass that reduces every
+  unfinished column by the one with the smallest nonzero entry in the row
+  (nearest-integer quotients), which keeps intermediate entries small, then
+  normalises the pivot as above, so the canonical form is unchanged.
+  ``Lattice.from_generators``, ``kernel_basis``, ``lattice_intersection``
+  and ``preimage_lattice`` pass columns in and read columns out; only
+  ``hnf`` asks the kernel to carry the transform ``U`` along.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
   nonnegative, each diagonal entry dividing the next.
 
@@ -25,6 +33,7 @@ much cheaper than re-running a normal form.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -88,7 +97,7 @@ class IntMatrix:
 
     @staticmethod
     def from_cols(cols: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        data = [tuple(int(x) for x in col) for col in cols]
+        data = [tuple(map(int, col)) for col in cols]
         if data:
             height = len(data[0])
             if rows is not None and rows != height:
@@ -96,7 +105,7 @@ class IntMatrix:
             rows = height
         elif rows is None:
             rows = 0
-        entries = tuple(tuple(col[i] for col in data) for i in range(rows))
+        entries = tuple(zip(*data)) if data else ((),) * rows
         return IntMatrix(rows, len(data), entries)
 
     @staticmethod
@@ -118,7 +127,9 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)
@@ -128,17 +139,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bcols = [other.column(j) for j in range(other.cols)]
-        entries = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bcols)
-            for row in self.entries
-        )
+        bcols = other.columns()
+        entries = tuple(tuple(sum(map(mul, row, col)) for col in bcols) for row in self.entries)
         return IntMatrix(self.rows, other.cols, entries)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -207,71 +215,86 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _hnf_in_place(cols: list[list[int]], height: int, u: list[list[int]] | None = None) -> int:
+    """Bring the columns ``cols`` (each ``height`` long) to canonical form in place.
+
+    The nonzero columns of the result lead and are the canonical HNF basis
+    of the span; the return value is their number.  ``u``, when given, holds
+    one transform column per column and receives the same column operations,
+    so that ``u`` ends as ``U`` in ``H = M @ U`` when it starts as the
+    identity.
+
+    Each row is cleared by a Euclid pass over the unfinished columns: every
+    column with a nonzero entry in the row is reduced by the one with the
+    smallest nonzero entry, with nearest-integer quotients, until a single
+    nonzero entry is left.  That column becomes the pivot; it is made
+    positive and the earlier columns are reduced into ``[0, pivot)`` in its
+    row.
+    """
+    n = len(cols)
+    j = 0
+    for i in range(height):
+        if j == n:
+            break
+        live = [k for k in range(j, n) if cols[k][i]]
+        if not live:
+            continue
+        while len(live) > 1:
+            s = min(live, key=lambda k: abs(cols[k][i]))
+            cs = cols[s]
+            a2 = 2 * cs[i]
+            rest = [s]
+            for k in live:
+                if k == s:
+                    continue
+                q = (2 * cols[k][i] + cs[i]) // a2  # nearest integer to b / a
+                cols[k] = ck = [x - q * y for x, y in zip(cols[k], cs)]
+                if u is not None:
+                    u[k] = [x - q * y for x, y in zip(u[k], u[s])]
+                if ck[i]:
+                    rest.append(k)
+            live = rest
+        s = live[0]
+        if s != j:
+            cols[j], cols[s] = cols[s], cols[j]
+            if u is not None:
+                u[j], u[s] = u[s], u[j]
+        cj = cols[j]
+        a = cj[i]
+        if a < 0:
+            cols[j] = cj = [-x for x in cj]
+            if u is not None:
+                u[j] = [-x for x in u[j]]
+            a = -a
+        for k in range(j):
+            q = cols[k][i] // a
+            if q:
+                cols[k] = [x - q * y for x, y in zip(cols[k], cj)]
+                if u is not None:
+                    u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+        j += 1
+    return j
+
+
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Canonical column Hermite normal form.
+    """Canonical column Hermite normal form with its transform.
 
     Returns ``(H, U)`` with ``H = M @ U``, ``U`` unimodular, and ``H`` in the
     canonical form described in the module docstring.  The column span of
     ``H`` equals the column span of ``M``.
+
+    It runs the column-major kernel ``_hnf_in_place``, whose rows are
+    cleared by Euclid passes with the smallest nonzero entry as divisor, and
+    is the only caller that has the kernel carry ``U`` along; the lattice
+    functions run the same kernel without a transform.  The pivot
+    normalisation makes ``H`` the same canonical form whichever column
+    operations reached it.
     """
     m, n = M.rows, M.cols
-    cols = [list(M.column(j)) for j in range(n)]
-    u = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of U
-    j = 0
-    for i in range(m):
-        if j == n:
-            break
-        # Fold all nonzero entries of row i (among the unfinished columns)
-        # into column j via unimodular column operations.
-        for k in range(j + 1, n):
-            b = cols[k][i]
-            if b == 0:
-                continue
-            a = cols[j][i]
-            if a == 0:
-                cols[j], cols[k] = cols[k], cols[j]
-                u[j], u[k] = u[k], u[j]
-                continue
-            cj, ck = cols[j], cols[k]
-            uj, uk = u[j], u[k]
-            if b % a == 0:
-                q = b // a
-                for r in range(i, m):
-                    ck[r] -= q * cj[r]
-                for r in range(n):
-                    uk[r] -= q * uj[r]
-            else:
-                g, x, y = _ext_gcd(a, b)
-                af, bf = a // g, b // g
-                for r in range(i, m):
-                    s, t = cj[r], ck[r]
-                    cj[r] = x * s + y * t
-                    ck[r] = af * t - bf * s
-                for r in range(n):
-                    s, t = uj[r], uk[r]
-                    uj[r] = x * s + y * t
-                    uk[r] = af * t - bf * s
-        a = cols[j][i]
-        if a == 0:
-            continue
-        if a < 0:
-            cols[j] = [-x for x in cols[j]]
-            u[j] = [-x for x in u[j]]
-            a = -a
-        # Reduce the entries of earlier columns in this pivot row into [0, a).
-        cj, uj = cols[j], u[j]
-        for k in range(j):
-            q = cols[k][i] // a
-            if q:
-                ck, uk = cols[k], u[k]
-                for r in range(i, m):
-                    ck[r] -= q * cj[r]
-                for r in range(n):
-                    uk[r] -= q * uj[r]
-        j += 1
-    H = IntMatrix.from_cols(cols, rows=m) if n else IntMatrix.zeros(m, 0)
-    U = IntMatrix.from_cols(u, rows=n) if n else IntMatrix.zeros(0, 0)
-    return H, U
+    cols = [list(c) for c in M.columns()]
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    _hnf_in_place(cols, m, u)
+    return IntMatrix.from_cols(cols, rows=m), IntMatrix.from_cols(u, rows=n)
 
 
 def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -452,15 +475,12 @@ class Lattice:
 
     @staticmethod
     def from_generators(ambient: int, gens: Iterable[Sequence[int]]) -> "Lattice":
-        vecs = [tuple(int(x) for x in g) for g in gens]
-        for vec in vecs:
-            if len(vec) != ambient:
+        cols = [list(map(int, g)) for g in gens]
+        for col in cols:
+            if len(col) != ambient:
                 raise ValueError("generator has wrong length")
-        if not vecs:
-            return Lattice(ambient, ())
-        H, _ = hnf(IntMatrix.from_cols(vecs, rows=ambient))
-        cols = [H.column(j) for j in range(H.cols)]
-        return Lattice(ambient, tuple(c for c in cols if any(c)))
+        rank = _hnf_in_place(cols, ambient)
+        return Lattice(ambient, tuple(map(tuple, cols[:rank])))
 
     @staticmethod
     def zero(ambient: int) -> "Lattice":
@@ -551,53 +571,56 @@ class Lattice:
         return f"Lattice(ambient={self.ambient}, basis={list(map(list, self.basis))})"
 
 
+def _lower_lattice(cols: list[list[int]], top: int, ambient: int) -> Lattice:
+    """The lattice of bottom parts of the span's vectors whose top part vanishes.
+
+    ``cols`` are ``top + ambient`` long and are brought to canonical form in
+    place.  Pivot rows increase, so the columns with no pivot in the top
+    ``top`` rows trail the nonzero ones, and their bottom parts are already
+    the canonical basis of that lattice.
+    """
+    rank = _hnf_in_place(cols, top + ambient)
+    first = next((j for j in range(rank) if not any(cols[j][:top])), rank)
+    return Lattice(ambient, tuple(tuple(c[top:]) for c in cols[first:rank]))
+
+
 def kernel_basis(M: IntMatrix) -> Lattice:
     """The kernel ``{x : Mx = 0}`` as a (saturated) sublattice of ``Z^cols``.
 
-    Computed from the column HNF of ``M`` stacked over an identity block:
-    columns whose top part vanishes record, in the bottom part, integer
+    The canonical form of ``M`` stacked over an identity block: columns
+    whose top part vanishes record, in the bottom part, integer
     combinations of the original columns that cancel.
     """
-    m, n = M.rows, M.cols
-    stacked = M.vstack(IntMatrix.identity(n))
-    H, _ = hnf(stacked)
-    gens = []
-    for j in range(H.cols):
-        col = H.column(j)
-        if any(col[:m]):
-            continue
-        gens.append(col[m:])
-    return Lattice.from_generators(n, gens)
+    return preimage_lattice(M, Lattice.zero(M.rows))
 
 
 def column_span(M: IntMatrix) -> Lattice:
-    return Lattice.from_generators(M.rows, [M.column(j) for j in range(M.cols)])
+    return Lattice.from_generators(M.rows, M.columns())
 
 
 def lattice_intersection(A: Lattice, B: Lattice) -> Lattice:
+    """``A ∩ B``: the bottoms of the span of ``(a, a)`` and ``(b, 0)`` with zero top."""
     if A.ambient != B.ambient:
         raise ValueError("ambient rank mismatch")
     if not A.basis or not B.basis:
         return Lattice.zero(A.ambient)
-    combined = A.basis_matrix().hstack(B.basis_matrix().scale(-1))
-    ker = kernel_basis(combined)
-    ra = A.rank
-    amat = A.basis_matrix()
-    gens = [amat.mul_vec(col[:ra]) for col in ker.basis]
-    return Lattice.from_generators(A.ambient, gens)
+    zero = [0] * A.ambient
+    cols = [list(a + a) for a in A.basis] + [list(b) + zero for b in B.basis]
+    return _lower_lattice(cols, A.ambient, A.ambient)
 
 
 def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
-    """The lattice ``{x in Z^cols : Mx in L}``."""
+    """The lattice ``{x in Z^cols : Mx in L}``.
+
+    The bottoms of the span of ``(M e_j, e_j)`` and ``(l, 0)`` for ``l`` in
+    the basis of ``L`` whose top part vanishes.
+    """
     if L.ambient != M.rows:
         raise ValueError("lattice ambient rank must match matrix row count")
     n = M.cols
-    if not L.basis:
-        return kernel_basis(M)
-    combined = M.hstack(L.basis_matrix().scale(-1))
-    ker = kernel_basis(combined)
-    gens = [col[:n] for col in ker.basis]
-    return Lattice.from_generators(n, gens)
+    cols = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.columns())]
+    cols += [list(l) + [0] * n for l in L.basis]
+    return _lower_lattice(cols, M.rows, n)
 
 
 def solve_in_span(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -606,10 +629,9 @@ def solve_in_span(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
         raise ValueError("right-hand side has wrong length")
     H, U = hnf(M)
     w = [int(x) for x in b]
-    m, n = M.rows, M.cols
-    c = [0] * n
-    for j in range(n):
-        col = H.column(j)
+    m = M.rows
+    c = [0] * M.cols
+    for j, col in enumerate(H.columns()):
         r = next((i for i, x in enumerate(col) if x), None)
         if r is None:
             break  # zero columns trail; nothing more can be matched

@@ -62,6 +62,16 @@ class TestLoadDocument:
         assert main(["validate", str(path)]) == 2
         assert "ranks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ["0", "false", '""', "{}", "5"])
+    def test_rejects_labels_that_are_not_a_list(self, labels, tmp_path, capsys):
+        doc = f'{{"p": 2, "differentials": [], "ranks": [1], "labels": {labels}}}'
+        with pytest.raises(DocumentError, match="labels"):
+            load_document(doc)
+        path = tmp_path / "input.json"
+        path.write_text(doc)
+        assert main(["validate", str(path)]) == 2
+        assert "labels" in capsys.readouterr().err
+
     def test_labels_are_passed_through(self):
         _, labels = load_document(
             '{"p": 2, "differentials": [], "ranks": [1], "labels": ["H0"]}'

@@ -1,6 +1,7 @@
 """Homology pipeline: frozen worked examples plus cross-route properties."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +371,26 @@ class TestHomologyRDiagram:
         assert rd.S.mbar_dim == 1
         inv = underlying_invariants_of_rdiagram(rd)
         assert (inv.free_rank, inv.invariant_factors) == (2, ())
+
+    def test_coefficient_growth_stays_fast(self):
+        # [8, 16, 8] at p = 2 took about a minute when each HNF row was
+        # folded into one column by successive extended gcds; with
+        # smallest-entry Euclid rows it takes a fraction of a second.
+        def on_alarm(signum, frame):
+            raise TimeoutError("[8, 16, 8] at p = 2 ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            degrees = random_complex_differentials(random.Random(2), 2, [8, 16, 8], bound=2)
+            C = ChainComplexR(2, degrees)
+            rd = homology_rdiagram(C, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert invariants_equal(
+            underlying_invariants_of_rdiagram(rd), integer_homology_invariants(C, 1)
+        )
 
 
 @given(p=ps, seed=seeds)

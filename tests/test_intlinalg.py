@@ -218,6 +218,31 @@ def test_hnf_reconstruction_and_canonicity(M):
     assert H2 == H
 
 
+def _nonzero_columns(H: IntMatrix) -> list[tuple[int, ...]]:
+    return [col for col in H.columns() if any(col)]
+
+
+@given(matrices())
+@settings(deadline=None)
+def test_hnf_span_agrees_with_sympy(M):
+    # sympy's Hermite form is canonical per column span and shares no code
+    # with ours, so equal sympy forms mean H spans what M spans.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    H, _ = hnf(M)
+    kept = _nonzero_columns(H)
+    ours = sympy.Matrix(M.rows, len(kept), lambda i, j: kept[j][i])
+    theirs = sympy.Matrix(M.rows, M.cols, lambda i, j: M.entries[i][j])
+    assert hermite_normal_form(ours) == hermite_normal_form(theirs)
+
+
+@given(matrices())
+def test_lattice_basis_is_the_hnf_without_zero_columns(M):
+    # the lattice path runs without a transform, hnf with one
+    assert list(Lattice.from_generators(M.rows, M.columns()).basis) == _nonzero_columns(hnf(M)[0])
+
+
 @given(matrices())
 def test_snf_reconstruction(M):
     U, D, V = snf(M)
