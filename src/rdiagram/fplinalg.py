@@ -13,6 +13,7 @@ pipeline output byte-reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intlinalg import IntMatrix
@@ -21,10 +22,6 @@ __all__ = [
     "validate_prime",
     "FpMatrix",
     "FpSubspace",
-    "fp_kernel",
-    "fp_rank",
-    "fp_solve",
-    "fp_complement",
     "relative_complement",
     "quotient_projection",
 ]
@@ -72,24 +69,21 @@ def _rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], l
     return rows, pivots
 
 
+@dataclass(frozen=True, slots=True)
 class FpMatrix:
     """A dense immutable matrix over F_p with entries in ``[0, p)``."""
 
-    __slots__ = ("p", "rows", "cols", "entries", "_rref_cache")
+    p: int
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+    _rref_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, p: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        validate_prime(p)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+    def __post_init__(self):
+        p = validate_prime(self.p)
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match the declared shape")
-        norm = tuple(tuple(x % p for x in r) for r in entries)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", norm)
-        object.__setattr__(self, "_rref_cache", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("FpMatrix is immutable")
+        object.__setattr__(self, "entries", tuple(tuple(x % p for x in r) for r in self.entries))
 
     @staticmethod
     def from_rows(p: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "FpMatrix":
@@ -201,20 +195,11 @@ class FpMatrix:
             raise ValueError("matrix is singular")
         return FpMatrix(p, n, n, tuple(tuple(rows[i][n:]) for i in range(n)))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and (self.p, self.rows, self.cols, self.entries)
-            == (other.p, other.rows, other.cols, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
 
 
+@dataclass(frozen=True, slots=True)
 class FpSubspace:
     """A subspace of F_p^ambient stored by its reduced-row-echelon basis.
 
@@ -222,16 +207,13 @@ class FpSubspace:
     unique representation per subspace, so ``==`` is subspace equality.
     """
 
-    __slots__ = ("p", "ambient", "basis", "pivots")
+    p: int
+    ambient: int
+    basis: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(compare=False)
 
-    def __init__(self, p: int, ambient: int, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
-        object.__setattr__(self, "p", validate_prime(p))
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("FpSubspace is immutable")
+    def __post_init__(self):
+        validate_prime(self.p)
 
     @staticmethod
     def from_vectors(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
@@ -280,9 +262,6 @@ class FpSubspace:
             return None
         return coords
 
-    def basis_vectors(self) -> list[tuple[int, ...]]:
-        return list(self.basis)
-
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._check_compatible(other)
         return FpSubspace.from_vectors(self.p, self.ambient, self.basis + other.basis)
@@ -321,33 +300,8 @@ class FpSubspace:
         if self.p != other.p or self.ambient != other.ambient:
             raise ValueError("subspaces live in different spaces")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpSubspace)
-            and (self.p, self.ambient, self.basis) == (other.p, other.ambient, other.basis)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.ambient, self.basis))
-
     def __repr__(self) -> str:
         return f"FpSubspace(p={self.p}, ambient={self.ambient}, dim={self.dim})"
-
-
-def fp_kernel(M: FpMatrix) -> FpSubspace:
-    return M.kernel()
-
-
-def fp_rank(M: FpMatrix) -> int:
-    return M.rank()
-
-
-def fp_solve(M: FpMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    return M.solve(b)
-
-
-def fp_complement(W: FpSubspace) -> FpSubspace:
-    return W.complement()
 
 
 def relative_complement(inner: FpSubspace, outer: FpSubspace) -> list[tuple[int, ...]]:

@@ -20,6 +20,7 @@ kernel lattice on every construction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .intlinalg import (
@@ -34,8 +35,6 @@ from .intlinalg import (
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    fp_complement,
-    fp_solve,
     quotient_projection,
     relative_complement,
     validate_prime,
@@ -80,6 +79,7 @@ def congruent_kernel_lattice(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
     return lattice_intersection(dom, congruence)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ChainComplexR:
     """A complex of free modules, one (d1, d2) pair per differential.
 
@@ -90,39 +90,29 @@ class ChainComplexR:
     ``validate_complex``, not enforced here.
     """
 
-    __slots__ = ("p", "degrees", "ranks")
+    p: int
+    degrees: Sequence[tuple[IntMatrix, IntMatrix]]
+    ranks: Sequence[int] | None = None
 
-    def __init__(
-        self,
-        p: int,
-        degrees: Sequence[tuple[IntMatrix, IntMatrix]],
-        ranks: Sequence[int] | None = None,
-    ):
-        validate_prime(p)
-        degrees = tuple((d1, d2) for d1, d2 in degrees)
+    def __post_init__(self):
+        validate_prime(self.p)
+        degrees = tuple((d1, d2) for d1, d2 in self.degrees)
         for d1, d2 in degrees:
             if (d1.rows, d1.cols) != (d2.rows, d2.cols):
                 raise ValueError("paired differentials must share shapes")
         for (a1, _), (b1, _) in zip(degrees, degrees[1:]):
             if b1.cols != a1.rows:
                 raise ValueError("consecutive differentials do not chain")
+        expected = tuple(d.cols for d, _ in degrees) + (degrees[-1][0].rows,) if degrees else None
+        ranks = expected if self.ranks is None else tuple(int(r) for r in self.ranks)
         if ranks is None:
-            if not degrees:
-                raise ValueError("ranks are required when there are no differentials")
-            ranks = [d.cols for d, _ in degrees] + [degrees[-1][0].rows]
-        ranks = tuple(int(r) for r in ranks)
+            raise ValueError("ranks are required when there are no differentials")
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
-        if degrees:
-            expected = tuple(d.cols for d, _ in degrees) + (degrees[-1][0].rows,)
-            if ranks != expected:
-                raise ValueError("explicit ranks disagree with differential shapes")
-        object.__setattr__(self, "p", p)
+        if expected is not None and ranks != expected:
+            raise ValueError("explicit ranks disagree with differential shapes")
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "ranks", ranks)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ChainComplexR is immutable")
 
     @property
     def terms(self) -> int:
@@ -144,16 +134,11 @@ class ChainComplexR:
         raise ValueError(f"no differential at position {k}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ComplexReport:
     """Located congruence/composition failures; empty means valid."""
 
-    __slots__ = ("failures",)
-
-    def __init__(self, failures: tuple):
-        object.__setattr__(self, "failures", failures)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ComplexReport is immutable")
+    failures: tuple
 
     @property
     def ok(self) -> bool:
@@ -223,6 +208,7 @@ def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
     return T
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GeneratorSets:
     """The five generator families attached to a congruent pair.
 
@@ -232,17 +218,15 @@ class GeneratorSets:
     whole mod-p space.
     """
 
-    __slots__ = ("v12", "v1", "v2", "vbar", "vbarc")
+    v12: tuple[tuple[int, ...], ...]
+    v1: tuple[tuple[int, ...], ...]
+    v2: tuple[tuple[int, ...], ...]
+    vbar: tuple[tuple[int, ...], ...]
+    vbarc: tuple[tuple[int, ...], ...]
 
-    def __init__(self, v12, v1, v2, vbar, vbarc):
-        object.__setattr__(self, "v12", tuple(map(tuple, v12)))
-        object.__setattr__(self, "v1", tuple(map(tuple, v1)))
-        object.__setattr__(self, "v2", tuple(map(tuple, v2)))
-        object.__setattr__(self, "vbar", tuple(map(tuple, vbar)))
-        object.__setattr__(self, "vbarc", tuple(map(tuple, vbarc)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("GeneratorSets is immutable")
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(map(tuple, getattr(self, f.name))))
 
 
 def generator_sets(d1: IntMatrix, d2: IntMatrix, p: int) -> GeneratorSets:
@@ -256,10 +240,11 @@ def generator_sets(d1: IntMatrix, d2: IntMatrix, p: int) -> GeneratorSets:
     kerbar = FpMatrix.from_int(d1, p).kernel()
     reduced = FpSubspace.from_vectors(p, m, list(v12) + list(v1) + list(v2))
     vbar = relative_complement(reduced, kerbar)
-    vbarc = list(fp_complement(kerbar).basis)
+    vbarc = list(kerbar.complement().basis)
     return GeneratorSets(v12, v1, v2, vbar, vbarc)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalKernel:
     """Separated diagram of ker d together with its construction data.
 
@@ -268,16 +253,13 @@ class CanonicalKernel:
     equals the brute-force kernel lattice either way.
     """
 
-    __slots__ = ("separation", "sets", "mixed", "kernel_lattice")
+    separation: Separation
+    sets: GeneratorSets
+    mixed: tuple
+    kernel_lattice: Lattice
 
-    def __init__(self, separation: Separation, sets: GeneratorSets, mixed, kernel_lattice):
-        object.__setattr__(self, "separation", separation)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "mixed", tuple(mixed))
-        object.__setattr__(self, "kernel_lattice", kernel_lattice)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("CanonicalKernel is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "mixed", tuple(self.mixed))
 
     @property
     def diagram(self) -> PullbackDiagram:
@@ -312,8 +294,8 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
         B1bar = FpMatrix.from_int(B1, p)
         B2bar = FpMatrix.from_int(B2, p)
         for z in relative_complement(diag_span, meet):
-            c1 = fp_solve(B1bar, z)
-            c2 = fp_solve(B2bar, z)
+            c1 = B1bar.solve(z)
+            c2 = B2bar.solve(z)
             if c1 is None or c2 is None:  # pragma: no cover - meet is in both spans
                 raise AssertionError("mixed class has no preimage in a kernel")
             mixed.append((tuple(B1.mul_vec(c1)), tuple(B2.mul_vec(c2))))
@@ -387,22 +369,17 @@ def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
     return SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ClosedFormComponents:
     """Reduced components evaluated directly, bypassing diagram quotients."""
 
-    __slots__ = ("p", "kdim", "sbar_dim", "s1", "s2", "q1", "q2")
-
-    def __init__(self, p, kdim, sbar_dim, s1, s2, q1, q2):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "kdim", kdim)
-        object.__setattr__(self, "sbar_dim", sbar_dim)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ClosedFormComponents is immutable")
+    p: int
+    kdim: int
+    sbar_dim: int
+    s1: ZModulePresentation
+    s2: ZModulePresentation
+    q1: IntMatrix
+    q2: IntMatrix
 
 
 def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
@@ -437,7 +414,7 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     T2 = f2.kernel_lattice()
     Tbar1 = FpSubspace.from_vectors(p, ell, [v for v in T1.basis])
     Tbar2 = FpSubspace.from_vectors(p, ell, [v for v in T2.basis])
-    U = fp_complement(fbar.kernel())
+    U = fbar.kernel().complement()
     Lbar = U.sum(Tbar1).sum(Tbar2)
     kdim = ell - Lbar.dim
 

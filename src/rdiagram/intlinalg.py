@@ -33,6 +33,7 @@ much cheaper than re-running a normal form.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """A dense immutable integer matrix.
 
@@ -59,22 +61,18 @@ class IntMatrix:
     matrices with zero rows or zero columns keep their shape.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        if rows < 0 or cols < 0:
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(entries)}")
-        for r in entries:
-            if len(r) != cols:
-                raise ValueError(f"ragged row: expected {cols} entries, got {len(r)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("IntMatrix is immutable")
+        if len(self.entries) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
+        for r in self.entries:
+            if len(r) != self.cols:
+                raise ValueError(f"ragged row: expected {self.cols} entries, got {len(r)}")
 
     # --- constructors -------------------------------------------------
 
@@ -184,17 +182,6 @@ class IntMatrix:
         return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     # --- misc ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {list(map(list, self.entries))})"
@@ -444,6 +431,7 @@ def is_unimodular(M: IntMatrix) -> bool:
     return M.rows == M.cols and det(M) in (1, -1)
 
 
+@dataclass(frozen=True, slots=True)
 class Lattice:
     """A sublattice of ``Z^ambient`` with a canonical HNF basis.
 
@@ -453,12 +441,14 @@ class Lattice:
     :meth:`from_generators` unless the basis is already canonical.
     """
 
-    __slots__ = ("ambient", "basis", "_pivots")
+    ambient: int
+    basis: tuple[tuple[int, ...], ...]
+    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, ambient: int, basis: tuple[tuple[int, ...], ...]):
+    def __post_init__(self):
         pivots = []
-        for col in basis:
-            if len(col) != ambient:
+        for col in self.basis:
+            if len(col) != self.ambient:
                 raise ValueError("basis vector has wrong length")
             for i, x in enumerate(col):
                 if x:
@@ -466,12 +456,7 @@ class Lattice:
                     break
             else:
                 raise ValueError("zero column in lattice basis")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Lattice is immutable")
 
     @staticmethod
     def from_generators(ambient: int, gens: Iterable[Sequence[int]]) -> "Lattice":
@@ -556,16 +541,6 @@ class Lattice:
         if k == 1:
             return self
         return Lattice(self.ambient, tuple(tuple(k * x for x in col) for col in self.basis))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={list(map(list, self.basis))})"

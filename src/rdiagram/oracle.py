@@ -10,6 +10,8 @@ that is exactly computable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .intlinalg import IntMatrix, Lattice, kernel_basis, snf
 from .pullback import PullbackDiagram
 from .reduction import RDiagram, SeparatedPresentation, validate_rdiagram
@@ -23,36 +25,23 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class GroupInvariants:
     """Free rank and ascending divisibility chain of invariant factors."""
 
-    __slots__ = ("free_rank", "invariant_factors")
+    free_rank: int
+    invariant_factors: tuple[int, ...]
 
-    def __init__(self, free_rank: int, invariant_factors):
-        factors = tuple(int(d) for d in invariant_factors)
-        if free_rank < 0:
+    def __post_init__(self):
+        factors = tuple(int(d) for d in self.invariant_factors)
+        if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if any(d <= 1 for d in factors):
             raise ValueError("invariant factors must exceed 1")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("GroupInvariants is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupInvariants):
-            return NotImplemented
-        return (
-            self.free_rank == other.free_rank
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.invariant_factors))
 
     def __repr__(self) -> str:
         return f"GroupInvariants({self.free_rank}, {list(self.invariant_factors)})"

@@ -19,6 +19,7 @@ lattice.
 
 from __future__ import annotations
 
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -32,28 +33,24 @@ from .intlinalg import (
 __all__ = [
     "ZModulePresentation",
     "ModuleMap",
-    "normalize",
     "check_map",
     "quotient",
-    "kernel_of_map",
-    "p_torsion",
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class ZModulePresentation:
     """The abelian group ``Z^gens / relations``."""
 
-    __slots__ = ("gens", "relations", "_normal_form")
+    gens: int
+    relations: Lattice
+    _normal_form: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __init__(self, gens: int, relations: Lattice):
-        if relations.ambient != gens:
+    def __post_init__(self):
+        if self.relations.ambient != self.gens:
             raise ValueError("relation lattice must live in the generator space")
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "_normal_form", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ZModulePresentation is immutable")
 
     @staticmethod
     def free(n: int) -> "ZModulePresentation":
@@ -102,21 +99,12 @@ class ZModulePresentation:
         rels = self.relations.sum(Lattice.from_generators(self.gens, extra))
         return ZModulePresentation(self.gens, rels)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZModulePresentation)
-            and self.gens == other.gens
-            and self.relations == other.relations
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.gens, self.relations))
-
     def __repr__(self) -> str:
         rank, factors = self.normal_form()
         return f"ZModulePresentation(gens={self.gens}, rank={rank}, factors={list(factors)})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ModuleMap:
     """A homomorphism between presented groups, as a matrix on generators.
 
@@ -126,29 +114,21 @@ class ModuleMap:
     without raising.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    source: ZModulePresentation
+    target: ZModulePresentation
+    matrix: IntMatrix
+    _: KW_ONLY
+    unchecked: InitVar[bool] = False
 
-    def __init__(
-        self,
-        source: ZModulePresentation,
-        target: ZModulePresentation,
-        matrix: IntMatrix,
-        *,
-        unchecked: bool = False,
-    ):
-        if matrix.rows != target.gens or matrix.cols != source.gens:
+    def __post_init__(self, unchecked: bool):
+        matrix = self.matrix
+        if matrix.rows != self.target.gens or matrix.cols != self.source.gens:
             raise ValueError(
                 f"matrix shape {matrix.rows}x{matrix.cols} does not map "
-                f"{source.gens} generators to {target.gens}"
+                f"{self.source.gens} generators to {self.target.gens}"
             )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
         if not unchecked and not check_map(self):
             raise ValueError("map does not carry source relations into target relations")
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("ModuleMap is immutable")
 
     @staticmethod
     def identity(pres: ZModulePresentation) -> "ModuleMap":
@@ -184,13 +164,6 @@ class ModuleMap:
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
 
-def normalize(gens: int, rels: Lattice) -> ZModulePresentation:
-    """Build a presentation and force its normal form to be computed."""
-    pres = ZModulePresentation(gens, rels)
-    pres.normal_form()
-    return pres
-
-
 def check_map(f: ModuleMap) -> bool:
     """True iff every source relation generator lands in the target relations."""
     return all(
@@ -211,20 +184,3 @@ def quotient(
     projection = ModuleMap(M, result, IntMatrix.identity(M.gens))
     return result, projection
 
-
-def kernel_of_map(f: ModuleMap) -> list[tuple[int, ...]]:
-    """Generators of ``ker f`` as a submodule of the source.
-
-    These are basis vectors of the lattice ``{x : f(x) = 0 in the target}``;
-    the list always generates at least the source relations, which present
-    the zero element.
-    """
-    if not check_map(f):
-        raise ValueError("kernel of an ill-defined map is not meaningful")
-    return list(f.kernel_lattice().basis)
-
-
-def p_torsion(M: ZModulePresentation, p: int) -> list[tuple[int, ...]]:
-    """Generators of ``M[p] = {x : p*x = 0}`` inside ``M``."""
-    mul_p = IntMatrix.identity(M.gens).scale(p)
-    return list(preimage_lattice(mul_p, M.relations).basis)

@@ -20,6 +20,7 @@ something to paper over.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -32,7 +33,6 @@ from .intlinalg import (
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    fp_rank,
     quotient_projection,
     validate_prime,
 )
@@ -62,21 +62,20 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class PPRElement:
     """An element (r1, r2) of the p-pullback ring, with r1 = r2 mod p."""
 
-    __slots__ = ("p", "r1", "r2")
+    p: int
+    r1: int
+    r2: int
 
-    def __init__(self, p: int, r1: int, r2: int):
-        validate_prime(p)
-        if (r1 - r2) % p:
-            raise ValueError(f"({r1}, {r2}) is not a ring element: {r1} != {r2} mod {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("PPRElement is immutable")
+    def __post_init__(self):
+        validate_prime(self.p)
+        if (self.r1 - self.r2) % self.p:
+            raise ValueError(
+                f"({self.r1}, {self.r2}) is not a ring element: {self.r1} != {self.r2} mod {self.p}"
+            )
 
     @staticmethod
     def one(p: int) -> "PPRElement":
@@ -114,15 +113,6 @@ class PPRElement:
         """Coordinatewise action on an element of Z^a + Z^b."""
         return tuple(self.r1 * v for v in x), tuple(self.r2 * v for v in y)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PPRElement)
-            and (self.p, self.r1, self.r2) == (other.p, other.r1, other.r2)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r1, self.r2))
-
     def __repr__(self) -> str:
         return f"PPRElement(p={self.p}, ({self.r1}, {self.r2}))"
 
@@ -141,6 +131,7 @@ def quotient_ring_check(p: int) -> bool:
     return pres.normal_form() == (0, (p,))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class LatticeRModule:
     """A sublattice of Z^a + Z^b closed under the p-pullback ring action.
 
@@ -148,25 +139,16 @@ class LatticeRModule:
     and (0,p) only; that suffices since (p,0) = p(1,1) - (0,p).
     """
 
-    __slots__ = ("p", "a", "b", "lattice")
+    p: int
+    a: int
+    b: int
+    lattice: Lattice
 
-    def __init__(self, p: int, a: int, b: int, lattice: Lattice):
-        validate_prime(p)
-        if lattice.ambient != a + b:
+    def __post_init__(self):
+        validate_prime(self.p)
+        if self.lattice.ambient != self.a + self.b:
             raise ValueError("lattice ambient must be a + b")
-        for col in lattice.basis:
-            shifted = (0,) * a + tuple(p * y for y in col[a:])
-            if not lattice.contains(shifted):
-                raise ValueError(
-                    f"not closed under the ring action: (0,p)*{col} = {shifted} is outside"
-                )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lattice", lattice)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("LatticeRModule is immutable")
+        _check_rclosed(self.p, self.a, self.b, self.lattice, "lattice")
 
     @staticmethod
     def from_generators(p: int, a: int, b: int, gens: Iterable[Sequence[int]]) -> "LatticeRModule":
@@ -182,25 +164,11 @@ class LatticeRModule:
             gens.append([0] * rank + [p * x for x in e])
         return LatticeRModule.from_generators(p, rank, rank, gens)
 
-    def first_block(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(v[: self.a])
-
-    def second_block(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(v[self.a :])
-
-    def p1s_lattice(self) -> Lattice:
-        """The sublattice P_1 S = {(p x, 0) : (x, y) in S}."""
-        gens = [tuple(self.p * t for t in col[: self.a]) + (0,) * self.b for col in self.lattice.basis]
-        return Lattice.from_generators(self.a + self.b, gens)
-
-    def p2s_lattice(self) -> Lattice:
-        gens = [(0,) * self.a + tuple(self.p * t for t in col[self.a :]) for col in self.lattice.basis]
-        return Lattice.from_generators(self.a + self.b, gens)
-
     def __repr__(self) -> str:
         return f"LatticeRModule(p={self.p}, blocks={self.a}+{self.b}, rank={self.lattice.rank})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PullbackDiagram:
     """A triple (M_1, Mbar, M_2) with maps p_i: M_i -> Mbar = F_p^d.
 
@@ -209,38 +177,28 @@ class PullbackDiagram:
     maps kill the relation lattices mod p (well-definedness).
     """
 
-    __slots__ = ("p", "M1", "M2", "mbar_dim", "p1", "p2", "_sep_cache")
+    p: int
+    M1: ZModulePresentation
+    M2: ZModulePresentation
+    mbar_dim: int
+    p1: FpMatrix
+    p2: FpMatrix
+    _sep_cache: SeparationReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __init__(
-        self,
-        p: int,
-        M1: ZModulePresentation,
-        M2: ZModulePresentation,
-        mbar_dim: int,
-        p1: FpMatrix,
-        p2: FpMatrix,
-    ):
-        validate_prime(p)
-        for label, mat, mod in (("p1", p1, M1), ("p2", p2, M2)):
-            if mat.p != p:
-                raise ValueError(f"{label} has modulus {mat.p}, expected {p}")
-            if (mat.rows, mat.cols) != (mbar_dim, mod.gens):
+    def __post_init__(self):
+        validate_prime(self.p)
+        for label, mat, mod in (("p1", self.p1, self.M1), ("p2", self.p2, self.M2)):
+            if mat.p != self.p:
+                raise ValueError(f"{label} has modulus {mat.p}, expected {self.p}")
+            if (mat.rows, mat.cols) != (self.mbar_dim, mod.gens):
                 raise ValueError(
-                    f"{label} must be {mbar_dim}x{mod.gens}, got {mat.rows}x{mat.cols}"
+                    f"{label} must be {self.mbar_dim}x{mod.gens}, got {mat.rows}x{mat.cols}"
                 )
             for rel in mod.relations.basis:
                 if any(mat.mul_vec(rel)):
                     raise ValueError(f"{label} does not vanish on a relation {rel}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M1", M1)
-        object.__setattr__(self, "M2", M2)
-        object.__setattr__(self, "mbar_dim", mbar_dim)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "_sep_cache", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("PullbackDiagram is immutable")
 
     def component(self, i: int) -> ZModulePresentation:
         if i == 1:
@@ -256,14 +214,6 @@ class PullbackDiagram:
             return self.p2
         raise ValueError("component index must be 1 or 2")
 
-    @property
-    def is_preseparated(self) -> bool:
-        return is_separated(self).preseparated
-
-    @property
-    def is_separated_diagram(self) -> bool:
-        return is_separated(self).separated
-
     def __repr__(self) -> str:
         return (
             f"PullbackDiagram(p={self.p}, M1={self.M1.normal_form()}, "
@@ -271,18 +221,13 @@ class PullbackDiagram:
         )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SeparationReport:
     """Outcome of the separatedness checks, with witnessing vectors."""
 
-    __slots__ = ("preseparated", "separated", "witnesses")
-
-    def __init__(self, preseparated: bool, separated: bool, witnesses: tuple):
-        object.__setattr__(self, "preseparated", preseparated)
-        object.__setattr__(self, "separated", separated)
-        object.__setattr__(self, "witnesses", witnesses)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("SeparationReport is immutable")
+    preseparated: bool
+    separated: bool
+    witnesses: tuple
 
     def __repr__(self) -> str:
         return (
@@ -306,7 +251,7 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     preseparated = True
     for i in (1, 2):
         mat = D.structure_map(i)
-        if fp_rank(mat) != D.mbar_dim:
+        if mat.rank() != D.mbar_dim:
             preseparated = False
             witnesses.append(("not-surjective", i, None))
     separated = preseparated
@@ -331,6 +276,7 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     return report
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Separation:
     """A separated diagram of a concrete R-module, plus pull-back data.
 
@@ -344,47 +290,18 @@ class Separation:
     stages express quotient classes back in the ambient coordinates.
     """
 
-    __slots__ = (
-        "p",
-        "a",
-        "b",
-        "module_lattice",
-        "relations",
-        "generators",
-        "gen_matrix",
-        "diagram",
-        "p1s",
-        "p2s",
-        "proj",
-        "section",
-    )
-
-    def __init__(
-        self, p, a, b, module_lattice, relations, generators, gen_matrix,
-        diagram, p1s, p2s, proj, section,
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "module_lattice", module_lattice)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gen_matrix", gen_matrix)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "p1s", p1s)
-        object.__setattr__(self, "p2s", p2s)
-        object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "section", section)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Separation is immutable")
-
-    @property
-    def module(self) -> LatticeRModule:
-        """The module as a lattice; only meaningful without relations."""
-        if self.relations.rank:
-            raise ValueError("the separated module is a proper quotient, not a lattice")
-        return LatticeRModule(self.p, self.a, self.b, self.module_lattice)
+    p: int
+    a: int
+    b: int
+    module_lattice: Lattice
+    relations: Lattice
+    generators: tuple[tuple[int, ...], ...]
+    gen_matrix: IntMatrix
+    diagram: PullbackDiagram
+    p1s: Lattice
+    p2s: Lattice
+    proj: FpMatrix
+    section: FpMatrix
 
     def embed_pair(self, c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
         """The module element represented by matching classes (c1, c2).
@@ -424,7 +341,9 @@ def _check_rclosed(p: int, a: int, b: int, lat: Lattice, label: str) -> None:
     for col in lat.basis:
         shifted = (0,) * a + tuple(p * y for y in col[a:])
         if not lat.contains(shifted):
-            raise ValueError(f"{label} is not closed under the ring action at {col}")
+            raise ValueError(
+                f"{label} is not closed under the ring action: (0,p)*{col} = {shifted} is outside"
+            )
 
 
 def separate_presented(
@@ -499,37 +418,20 @@ def separate(S: LatticeRModule, generators: Iterable[Sequence[int]] | None = Non
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PullbackModule:
     """The module of matching pairs of a pullback diagram.
 
     ``matching`` is the lattice {(m1, m2) : p1 m1 = p2 m2 mod p} inside the
     combined generator space, ``relations`` the copy of Rel(M_1) + Rel(M_2)
     inside it, and ``presentation`` the quotient on the matching basis.
+    Built by ``pullback_group``.
     """
 
-    __slots__ = ("diagram", "matching", "relations", "presentation")
-
-    def __init__(self, diagram: PullbackDiagram):
-        g1, g2 = diagram.M1.gens, diagram.M2.gens
-        stack = diagram.p1.lift().hstack(diagram.p2.lift().scale(-1))
-        matching = preimage_lattice(stack, Lattice.scaled_full(diagram.mbar_dim, diagram.p))
-        relations = diagram.M1.relations.direct_sum(diagram.M2.relations)
-        rel_coords = []
-        for r in relations.basis:
-            c = matching.solve(r)
-            if c is None:
-                raise AssertionError("component relations escaped the matching lattice")
-            rel_coords.append(c)
-        pres = ZModulePresentation(
-            matching.rank, Lattice.from_generators(matching.rank, rel_coords)
-        )
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "matching", matching)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "presentation", pres)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("PullbackModule is immutable")
+    diagram: PullbackDiagram
+    matching: Lattice
+    relations: Lattice
+    presentation: ZModulePresentation
 
     def as_rmodule(self) -> LatticeRModule:
         """The matching lattice as an R-module (closure re-verified)."""
@@ -537,15 +439,25 @@ class PullbackModule:
             self.diagram.p, self.diagram.M1.gens, self.diagram.M2.gens, self.matching
         )
 
-    def pair_coordinates(self, m1: Sequence[int], m2: Sequence[int]) -> tuple[int, ...] | None:
-        return self.matching.solve(tuple(m1) + tuple(m2))
-
 
 def pullback_group(D: PullbackDiagram) -> PullbackModule:
     """Matching pairs of D; see ``PullbackModule``."""
-    return PullbackModule(D)
+    stack = D.p1.lift().hstack(D.p2.lift().scale(-1))
+    matching = preimage_lattice(stack, Lattice.scaled_full(D.mbar_dim, D.p))
+    relations = D.M1.relations.direct_sum(D.M2.relations)
+    rel_coords = []
+    for r in relations.basis:
+        c = matching.solve(r)
+        if c is None:
+            raise AssertionError("component relations escaped the matching lattice")
+        rel_coords.append(c)
+    pres = ZModulePresentation(
+        matching.rank, Lattice.from_generators(matching.rank, rel_coords)
+    )
+    return PullbackModule(D, matching, relations, pres)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DiagramMorphism:
     """A triple (f_1, fbar, f_2) between pullback diagrams.
 
@@ -554,38 +466,28 @@ class DiagramMorphism:
     identities mod p.
     """
 
-    __slots__ = ("source", "target", "f1", "f2", "fbar")
+    source: PullbackDiagram
+    target: PullbackDiagram
+    f1: ModuleMap
+    f2: ModuleMap
+    fbar: FpMatrix
 
-    def __init__(
-        self,
-        source: PullbackDiagram,
-        target: PullbackDiagram,
-        f1: ModuleMap,
-        f2: ModuleMap,
-        fbar: FpMatrix,
-    ):
+    def __post_init__(self):
+        source, target, fbar = self.source, self.target, self.fbar
         if source.p != target.p:
             raise ValueError("source and target have different p")
-        if f1.source != source.M1 or f1.target != target.M1:
+        if self.f1.source != source.M1 or self.f1.target != target.M1:
             raise ValueError("f1 does not run between the first components")
-        if f2.source != source.M2 or f2.target != target.M2:
+        if self.f2.source != source.M2 or self.f2.target != target.M2:
             raise ValueError("f2 does not run between the second components")
         if (fbar.rows, fbar.cols) != (target.mbar_dim, source.mbar_dim):
             raise ValueError("fbar has the wrong shape")
         p = source.p
-        for i, f in ((1, f1), (2, f2)):
+        for i, f in ((1, self.f1), (2, self.f2)):
             left = target.structure_map(i) @ FpMatrix.from_int(f.matrix, p)
             right = fbar @ source.structure_map(i)
             if left != right:
                 raise ValueError(f"square {i} does not commute")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "fbar", fbar)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("DiagramMorphism is immutable")
 
     def component(self, i: int) -> ModuleMap:
         return self.f1 if i == 1 else self.f2
@@ -662,6 +564,7 @@ def separate_morphism(
     return DiagramMorphism(src.diagram, tgt.diagram, f1, f2, fbar)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class KernelDiagram:
     """The componentwise kernel (ker f_1, ker fbar, ker f_2) of a morphism.
 
@@ -672,18 +575,12 @@ class KernelDiagram:
     a separated one (the c_i need not be onto).
     """
 
-    __slots__ = ("diagram", "include1", "include2", "kerfbar", "c1", "c2")
-
-    def __init__(self, diagram, include1, include2, kerfbar, c1, c2):
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "include1", include1)
-        object.__setattr__(self, "include2", include2)
-        object.__setattr__(self, "kerfbar", kerfbar)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("KernelDiagram is immutable")
+    diagram: PullbackDiagram
+    include1: ModuleMap
+    include2: ModuleMap
+    kerfbar: FpSubspace
+    c1: FpMatrix
+    c2: FpMatrix
 
 
 def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
@@ -766,29 +663,18 @@ def is_mono_direct(m: DiagramMorphism) -> bool:
     return induced_pullback_map(m).is_injective()
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class EpiReport:
     """The four sufficient surjectivity conditions plus the ground truth."""
 
-    __slots__ = ("cond1", "cond2", "cond3", "cond4", "direct")
-
-    def __init__(self, cond1: bool, cond2: bool, cond3: bool, cond4: bool, direct: bool):
-        object.__setattr__(self, "cond1", cond1)
-        object.__setattr__(self, "cond2", cond2)
-        object.__setattr__(self, "cond3", cond3)
-        object.__setattr__(self, "cond4", cond4)
-        object.__setattr__(self, "direct", direct)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("EpiReport is immutable")
+    cond1: bool
+    cond2: bool
+    cond3: bool
+    cond4: bool
+    direct: bool
 
     def any_condition(self) -> bool:
         return self.cond1 or self.cond2 or self.cond3 or self.cond4
-
-    def __repr__(self) -> str:
-        return (
-            f"EpiReport(cond1={self.cond1}, cond2={self.cond2}, cond3={self.cond3}, "
-            f"cond4={self.cond4}, direct={self.direct})"
-        )
 
 
 def _mixed_pullback_map(m: DiagramMorphism, side: int) -> ModuleMap:
@@ -839,12 +725,12 @@ def epi_conditions(m: DiagramMorphism) -> EpiReport:
     f2_epi = m.f2.is_surjective()
     kd = kernel_diagram(m)
     kerdim = kd.kerfbar.dim
-    c1_epi = fp_rank(kd.c1) == kerdim
-    c2_epi = fp_rank(kd.c2) == kerdim
+    c1_epi = kd.c1.rank() == kerdim
+    c2_epi = kd.c2.rank() == kerdim
     cond1 = f1_epi and f2_epi and (c1_epi or c2_epi)
     cond2 = f1_epi and _mixed_pullback_map(m, 2).is_surjective()
     cond3 = f2_epi and _mixed_pullback_map(m, 1).is_surjective()
-    fbar_epi = fp_rank(m.fbar) == m.target.mbar_dim
+    fbar_epi = m.fbar.rank() == m.target.mbar_dim
     cond4 = (
         fbar_epi
         and _mixed_pullback_map(m, 1).is_surjective()

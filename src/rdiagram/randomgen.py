@@ -18,8 +18,8 @@ from .fplinalg import FpMatrix
 from .pullback import (
     DiagramMorphism,
     LatticeRModule,
-    PullbackModule,
     Separation,
+    pullback_group,
     separate,
     separate_morphism,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "random_unimodular",
     "rclose",
     "random_rmodule",
-    "random_element",
     "random_block_morphism",
     "random_congruent_pair",
     "random_complex_differentials",
@@ -90,14 +89,6 @@ def random_rmodule(
     return LatticeRModule(p, a, b, lat)
 
 
-def random_element(rng: random.Random, S: LatticeRModule, bound: int = 2) -> tuple[int, ...]:
-    total = [0] * (S.a + S.b)
-    for col in S.lattice.basis:
-        c = rng.randint(-bound, bound)
-        total = [t + c * x for t, x in zip(total, col)]
-    return tuple(total)
-
-
 def random_block_morphism(
     rng: random.Random,
     src: LatticeRModule,
@@ -146,7 +137,7 @@ def random_presentation(
     """
     sep = separate(random_rmodule(rng, p, a, b, max_gens=max_gens))
     D = sep.diagram
-    matching = PullbackModule(D).matching
+    matching = pullback_group(D).matching
     ell = rng.randint(0, max_rank)
     g1, g2 = D.M1.gens, D.M2.gens
     cols1, cols2 = [], []

@@ -19,11 +19,12 @@ failure is a bug, reported loudly with the violated condition's name.
 
 from __future__ import annotations
 
+from dataclasses import InitVar, dataclass, field
+
 from .intlinalg import IntMatrix, Lattice, preimage_lattice
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    fp_complement,
     quotient_projection,
     validate_prime,
 )
@@ -60,6 +61,7 @@ class HypothesisViolation(ValueError):
         super().__init__(f"{condition}: {detail}" if detail else condition)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SeparatedPresentation:
     """A morphism K -> S of separated diagrams, presenting coker f.
 
@@ -67,17 +69,13 @@ class SeparatedPresentation:
     squares) and re-verifies that both endpoint diagrams are separated.
     """
 
-    __slots__ = ("morphism",)
+    morphism: DiagramMorphism
 
-    def __init__(self, morphism: DiagramMorphism):
-        for side, D in (("source", morphism.source), ("target", morphism.target)):
+    def __post_init__(self):
+        for side, D in (("source", self.morphism.source), ("target", self.morphism.target)):
             report = is_separated(D)
             if not report.separated:
                 raise ValueError(f"the {side} diagram is not separated: {report}")
-        object.__setattr__(self, "morphism", morphism)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("SeparatedPresentation is immutable")
 
     @property
     def p(self) -> int:
@@ -107,6 +105,7 @@ class SeparatedPresentation:
         return f"SeparatedPresentation({self.K!r} -> {self.S!r})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SubDiagram:
     """A sub-diagram (L_1, Lbar, L_2) of the K side of a presentation.
 
@@ -115,23 +114,20 @@ class SubDiagram:
     implicit maps u_i, so the components must satisfy q_i(L_i) <= Lbar.
     """
 
-    __slots__ = ("L1", "Lbar", "L2")
+    K: InitVar[PullbackDiagram]
+    L1: Lattice
+    Lbar: FpSubspace
+    L2: Lattice
 
-    def __init__(self, K: PullbackDiagram, L1: Lattice, Lbar: FpSubspace, L2: Lattice):
-        if L1.ambient != K.M1.gens or L2.ambient != K.M2.gens:
+    def __post_init__(self, K: PullbackDiagram):
+        if self.L1.ambient != K.M1.gens or self.L2.ambient != K.M2.gens:
             raise ValueError("sub-diagram lattices must live in the generator spaces")
-        if Lbar.ambient != K.mbar_dim or Lbar.p != K.p:
+        if self.Lbar.ambient != K.mbar_dim or self.Lbar.p != K.p:
             raise ValueError("Lbar must be a subspace of Kbar")
-        for lat, mat, name in ((L1, K.p1, "L1"), (L2, K.p2, "L2")):
+        for lat, mat, name in ((self.L1, K.p1, "L1"), (self.L2, K.p2, "L2")):
             for v in lat.basis:
-                if not Lbar.contains(mat.mul_vec(v)):
+                if not self.Lbar.contains(mat.mul_vec(v)):
                     raise ValueError(f"structure map carries {name} outside Lbar at {v}")
-        object.__setattr__(self, "L1", L1)
-        object.__setattr__(self, "Lbar", Lbar)
-        object.__setattr__(self, "L2", L2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("SubDiagram is immutable")
 
     def side(self, i: int) -> Lattice:
         return self.L1 if i == 1 else self.L2
@@ -304,7 +300,7 @@ def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
 def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
     """Kill a complement of ker fbar, so the reduced fbar is exactly zero."""
     K = pres.K
-    Lbar = fp_complement(pres.fbar.kernel())
+    Lbar = pres.fbar.kernel().complement()
     L = SubDiagram(
         K,
         _subspace_preimage(K.p1, Lbar),
@@ -376,7 +372,7 @@ def reduce_combined(pres: SeparatedPresentation) -> "RDiagram":
     T2 = pres.f2.kernel_lattice()
     Tbar1 = _image_subspace(K.p1, T1)
     Tbar2 = _image_subspace(K.p2, T2)
-    U = fp_complement(pres.fbar.kernel())
+    U = pres.fbar.kernel().complement()
     L = SubDiagram(
         K,
         _subspace_preimage(K.p1, U.sum(Tbar2)).sum(T1),
@@ -389,32 +385,31 @@ def reduce_combined(pres: SeparatedPresentation) -> "RDiagram":
     return _extract_rdiagram(out)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RDiagram:
     """The reduced form: K = F_p^kdim mapped into S_1 and S_2.
 
     ``q1``/``q2`` are integer matrices sending the standard basis of K to
     generator coordinates of the S components.  Construction checks shapes
-    only; ``validate_rdiagram`` decides the semantic conditions.
+    only; ``validate_rdiagram`` decides the semantic conditions, once per
+    diagram: the report is kept on the diagram.
     """
 
-    __slots__ = ("p", "kdim", "S", "q1", "q2")
+    p: int
+    kdim: int
+    S: PullbackDiagram
+    q1: IntMatrix
+    q2: IntMatrix
+    _report: RDiagramReport | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, p: int, kdim: int, S: PullbackDiagram, q1: IntMatrix, q2: IntMatrix):
-        validate_prime(p)
-        if S.p != p:
+    def __post_init__(self):
+        validate_prime(self.p)
+        if self.S.p != self.p:
             raise ValueError("S has a different p")
-        if (q1.rows, q1.cols) != (S.M1.gens, kdim):
+        if (self.q1.rows, self.q1.cols) != (self.S.M1.gens, self.kdim):
             raise ValueError("q1 has the wrong shape")
-        if (q2.rows, q2.cols) != (S.M2.gens, kdim):
+        if (self.q2.rows, self.q2.cols) != (self.S.M2.gens, self.kdim):
             raise ValueError("q2 has the wrong shape")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "kdim", kdim)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("RDiagram is immutable")
 
     def structure_matrix(self, i: int) -> IntMatrix:
         return self.q1 if i == 1 else self.q2
@@ -426,16 +421,11 @@ class RDiagram:
         )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RDiagramReport:
     """Pass/fail per R-diagram condition, with witnesses for failures."""
 
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple):
-        object.__setattr__(self, "checks", checks)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("RDiagramReport is immutable")
+    checks: tuple
 
     @property
     def ok(self) -> bool:
@@ -459,10 +449,18 @@ def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
     - q_i injective as a module map out of (Z/p)^kdim;
     - p_i after q_i vanishes mod p;
     - the S diagram is separated.
+
+    The report is computed once per diagram and kept on it.
     """
+    if rd._report is not None:
+        return rd._report
     checks = []
     full_k = Lattice.scaled_full(rd.kdim, rd.p)
-    for i in (1, 2):
+    # literal names are shared by every report, and every R-diagram keeps its report
+    for i, (torsion_name, mono_name, zero_name) in (
+        (1, ("q1-torsion-image", "q1-mono", "p1q1-zero")),
+        (2, ("q2-torsion-image", "q2-mono", "p2q2-zero")),
+    ):
         q = rd.structure_matrix(i)
         mod = rd.S.component(i)
         bad = next(
@@ -473,18 +471,20 @@ def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
             ),
             None,
         )
-        checks.append((f"q{i}-torsion-image", bad is None, bad))
+        checks.append((torsion_name, bad is None, bad))
         ker = preimage_lattice(q, mod.relations)
         mono = full_k.contains_lattice(ker)
         witness = None
         if not mono:
             witness = next(col for col in ker.basis if not full_k.contains(col))
-        checks.append((f"q{i}-mono", mono, witness))
+        checks.append((mono_name, mono, witness))
         composite = rd.S.structure_map(i) @ FpMatrix.from_int(q, rd.p)
-        checks.append((f"p{i}q{i}-zero", composite.is_zero(), None))
+        checks.append((zero_name, composite.is_zero(), None))
     sep = is_separated(rd.S)
     checks.append(("s-separated", sep.separated, sep.witnesses or None))
-    return RDiagramReport(tuple(checks))
+    report = RDiagramReport(tuple(checks))
+    object.__setattr__(rd, "_report", report)
+    return report
 
 
 def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:

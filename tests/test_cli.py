@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import rdiagram.homology as homology
+import rdiagram.reduction as reduction
 from rdiagram.cli import load_document, main, rdiagram_from_payload, DocumentError
 from rdiagram.randomgen import random_complex_differentials
 from rdiagram.reduction import validate_rdiagram
@@ -215,6 +216,20 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     assert main(["rdiagram", write(tmp_path, doc), "--all", *flags]) == 0
     assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
     assert build_counts == dict.fromkeys(build_counts, C.terms)
+
+
+def test_each_rdiagram_is_checked_once(monkeypatch, tmp_path, capsys):
+    # the reduction, the payload and the oracle share one report per degree
+    reports = []
+    build = reduction.RDiagramReport
+
+    def shim(checks):
+        reports.append(build(checks))
+        return reports[-1]
+
+    monkeypatch.setattr(reduction, "RDiagramReport", shim)
+    assert main(["rdiagram", write(tmp_path, WORKED), "--all"]) == 0
+    assert len(reports) == len(json.loads(capsys.readouterr().out)["degrees"])
 
 
 class TestInvariantsCommand:

@@ -7,10 +7,6 @@ from hypothesis import strategies as st
 from rdiagram.fplinalg import (
     FpMatrix,
     FpSubspace,
-    fp_complement,
-    fp_kernel,
-    fp_rank,
-    fp_solve,
     quotient_projection,
     relative_complement,
     validate_prime,
@@ -50,14 +46,14 @@ def test_validate_prime_rejects_composites_and_junk():
 
 def test_kernel_of_identity_is_zero():
     M = FpMatrix.identity(3, 4)
-    assert fp_kernel(M).dim == 0
-    assert fp_rank(M) == 4
+    assert M.kernel().dim == 0
+    assert M.rank() == 4
 
 
 def test_kernel_mod2_sum_map():
     # x + y = 0 over F_2 is the diagonal line.
     M = FpMatrix.from_rows(2, [[1, 1]])
-    K = fp_kernel(M)
+    K = M.kernel()
     assert K.dim == 1
     assert K.basis == ((1, 1),)
     assert all(x == 0 for x in M.mul_vec(K.basis[0]))
@@ -65,17 +61,17 @@ def test_kernel_mod2_sum_map():
 
 def test_kernel_of_zero_map_is_everything():
     M = FpMatrix.zeros(3, 2, 4)
-    assert fp_kernel(M) == FpSubspace.full(3, 4)
+    assert M.kernel() == FpSubspace.full(3, 4)
 
 
 def test_complement_trivial_cases():
-    assert fp_complement(FpSubspace.full(5, 3)).dim == 0
-    assert fp_complement(FpSubspace.zero(5, 3)) == FpSubspace.full(5, 3)
+    assert FpSubspace.full(5, 3).complement().dim == 0
+    assert FpSubspace.zero(5, 3).complement() == FpSubspace.full(5, 3)
 
 
 def test_complement_of_diagonal_mod2():
     W = FpSubspace.from_vectors(2, 2, [(1, 1)])
-    U = fp_complement(W)
+    U = W.complement()
     # pivot in column 0 leaves e_2 as the deterministic choice
     assert U.basis == ((0, 1),)
     assert W.sum(U) == FpSubspace.full(2, 2)
@@ -84,9 +80,9 @@ def test_complement_of_diagonal_mod2():
 
 def test_solve_small():
     M = FpMatrix.from_rows(5, [[2, 0], [0, 3]])
-    x = fp_solve(M, (4, 1))
+    x = M.solve((4, 1))
     assert x == (2, 2)
-    assert fp_solve(FpMatrix.zeros(5, 2, 2), (1, 0)) is None
+    assert FpMatrix.zeros(5, 2, 2).solve((1, 0)) is None
 
 
 def test_inverse_roundtrip_small():
@@ -120,7 +116,7 @@ def test_solve_roundtrip(M, data):
 
 @given(fp_subspaces())
 def test_complement_is_complement(W):
-    U = fp_complement(W)
+    U = W.complement()
     assert W.dim + U.dim == W.ambient
     assert W.sum(U) == FpSubspace.full(W.p, W.ambient)
     assert W.intersect(U).dim == 0

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiagram.intlinalg import IntMatrix, Lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.presentations import (
     ModuleMap,
     ZModulePresentation,
     check_map,
-    kernel_of_map,
-    normalize,
-    p_torsion,
     quotient,
 )
 
@@ -26,6 +23,11 @@ def presentations(draw, max_gens=5, max_entry=10):
     k = draw(st.integers(0, g + 1))
     rels = [[draw(st.integers(-max_entry, max_entry)) for _ in range(g)] for _ in range(k)]
     return pres(g, rels)
+
+
+def p_torsion(M, p):
+    """Generators of ``M[p] = {x : p*x = 0}``: the preimage of the relations under p."""
+    return preimage_lattice(IntMatrix.identity(M.gens).scale(p), M.relations).basis
 
 
 @st.composite
@@ -55,7 +57,7 @@ def unimodular(draw, n, ops=6):
 
 
 def test_normalize_cyclic():
-    P = normalize(1, Lattice.from_generators(1, [(2,)]))
+    P = pres(1, [(2,)])
     assert P.normal_form() == (0, (2,))
 
 
@@ -109,13 +111,13 @@ def test_quotient_z2_by_diag():
 
 def test_kernel_of_projection_to_z2():
     f = ModuleMap(ZModulePresentation.free(1), pres(1, [(2,)]), IntMatrix.from_rows([[1]]))
-    assert kernel_of_map(f) == [(2,)]
+    assert f.kernel_lattice().basis == ((2,),)
 
 
 def test_kernel_z4_to_z2_brute_force():
     f = ModuleMap(pres(1, [(4,)]), pres(1, [(2,)]), IntMatrix.from_rows([[1]]))
-    gens = kernel_of_map(f)
-    assert gens == [(2,)]
+    gens = f.kernel_lattice().basis
+    assert gens == ((2,),)
     # brute force over the four elements of Z/4
     kernel_elements = {x for x in range(4) if x % 2 == 0}
     generated = {(g[0] * k) % 4 for g in gens for k in range(4)}
@@ -124,21 +126,22 @@ def test_kernel_z4_to_z2_brute_force():
 
 def test_kernel_of_injective_map_is_relations():
     f = ModuleMap.identity(ZModulePresentation.free(2))
-    assert kernel_of_map(f) == []
+    assert f.kernel_lattice() == f.source.relations
+    assert f.kernel_lattice().basis == ()
 
 
 def test_p_torsion_of_free_module():
-    assert p_torsion(ZModulePresentation.free(1), 3) == []
+    assert p_torsion(ZModulePresentation.free(1), 3) == ()
 
 
 def test_p_torsion_of_zp_is_everything():
     got = p_torsion(pres(1, [(3,)]), 3)
-    assert got == [(1,)]
+    assert got == ((1,),)
 
 
 def test_p_torsion_of_z9_brute_force():
     got = p_torsion(pres(1, [(9,)]), 3)
-    assert got == [(3,)]
+    assert got == ((3,),)
     torsion_elements = {x for x in range(9) if (3 * x) % 9 == 0}
     generated = {(g[0] * k) % 9 for g in got for k in range(9)}
     assert generated == torsion_elements
@@ -197,7 +200,7 @@ def test_kernel_generators_die_in_target(data):
     raw = ModuleMap(src, tgt, IntMatrix.from_rows(entries, cols=src.gens), unchecked=True)
     if not check_map(raw):
         return
-    for g in kernel_of_map(raw):
+    for g in raw.kernel_lattice().basis:
         assert tgt.relations.contains(raw.matrix.mul_vec(g))
 
 

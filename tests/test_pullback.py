@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiagram.fplinalg import FpMatrix, fp_rank
+from rdiagram.fplinalg import FpMatrix
 from rdiagram.intlinalg import IntMatrix, Lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (

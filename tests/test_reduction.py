@@ -252,6 +252,10 @@ class TestValidateRDiagram:
         report = validate_rdiagram(rd)
         assert "q1-torsion-image" in report.failed()
 
+    def test_report_is_kept_on_the_diagram(self):
+        rd = reduce_combined(random_presentation(random.Random(3), 3))
+        assert validate_rdiagram(rd) is validate_rdiagram(rd)
+
 
 ps = st.sampled_from([2, 3, 5])
 seeds = st.integers(min_value=0, max_value=10**9)
