@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from .intlinalg import IntMatrix, Lattice
@@ -45,8 +46,10 @@ from .oracle import (
 )
 from .pullback import quotient_ring_check
 from .reduction import (
+    HypothesisViolation,
     RDiagram,
     _extract_rdiagram,
+    rdiagram_as_presentation,
     reduce_K,
     reduce_barf,
     reduce_combined,
@@ -66,6 +69,9 @@ class DocumentError(Exception):
     """The input document cannot be turned into a complex."""
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _parse_entry(x, where: str) -> int:
     if isinstance(x, bool):
         raise DocumentError(f"{where}: boolean is not an integer entry")
@@ -73,9 +79,11 @@ def _parse_entry(x, where: str) -> int:
         return x
     if isinstance(x, str):
         try:
-            return int(x, 10)
-        except ValueError:
-            raise DocumentError(f"{where}: {x!r} is not a decimal integer") from None
+            if _DECIMAL.fullmatch(x):
+                return int(x)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise DocumentError(f"{where}: {x!r} is not a decimal integer")
     raise DocumentError(f"{where}: entries must be integers or decimal strings")
 
 
@@ -239,10 +247,8 @@ def _rdiagram_payload(C: ChainComplexR, n: int, labels, trace: bool) -> dict:
     if n < len(labels):
         payload["label"] = str(labels[n])
     if trace:
-        stages = [("presentation", pres)]
-        stages.append(("reduce_K", reduce_K(pres)))
-        stages.append(("reduce_barf", reduce_barf(stages[-1][1])))
-        stages.append(("reduce_monos", reduce_monos(stages[-1][1])))
+        # the presentation this run reduced and the R-diagram it produced
+        stages = [("presentation", pres), ("reduce_combined", rdiagram_as_presentation(rd))]
         payload["trace"] = [
             dict(stage=name, **_presentation_summary(st)) for name, st in stages
         ]
@@ -420,7 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("input")
     degree_flags(r)
     r.add_argument("--format", choices=["json", "text"], default="json")
-    r.add_argument("--trace", action="store_true", help="include intermediate reduction stages")
+    r.add_argument(
+        "--trace",
+        action="store_true",
+        help="include the input presentation and the reduced diagram of this run",
+    )
     r.set_defaults(func=cmd_rdiagram)
 
     i = sub.add_parser("invariants", help="oracle vs pipeline underlying groups")
@@ -443,13 +453,15 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (AssertionError, ArithmeticError) as exc:
+    except (HypothesisViolation, AssertionError, ArithmeticError) as exc:
+        # HypothesisViolation is a ValueError, but its message names a failed
+        # reduction hypothesis: a bug, not bad input
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         print("reproducer: rerun with the same input document", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

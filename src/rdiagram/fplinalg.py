@@ -30,8 +30,8 @@ __all__ = [
 def validate_prime(p: int) -> int:
     """Return ``p`` if it is a prime number, raise ``ValueError`` otherwise.
 
-    Trial division is plenty: the primes in play fit comfortably in a
-    machine word, and validation runs once per object construction site.
+    Trial division, so the cost grows with the square root of ``p``; it
+    runs on every construction of an object that carries ``p``.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an integer, got {p!r}")

@@ -30,7 +30,6 @@ from .intlinalg import (
     lattice_intersection,
     preimage_lattice,
     snf,
-    solve_in_span,
 )
 from .fplinalg import (
     FpMatrix,
@@ -457,26 +456,36 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
 def _divisibility_check(C: ChainComplexR, n: int, gs_out: GeneratorSets) -> None:
     """One-sided images of the incoming differential must be p-divisible.
 
-    A generator of the complement of the kernel intersection on side 2
-    dies under d2, so its d1-image vanishes mod p; both the raw entries
-    and the coordinates on the one-sided kernel generators must then be
-    divisible by p.  Violation indicates corrupted inputs and is fatal.
+    With (din1, din2) the incoming pair and v12, v1, v2 the outgoing
+    generator families: each x in ker din2 has din1 x = 0 mod p, so din1 x
+    must be divisible by p, lie in the outgoing kernel span(v12 + v1), and
+    have coordinates on v1 divisible by p, that is lie in span(v12 + p v1).
+    Each condition cuts out a subgroup of ker din2 that contains
+    ker din1 ∩ ker din2, where din1 x = 0.  Since ker din2 is that
+    intersection plus its one-sided generators, a condition holds on
+    those generators exactly when it holds on any basis of ker din2,
+    which is what is checked: no generator sets of the incoming pair are
+    built.  The mirror side swaps the two sides.  Violation indicates
+    corrupted inputs and is fatal.
     """
     p = C.p
     din1, din2 = C.pair(n - 1)
-    w = generator_sets(din1, din2, p)
-    for label, dmat, vecs, basis in (
-        ("d1-image of a side-2 generator", din1, w.v2, list(gs_out.v12) + list(gs_out.v1)),
-        ("d2-image of a side-1 generator", din2, w.v1, list(gs_out.v12) + list(gs_out.v2)),
+    m = din1.rows
+    for label, dmat, dother, one_sided in (
+        ("d1-image of a side-2 generator", din1, din2, gs_out.v1),
+        ("d2-image of a side-1 generator", din2, din1, gs_out.v2),
     ):
-        for vec in vecs:
+        kernel = Lattice.from_generators(m, gs_out.v12 + one_sided)
+        divisible = Lattice.from_generators(
+            m, gs_out.v12 + tuple(tuple(p * x for x in v) for v in one_sided)
+        )
+        for vec in kernel_basis(dother).basis:
             image = dmat.mul_vec(vec)
             if any(x % p for x in image):
                 raise ArithmeticError(f"{label} is not divisible by {p}: {image}")
-            coords = solve_in_span(IntMatrix.from_cols(basis, rows=dmat.rows), image)
-            if coords is None:
+            if not kernel.contains(image):
                 raise ArithmeticError(f"{label} lies outside the kernel")
-            if any(c % p for c in coords[len(gs_out.v12):]):
+            if not divisible.contains(image):
                 raise ArithmeticError(
                     f"{label} has one-sided coordinates not divisible by {p}"
                 )

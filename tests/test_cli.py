@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import rdiagram.cli as cli
 import rdiagram.homology as homology
 import rdiagram.reduction as reduction
 from rdiagram.cli import load_document, main, rdiagram_from_payload, DocumentError
@@ -29,6 +30,14 @@ class TestLoadDocument:
             '{"p": 2, "differentials": [{"d1": [["4", -2]], "d2": [["0", "0"]]}]}'
         )
         assert C.degrees[0][0].entries == ((4, -2),)
+
+    @pytest.mark.parametrize("entry", [" 2", "1_000", "+5", "\u0663", "2\n"])
+    def test_rejects_strings_that_are_not_plain_decimals(self, entry, tmp_path, capsys):
+        doc = {"p": 2, "differentials": [{"d1": [[entry]], "d2": [["0"]]}]}
+        with pytest.raises(DocumentError, match="not a decimal integer"):
+            load_document(json.dumps(doc))
+        assert main(["validate", write(tmp_path, doc)]) == 2
+        assert "not a decimal integer" in capsys.readouterr().err
 
     def test_rejects_floats_and_booleans(self):
         with pytest.raises(DocumentError, match="integer"):
@@ -153,7 +162,13 @@ class TestRDiagramCommand:
         assert main(["rdiagram", write(tmp_path, WORKED), "--degree", "1", "--trace"]) == 0
         block = json.loads(capsys.readouterr().out)["degrees"][0]
         names = [st["stage"] for st in block["trace"]]
-        assert names == ["presentation", "reduce_K", "reduce_barf", "reduce_monos"]
+        assert names == ["presentation", "reduce_combined"]
+        # the last stage is the R-diagram the block reports
+        last = block["trace"][-1]
+        assert last["target"] == {
+            "M1": block["S1"], "M2": block["S2"], "Mbar_dim": block["Sbar_dim"]
+        }
+        assert last["source"]["Mbar_dim"] == block["K_dim"]
 
     def test_emitted_documents_revalidate_identically(self, tmp_path, capsys):
         assert main(["rdiagram", write(tmp_path, WORKED), "--all"]) == 0
@@ -182,18 +197,32 @@ class TestRDiagramCommand:
         assert main(["rdiagram", write(tmp_path, doc), "--degree", "0"]) == 1
 
 
+# calls per degree: each builder runs once, and only reduce_combined reduces
+PER_DEGREE = {
+    "canonical_kernel_presentation": 1,
+    "validate_complex": 1,
+    "generator_sets": 1,
+    "reduce_K": 0,
+    "reduce_barf": 0,
+    "reduce_monos": 0,
+}
+
+
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count the calls that build a degree's presentation."""
-    counts = {"canonical_kernel_presentation": 0, "validate_complex": 0}
-    for name in counts:
-        original = getattr(homology, name)
+    """Count the calls that build and reduce a degree's presentation."""
+    counts = dict.fromkeys(PER_DEGREE, 0)
+    for module in (homology, reduction, cli):
+        for name in counts:
+            if not hasattr(module, name):
+                continue
+            original = getattr(module, name)
 
-        def shim(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
+            def shim(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(homology, name, shim)
+            monkeypatch.setattr(module, name, shim)
     return counts
 
 
@@ -204,7 +233,7 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     for n in range(C.terms):
         build_counts.update(dict.fromkeys(build_counts, 0))
         homology.homology_rdiagram(C, n)
-        assert build_counts == dict.fromkeys(build_counts, 1)
+        assert build_counts == PER_DEGREE
     doc = {
         "p": 3,
         "differentials": [
@@ -215,7 +244,7 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     build_counts.update(dict.fromkeys(build_counts, 0))
     assert main(["rdiagram", write(tmp_path, doc), "--all", *flags]) == 0
     assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
-    assert build_counts == dict.fromkeys(build_counts, C.terms)
+    assert build_counts == {name: k * C.terms for name, k in PER_DEGREE.items()}
 
 
 def test_each_rdiagram_is_checked_once(monkeypatch, tmp_path, capsys):
@@ -254,6 +283,14 @@ class TestSelftestCommand:
 
     def test_single_prime_restriction(self, capsys):
         assert main(["selftest", "--seed", "1", "--trials", "4", "--p", "3"]) == 0
+
+    def test_failed_reduction_hypothesis_is_an_internal_failure(self, monkeypatch, capsys):
+        def broken(pres):
+            raise reduction.HypothesisViolation("u1-not-surjective", "injected")
+
+        monkeypatch.setattr(cli, "reduce_K", broken)
+        assert main(["selftest", "--seed", "1", "--trials", "2"]) == 3
+        assert "u1-not-surjective" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -211,6 +211,12 @@ class TestDivisibilityCheck:
         with pytest.raises(ArithmeticError, match="not divisible"):
             _divisibility_check(C, 1, GeneratorSets([], [(2,)], [], [], []))
 
+    def test_mirror_side_non_divisible_coordinate_is_fatal(self):
+        # swapped sides: the d2-image (2,) of a side-1 generator on v2 = (2,)
+        C = ChainComplexR(2, [(rows([[0]]), rows([[2]]))])
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            _divisibility_check(C, 1, GeneratorSets([], [], [(2,)], [], []))
+
 
 class TestRewriteDifferential:
     def test_zero_incoming_map_is_the_zero_morphism(self):
