@@ -123,12 +123,14 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
     for k, item in enumerate(diffs):
         if not isinstance(item, dict) or "d1" not in item or "d2" not in item:
             raise DocumentError(f"differential {k} must be an object with d1 and d2")
-        d1 = _parse_matrix(item["d1"], f"differentials[{k}].d1")
-        d2 = _parse_matrix(item["d2"], f"differentials[{k}].d2")
-        if ranks is not None and k < len(ranks) and d1.cols != ranks[k] and d1.rows == 0:
-            # a 0-row matrix parsed from [] loses its column count; recover it
-            d1 = IntMatrix.zeros(0, ranks[k])
-            d2 = IntMatrix.zeros(0, ranks[k])
+        # a matrix written as [] has no row to carry its column count; ranks give it
+        width = ranks[k] if ranks is not None and k < len(ranks) else 0
+        d1, d2 = (
+            IntMatrix.zeros(0, width)
+            if item[key] == []
+            else _parse_matrix(item[key], f"differentials[{k}].{key}")
+            for key in ("d1", "d2")
+        )
         degrees.append((d1, d2))
     labels = doc.get("labels", [])
     if not isinstance(labels, list):

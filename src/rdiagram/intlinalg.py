@@ -22,6 +22,9 @@ Conventions the rest of the package relies on:
   ``Lattice.from_generators``, ``kernel_basis``, ``lattice_intersection``
   and ``preimage_lattice`` pass columns in and read columns out; only
   ``hnf`` asks the kernel to carry the transform ``U`` along.
+* ``solve_many`` factors a matrix once with ``hnf`` and back-substitutes
+  every right-hand side, so solving many vectors against one matrix costs
+  one normal form.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
   nonnegative, each diagonal entry dividing the next.
 
@@ -48,6 +51,7 @@ __all__ = [
     "column_span",
     "lattice_intersection",
     "preimage_lattice",
+    "solve_many",
     "solve_in_span",
 ]
 
@@ -598,25 +602,46 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
     return _lower_lattice(cols, M.rows, n)
 
 
-def solve_in_span(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Some integer solution ``x`` of ``Mx = b``, or ``None`` if there is none."""
-    if len(b) != M.rows:
-        raise ValueError("right-hand side has wrong length")
-    H, U = hnf(M)
-    w = [int(x) for x in b]
+def solve_many(
+    M: IntMatrix, rhs: Sequence[Sequence[int]]
+) -> list[tuple[int, ...] | None]:
+    """Solve ``Mx = b`` for each ``b`` in ``rhs`` with one factorisation.
+
+    Runs ``hnf(M)`` once, then back-substitutes each right-hand side on
+    the triangular ``H`` and maps the coordinates back through ``U``.
+    Returns one integer solution per vector, or ``None`` where ``b`` is
+    outside the column span.  No factorisation runs for an empty ``rhs``.
+    """
     m = M.rows
-    c = [0] * M.cols
-    for j, col in enumerate(H.columns()):
+    for b in rhs:
+        if len(b) != m:
+            raise ValueError("right-hand side has wrong length")
+    if not rhs:
+        return []
+    H, U = hnf(M)
+    # zero columns trail the canonical form; only the leading ones have pivots
+    steps = []
+    for col in H.columns():
         r = next((i for i, x in enumerate(col) if x), None)
         if r is None:
-            break  # zero columns trail; nothing more can be matched
-        q, rem = divmod(w[r], col[r])
-        if rem:
-            return None
-        c[j] = q
-        if q:
-            for i in range(r, m):
-                w[i] -= q * col[i]
-    if any(w):
-        return None
-    return U.mul_vec(c)
+            break
+        steps.append((r, col[r], col))
+    out = []
+    for b in rhs:
+        w = [int(x) for x in b]
+        c = [0] * M.cols
+        for j, (r, pivot, col) in enumerate(steps):
+            q, rem = divmod(w[r], pivot)
+            if rem:
+                break  # w[r] stays nonzero: b is outside the span
+            c[j] = q
+            if q:
+                for i in range(r, m):
+                    w[i] -= q * col[i]
+        out.append(None if any(w) else U.mul_vec(c))
+    return out
+
+
+def solve_in_span(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """Some integer solution ``x`` of ``Mx = b``, or ``None`` if there is none."""
+    return solve_many(M, [b])[0]

@@ -111,7 +111,8 @@ class ModuleMap:
     Well-definedness (relations map into relations) is verified on
     construction unless ``unchecked=True`` is passed; the escape hatch
     exists so that :func:`check_map` can evaluate candidate matrices
-    without raising.
+    without raising.  The kernel lattice is computed once per map and
+    kept.
     """
 
     source: ZModulePresentation
@@ -119,6 +120,7 @@ class ModuleMap:
     matrix: IntMatrix
     _: KW_ONLY
     unchecked: InitVar[bool] = False
+    _kernel: Lattice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, unchecked: bool):
         matrix = self.matrix
@@ -145,7 +147,11 @@ class ModuleMap:
 
     def kernel_lattice(self) -> Lattice:
         """All generator vectors whose image is zero in the target module."""
-        return preimage_lattice(self.matrix, self.target.relations)
+        cached = self._kernel
+        if cached is None:
+            cached = preimage_lattice(self.matrix, self.target.relations)
+            object.__setattr__(self, "_kernel", cached)
+        return cached
 
     def is_injective(self) -> bool:
         # The kernel lattice always contains the source relations; the map is

@@ -28,7 +28,7 @@ from .intlinalg import (
     Lattice,
     lattice_intersection,
     preimage_lattice,
-    solve_in_span,
+    solve_many,
 )
 from .fplinalg import (
     FpMatrix,
@@ -323,18 +323,27 @@ class Separation:
         gens = [self.embed_pair(col[:k], col[k:]) for col in match.basis]
         return Lattice.from_generators(self.a + self.b, gens)
 
-    def class_coordinates(self, v: Sequence[int], side: int) -> tuple[int, ...]:
-        """Express a module element in the generators of M_1 or M_2.
+    def class_coordinates(
+        self, vectors: Sequence[Sequence[int]], side: int
+    ) -> list[tuple[int, ...]]:
+        """Express module elements in the generators of M_1 or M_2.
 
-        Solves v = (generators) c + (P_{3-side} M) t and returns c; raises
-        if v does not represent an element (the generator classes do span).
+        Solves v = (generators) c + (P_{3-side} M) t for each v and returns
+        the c's in order.  The matrix ``generators | P_{3-side} M`` is built
+        and factored once per call, so pass every vector of one side
+        together.  Raises, naming the first failing column index, if a
+        vector does not represent an element (the generator classes do
+        span).
         """
         other = self.p2s if side == 1 else self.p1s
         combined = self.gen_matrix.hstack(other.basis_matrix())
-        sol = solve_in_span(combined, v)
-        if sol is None:
-            raise ValueError(f"{tuple(v)} is not an element of the module")
-        return tuple(sol[: len(self.generators)])
+        k = len(self.generators)
+        coords = []
+        for j, (v, sol) in enumerate(zip(vectors, solve_many(combined, vectors))):
+            if sol is None:
+                raise ValueError(f"column {j}, {tuple(v)}, is not an element of the module")
+            coords.append(sol[:k])
+        return coords
 
 
 def _check_rclosed(p: int, a: int, b: int, lat: Lattice, label: str) -> None:
@@ -540,8 +549,8 @@ def separate_morphism(
             raise ValueError(f"image of generator {g} is not in the target module")
         images.append(img)
 
-    cols1 = [tgt.class_coordinates(img, side=1) for img in images]
-    cols2 = [tgt.class_coordinates(img, side=2) for img in images]
+    cols1 = tgt.class_coordinates(images, side=1)
+    cols2 = tgt.class_coordinates(images, side=2)
     kt = len(tgt.generators)
     f1 = ModuleMap(
         src.diagram.M1, tgt.diagram.M1, IntMatrix.from_cols(cols1, rows=kt)

@@ -54,6 +54,15 @@ class TestLoadDocument:
         assert C.ranks == (2, 0)
 
     @pytest.mark.parametrize(
+        "d1, d2, code",
+        [([], [[1, 1]], 2), ([[1, 1]], [], 2), ([], [], 0)],
+    )
+    def test_empty_matrix_takes_its_width_from_ranks_alone(self, d1, d2, code, tmp_path):
+        # only the matrix written as [] is widened; a non-empty partner is kept
+        doc = {"p": 2, "ranks": [2, 0], "differentials": [{"d1": d1, "d2": d2}]}
+        assert main(["validate", write(tmp_path, doc)]) == code
+
+    @pytest.mark.parametrize(
         "doc",
         [
             '{"p": 2, "differentials": [], "ranks": 5}',

@@ -1,5 +1,6 @@
 """Homology pipeline: frozen worked examples plus cross-route properties."""
 
+import dataclasses
 import random
 import signal
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdiagram.homology as homology
+import rdiagram.intlinalg as intlinalg
 from rdiagram.fplinalg import FpMatrix
 from rdiagram.homology import (
     ChainComplexR,
@@ -19,10 +22,12 @@ from rdiagram.homology import (
     homology_presentation,
     homology_rdiagram,
     kernel_split,
+    reduce_homology,
     rewrite_differential,
     validate_complex,
 )
 from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis, lattice_intersection
+from rdiagram.presentations import ZModulePresentation
 from rdiagram.oracle import (
     integer_homology_invariants,
     invariants_equal,
@@ -256,6 +261,19 @@ class TestRewriteDifferential:
         with pytest.raises(ValueError, match="column 0"):
             rewrite_differential((din, din), canon)
 
+    def test_one_transform_hnf_per_side(self, monkeypatch):
+        # all columns of one side are solved against one factorisation of
+        # generators | P M, so the count does not grow with the source rank
+        degrees = random_complex_differentials(random.Random(5), 3, [4, 5, 2], bound=2)
+        C = ChainComplexR(3, degrees)
+        canon = canonical_kernel_presentation(*C.pair(1), 3)
+        calls = []
+        real = intlinalg.hnf
+        monkeypatch.setattr(intlinalg, "hnf", lambda M: calls.append(M) or real(M))
+        m = rewrite_differential(C.pair(0), canon)
+        assert m.f1.matrix.cols == 4
+        assert len(calls) == 2
+
 
 class TestHomologyPresentation:
     def test_zero_complex_presents_the_free_module(self):
@@ -325,6 +343,46 @@ class TestClosedFormComponents:
             closed_form_components(rdiagram_as_presentation(rd))
 
 
+class TestReduceHomology:
+    """The closed-form cross-check accepts exactly the isomorphic components."""
+
+    @staticmethod
+    def presentation():
+        # the one-sided kernel defect example: S1 = S2 = Z, Sbar = F_2
+        return homology_presentation(
+            ChainComplexR(
+                2,
+                [
+                    (rows([[0], [0]]), rows([[0], [2]])),
+                    (rows([[0, 2]]), rows([[0, 0]])),
+                ],
+            ),
+            1,
+        )
+
+    @staticmethod
+    def widen_s1(monkeypatch, extra):
+        """Make the closed form report S1 on one more generator with relations ``extra``."""
+        real = homology.closed_form_components
+
+        def patched(pres):
+            cf = real(pres)
+            s1 = ZModulePresentation(cf.s1.gens + 1, cf.s1.relations.direct_sum(extra))
+            return dataclasses.replace(cf, s1=s1)
+
+        monkeypatch.setattr(homology, "closed_form_components", patched)
+
+    def test_isomorphic_but_different_closed_form_passes(self, monkeypatch):
+        self.widen_s1(monkeypatch, Lattice.full(1))
+        rd = reduce_homology(self.presentation())
+        assert rd.S.M1.normal_form() == (1, ())
+
+    def test_non_isomorphic_closed_form_is_fatal(self, monkeypatch):
+        self.widen_s1(monkeypatch, Lattice.zero(1))
+        with pytest.raises(AssertionError, match="closed-form components disagree"):
+            reduce_homology(self.presentation())
+
+
 class TestHomologyRDiagram:
     def test_zero_complex_gives_the_free_rdiagram(self):
         C = ChainComplexR(2, [], ranks=[3])
@@ -390,6 +448,25 @@ class TestHomologyRDiagram:
         try:
             degrees = random_complex_differentials(random.Random(2), 2, [8, 16, 8], bound=2)
             C = ChainComplexR(2, degrees)
+            rd = homology_rdiagram(C, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert invariants_equal(
+            underlying_invariants_of_rdiagram(rd), integer_homology_invariants(C, 1)
+        )
+
+    def test_size_ladder_step_stays_fast(self):
+        # [16, 32, 16] at p = 3 solves each side of the rewritten differential
+        # against one factorisation; it takes well under a second.
+        def on_alarm(signum, frame):
+            raise TimeoutError("[16, 32, 16] at p = 3 ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            degrees = random_complex_differentials(random.Random(2), 3, [16, 32, 16], bound=2)
+            C = ChainComplexR(3, degrees)
             rd = homology_rdiagram(C, 1)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)

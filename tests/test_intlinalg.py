@@ -23,6 +23,7 @@ from rdiagram.intlinalg import (
     preimage_lattice,
     snf,
     solve_in_span,
+    solve_many,
 )
 
 
@@ -331,6 +332,33 @@ def test_solve_in_span_sound_on_arbitrary_rhs(data):
         assert M.mul_vec(sol) == tuple(b)
     else:
         assert not column_span(M).contains(b)
+
+
+@given(st.data())
+def test_solve_many_solves_exactly_the_vectors_in_the_span(data):
+    M = data.draw(matrices(max_dim=4, max_entry=15))
+    span = column_span(M)
+    rhs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            rhs.append(M.mul_vec([data.draw(st.integers(-10, 10)) for _ in range(M.cols)]))
+        else:
+            rhs.append(tuple(data.draw(st.integers(-20, 20)) for _ in range(M.rows)))
+    sols = solve_many(M, rhs)
+    assert len(sols) == len(rhs)
+    for b, x in zip(rhs, sols):
+        assert (x is None) == (not span.contains(b))
+        if x is not None:
+            assert len(x) == M.cols and M.mul_vec(x) == b
+
+
+def test_solve_many_edge_cases():
+    M = mat([[2, 0], [0, 3]])
+    assert solve_many(M, []) == []
+    empty = IntMatrix.zeros(2, 0)
+    assert solve_many(empty, [(0, 0), (1, 0)]) == [(), None]
+    with pytest.raises(ValueError, match="wrong length"):
+        solve_many(M, [(4, 9), (1,)])
 
 
 @given(st.data())

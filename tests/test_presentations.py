@@ -124,6 +124,13 @@ def test_kernel_z4_to_z2_brute_force():
     assert generated == kernel_elements
 
 
+def test_kernel_lattice_is_computed_once_per_map():
+    f = ModuleMap(ZModulePresentation.free(2), pres(1, [(3,)]), IntMatrix.from_rows([[1, 2]]))
+    first = f.kernel_lattice()
+    assert f.kernel_lattice() is first
+    assert first == preimage_lattice(f.matrix, f.target.relations)
+
+
 def test_kernel_of_injective_map_is_relations():
     f = ModuleMap.identity(ZModulePresentation.free(2))
     assert f.kernel_lattice() == f.source.relations

@@ -57,9 +57,9 @@ def mult_by_element_presentation(p, element):
     """Multiplication by a ring element on the rank-one free module."""
     sep = separate(LatticeRModule.free(p, 1))
     D = sep.diagram
-    c1 = sep.class_coordinates(element, side=1)
-    c2 = sep.class_coordinates(element, side=2)
-    return presentation_from_pairs(p, [tuple(c1) + tuple(c2)], D)
+    (c1,) = sep.class_coordinates([element], side=1)
+    (c2,) = sep.class_coordinates([element], side=2)
+    return presentation_from_pairs(p, [c1 + c2], D)
 
 
 def identity_presentation(p, rank):
