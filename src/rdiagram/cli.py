@@ -105,7 +105,7 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
     """Parse a JSON complex document; raises DocumentError on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past int()'s digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")

@@ -9,6 +9,12 @@ subspace is spanned by the standard basis vectors sitting at the non-pivot
 columns of its echelon form, and relative complements extend a basis
 greedily along the canonical basis of the larger space.  This keeps every
 pipeline output byte-reproducible.
+
+Integer lattices between ``p Z^n`` and ``Z^n`` are the lifts of subspaces
+of F_p^n, and ``lift_span``/``lift_kernel`` build them from an echelon
+form instead of an integer normal form: the RREF rows, with ``p e_i`` at
+the non-pivot columns, are already the canonical column HNF basis.  They
+trust the ``p`` they are given, which the caller has already validated.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, Lattice
 
 __all__ = [
     "validate_prime",
@@ -24,6 +30,8 @@ __all__ = [
     "FpSubspace",
     "relative_complement",
     "quotient_projection",
+    "lift_span",
+    "lift_kernel",
 ]
 
 
@@ -67,6 +75,72 @@ def _rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], l
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _null_vectors(
+    p: int, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int
+) -> list[list[int]]:
+    """A kernel basis read off an RREF: one vector per non-pivot column."""
+    bound = set(pivots)
+    basis = []
+    for c in range(width):
+        if c in bound:
+            continue
+        v = [0] * width
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][c] % p
+        basis.append(v)
+    return basis
+
+
+def _lift_rref(p: int, ambient: int, rows: list[list[int]], pivots: list[int]) -> Lattice:
+    """The lattice lift(span of the RREF ``rows``) + p Z^ambient, canonically.
+
+    Column i is the row with pivot i, or ``p e_i`` where there is none.
+    Pivots are 1 or p and increase; an RREF row is zero at the other
+    pivots and in ``[0, p)`` elsewhere, so the entries beside each pivot
+    are already reduced as the canonical column HNF requires.
+    """
+    basis = []
+    r = 0
+    for i in range(ambient):
+        if r < len(pivots) and pivots[r] == i:
+            basis.append(tuple(rows[r]))
+            r += 1
+        else:
+            basis.append(tuple(p if t == i else 0 for t in range(ambient)))
+    return Lattice(ambient, tuple(basis))
+
+
+def lift_span(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> Lattice:
+    """The integer lattice ``lift(span of vecs mod p) + p Z^ambient``.
+
+    Equal to ``Lattice.from_generators`` on ``vecs`` and the ``p e_i``,
+    read off one echelon form.  ``p`` must already be a validated prime.
+    """
+    rows = [[int(x) % p for x in v] for v in vecs]
+    for v in rows:
+        if len(v) != ambient:
+            raise ValueError("vector has wrong length")
+    rows, pivots = _rref(p, rows, ambient)
+    return _lift_rref(p, ambient, rows, pivots)
+
+
+def lift_kernel(p: int, rows: Iterable[Sequence[int]], width: int) -> Lattice:
+    """The integer lattice ``{x in Z^width : A x = 0 mod p}``, A given by rows.
+
+    Equal to ``preimage_lattice(A, Lattice.scaled_full(rows, p))``: the
+    kernel of A over F_p, lifted and summed with ``p Z^width``.  ``p``
+    must already be a validated prime.
+    """
+    a = [[int(x) % p for x in r] for r in rows]
+    for r in a:
+        if len(r) != width:
+            raise ValueError("row has wrong length")
+    a, pivots = _rref(p, a, width)
+    kernel, pivots = _rref(p, _null_vectors(p, a, pivots, width), width)
+    return _lift_rref(p, width, kernel, pivots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,16 +234,9 @@ class FpMatrix:
     def kernel(self) -> "FpSubspace":
         """Solution space of ``Mx = 0`` as a subspace of F_p^cols."""
         rows, pivots = self._rref()
-        p, n = self.p, self.cols
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for c in free:
-            v = [0] * n
-            v[c] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = (-rows[r][c]) % p
-            basis.append(v)
-        return FpSubspace.from_vectors(p, n, basis)
+        return FpSubspace.from_vectors(
+            self.p, self.cols, _null_vectors(self.p, rows, pivots, self.cols)
+        )
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``Mx = b`` (entries in ``[0, p)``), or ``None``."""

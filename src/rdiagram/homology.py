@@ -26,14 +26,14 @@ from typing import Sequence
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    _snf_in_place,
     kernel_basis,
     lattice_intersection,
-    preimage_lattice,
-    snf,
 )
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    lift_span,
     quotient_projection,
     relative_complement,
     validate_prime,
@@ -61,21 +61,25 @@ __all__ = [
 ]
 
 
-def congruent_kernel_lattice(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
+def congruent_kernel_lattice(
+    p: int,
+    d1: IntMatrix,
+    d2: IntMatrix,
+    kernels: tuple[Lattice, Lattice] | None = None,
+) -> Lattice:
     """The lattice {(u, v) : d1 u = 0, d2 v = 0, u = v mod p}.
 
     This is the brute-force model of ker d inside Z^m + Z^m, used as the
-    reference the canonical presentation is checked against.
+    reference the canonical presentation is checked against.  ``kernels``
+    are ``kernel_basis(d1)`` and ``kernel_basis(d2)`` when the caller has
+    them already.
     """
     if d1.cols != d2.cols or d1.rows != d2.rows:
         raise ValueError("the pair must share shapes")
     m = d1.cols
-    dom = kernel_basis(d1).direct_sum(kernel_basis(d2))
-    eye = IntMatrix.identity(m)
-    congruence = preimage_lattice(
-        eye.hstack(eye.scale(-1)), Lattice.scaled_full(m, p)
-    )
-    return lattice_intersection(dom, congruence)
+    ker1, ker2 = kernels or (kernel_basis(d1), kernel_basis(d2))
+    diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
+    return lattice_intersection(ker1.direct_sum(ker2), lift_span(p, 2 * m, diagonal))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -167,44 +171,37 @@ def validate_complex(C: ChainComplexR) -> ComplexReport:
     return ComplexReport(tuple(failures))
 
 
-def kernel_split(f: IntMatrix, g: IntMatrix) -> tuple[list, list]:
+def kernel_split(
+    f: IntMatrix, g: IntMatrix, ker_f: Lattice | None = None
+) -> tuple[list, list]:
     """Split ker f = K + U with K = ker f ∩ ker g, both parts free.
 
     The coordinates of K inside ker f form a saturated sublattice, so a
     Smith transform of its basis yields a unimodular change of basis of
     the coordinate space whose leading columns span K and whose trailing
-    columns span a genuine integral complement.  Both the sum equality
-    and the zero intersection are verified before returning.
+    columns span a genuine integral complement: the columns of ``U^-1``
+    for ``D = U @ M @ V``, which the Smith kernel carries along.  Both the
+    sum equality and the zero intersection are verified before returning.
+    ``ker_f`` is ``kernel_basis(f)`` when the caller has it already.
     """
     if f.cols != g.cols:
         raise ValueError("the two maps must share their domain")
-    B = kernel_basis(f)
+    B = kernel_basis(f) if ker_f is None else ker_f
     r = B.rank
     Bmat = B.basis_matrix()
     inner = kernel_basis(g @ Bmat)
     s = inner.rank
-    M = inner.basis_matrix()
-    U, _, _ = snf(M)
-    Uinv = _unimodular_inverse(U)
-    kcols = [Uinv.column(j) for j in range(s)]
-    ucols = [Uinv.column(j) for j in range(s, r)]
-    K = [tuple(Bmat.mul_vec(c)) for c in kcols]
-    Ub = [tuple(Bmat.mul_vec(c)) for c in ucols]
+    uinv = [[int(i == j) for j in range(r)] for i in range(r)]
+    _snf_in_place([list(row) for row in inner.basis_matrix().entries], s, uinv=uinv)
+    cols = list(zip(*uinv))
+    K = [tuple(Bmat.mul_vec(c)) for c in cols[:s]]
+    Ub = [tuple(Bmat.mul_vec(c)) for c in cols[s:]]
     ambient = f.cols
     ksp = Lattice.from_generators(ambient, K)
     usp = Lattice.from_generators(ambient, Ub)
     if ksp.sum(usp) != B or lattice_intersection(ksp, usp).rank:
         raise AssertionError("kernel splitting failed to be a direct sum")
     return K, Ub
-
-
-def _unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    from .intlinalg import hnf
-
-    H, T = hnf(U)
-    if H != IntMatrix.identity(U.rows):
-        raise ValueError("matrix is not unimodular")
-    return T
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -228,12 +225,22 @@ class GeneratorSets:
             object.__setattr__(self, f.name, tuple(map(tuple, getattr(self, f.name))))
 
 
-def generator_sets(d1: IntMatrix, d2: IntMatrix, p: int) -> GeneratorSets:
-    """Compute all five generator families for a congruent pair."""
+def generator_sets(
+    d1: IntMatrix,
+    d2: IntMatrix,
+    p: int,
+    kernels: tuple[Lattice, Lattice] | None = None,
+) -> GeneratorSets:
+    """Compute all five generator families for a congruent pair.
+
+    ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)`` when the
+    caller has them already.
+    """
     validate_prime(p)
     m = d1.cols
-    v12, v1 = kernel_split(d1, d2)
-    v12b, v2 = kernel_split(d2, d1)
+    ker1, ker2 = kernels or (kernel_basis(d1), kernel_basis(d2))
+    v12, v1 = kernel_split(d1, d2, ker1)
+    v12b, v2 = kernel_split(d2, d1, ker2)
     if Lattice.from_generators(m, v12) != Lattice.from_generators(m, v12b):
         raise AssertionError("the two kernel splits disagree on the intersection")
     kerbar = FpMatrix.from_int(d1, p).kernel()
@@ -276,9 +283,11 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     mixed classes (one per dimension by which the reduced kernels meet
     beyond the reduced intersection), then p-scaled one-sided classes.
     The pullback of the resulting diagram, embedded back into Z^m + Z^m,
-    is asserted to equal the kernel lattice exactly.
+    is asserted to equal the kernel lattice exactly.  The kernels of d1 and
+    d2 are computed once here, for the generator sets and the kernel lattice.
     """
-    gs = generator_sets(d1, d2, p)
+    kernels = (kernel_basis(d1), kernel_basis(d2))
+    gs = generator_sets(d1, d2, p, kernels)
     m = d1.cols
     v1full = list(gs.v12) + list(gs.v1)
     v2full = list(gs.v12) + list(gs.v2)
@@ -304,7 +313,7 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
         + [tuple(p * x for x in v) + (0,) * m for v in gs.v1]
         + [(0,) * m + tuple(p * x for x in v) for v in gs.v2]
     )
-    lat = congruent_kernel_lattice(p, d1, d2)
+    lat = congruent_kernel_lattice(p, d1, d2, kernels)
     sep = separate_presented(p, m, m, lat, Lattice.zero(2 * m), generators=gens)
     if sep.embedded_pullback_lattice() != lat:
         raise AssertionError("embedded pullback differs from the kernel lattice")
@@ -424,18 +433,17 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
         raise AssertionError("the sub-diagram fails to cover the bar image")
     sbar_dim = D.mbar_dim - im_fbar.dim
 
-    def side_quotient(fmap, Tself, Tbar_other):
-        lifted = Lattice.from_generators(ell, list(U.sum(Tbar_other).basis))
-        L = lifted.sum(Lattice.scaled_full(ell, p)).sum(Tself)
+    # L_i = lift(U + Tbar_{3-i}) + p Z^ell + T_i is lift(Lbar) + p Z^ell on both sides
+    L = lift_span(p, ell, Lbar.basis)
+
+    def side_quotient(fmap):
         image = Lattice.from_generators(
             fmap.target.gens, [fmap.matrix.mul_vec(v) for v in L.basis]
         )
-        return ZModulePresentation(
-            fmap.target.gens, fmap.target.relations.sum(image)
-        ), L
+        return ZModulePresentation(fmap.target.gens, fmap.target.relations.sum(image))
 
-    s1, L1 = side_quotient(f1, T1, Tbar2)
-    s2, L2 = side_quotient(f2, T2, Tbar1)
+    s1 = side_quotient(f1)
+    s2 = side_quotient(f2)
 
     _, section = quotient_projection(Lbar)
     lifts = [section.column(j) for j in range(kdim)]

@@ -21,12 +21,23 @@ Conventions the rest of the package relies on:
   normalises the pivot as above, so the canonical form is unchanged.
   ``Lattice.from_generators``, ``kernel_basis``, ``lattice_intersection``
   and ``preimage_lattice`` pass columns in and read columns out; only
-  ``hnf`` asks the kernel to carry the transform ``U`` along.
+  ``hnf`` asks the kernel to carry the transform ``U`` along.  The last
+  three keep only the columns with no pivot in a stacked top block, so
+  the kernel skips the pivot-row reductions of the other columns.
+* Lattices between ``p Z^n`` and ``Z^n`` (separatedness, matching pairs,
+  congruence mod p, the combined reduction's sub-diagram) are built in
+  ``fplinalg`` from an F_p echelon form instead: such a lattice is
+  ``lift(V) + p Z^n``, and the RREF rows of ``V`` with ``p e_i`` at the
+  non-pivot columns already are its canonical form (pivots 1 or p,
+  entries beside them in ``[0, p)``), so ``==`` and every normal form
+  agree with the integer route.
 * ``solve_many`` factors a matrix once with ``hnf`` and back-substitutes
   every right-hand side, so solving many vectors against one matrix costs
   one normal form.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
-  nonnegative, each diagonal entry dividing the next.
+  nonnegative, each diagonal entry dividing the next.  Its in-place
+  kernel carries any of ``U``, ``V`` and ``U^-1`` that the caller asks
+  for.
 
 Sublattices of ``Z^n`` are represented by ``Lattice``: ambient rank plus
 the canonical HNF basis with zero columns dropped.  Membership tests and
@@ -206,14 +217,19 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_in_place(cols: list[list[int]], height: int, u: list[list[int]] | None = None) -> int:
+def _hnf_in_place(
+    cols: list[list[int]], height: int, u: list[list[int]] | None = None, top: int = 0
+) -> int:
     """Bring the columns ``cols`` (each ``height`` long) to canonical form in place.
 
     The nonzero columns of the result lead and are the canonical HNF basis
     of the span; the return value is their number.  ``u``, when given, holds
     one transform column per column and receives the same column operations,
     so that ``u`` ends as ``U`` in ``H = M @ U`` when it starts as the
-    identity.
+    identity.  With ``top``, the columns whose pivot lies in the first
+    ``top`` rows are never reduced in later pivot rows: only the columns
+    with a pivot further down come out canonical, and a finished column
+    never feeds into another, so those are the same as without ``top``.
 
     Each row is cleared by a Euclid pass over the unfinished columns: every
     column with a nonzero entry in the row is reduced by the one with the
@@ -224,6 +240,7 @@ def _hnf_in_place(cols: list[list[int]], height: int, u: list[list[int]] | None 
     """
     n = len(cols)
     j = 0
+    low = 0  # columns before ``low`` have their pivot in the first ``top`` rows
     for i in range(height):
         if j == n:
             break
@@ -257,7 +274,9 @@ def _hnf_in_place(cols: list[list[int]], height: int, u: list[list[int]] | None 
             if u is not None:
                 u[j] = [-x for x in u[j]]
             a = -a
-        for k in range(j):
+        if i < top:
+            low = j + 1
+        for k in range(low, j):
             q = cols[k][i] // a
             if q:
                 cols[k] = [x - q * y for x, y in zip(cols[k], cj)]
@@ -288,42 +307,55 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_cols(cols, rows=m), IntMatrix.from_cols(u, rows=n)
 
 
-def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: ``(U, D, V)`` with ``D = U @ M @ V``.
+def _snf_in_place(
+    a: list[list[int]],
+    n: int,
+    u: list[list[int]] | None = None,
+    v: list[list[int]] | None = None,
+    uinv: list[list[int]] | None = None,
+) -> None:
+    """Bring the rows ``a`` (each ``n`` long) to Smith normal form in place.
 
-    ``U`` (``rows x rows``) and ``V`` (``cols x cols``) are unimodular; the
-    diagonal of ``D`` is nonnegative and forms a divisibility chain
-    ``d_1 | d_2 | ...`` (trailing zeros allowed).
+    ``u`` and ``v``, when given, are row lists that receive the same row
+    and column operations, so that ``D = U @ M @ V`` when they start as
+    identities.  ``uinv``, when given, receives the inverse of every row
+    operation as a column operation, so that it ends as ``U^-1`` when it
+    starts as the identity.  The transforms never steer the elimination.
     """
-    m, n = M.rows, M.cols
-    a = [list(row) for row in M.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = len(a)
+    row_mats = [a] if u is None else [a, u]
+    col_mats = [a] if v is None else [a, v]
 
     def row_sub(i: int, k: int, q: int) -> None:
-        ai, ak = a[i], a[k]
-        for c in range(n):
-            ai[c] -= q * ak[c]
-        ui, uk = u[i], u[k]
-        for c in range(m):
-            ui[c] -= q * uk[c]
+        for mat in row_mats:
+            mi, mk = mat[i], mat[k]
+            for c in range(len(mi)):
+                mi[c] -= q * mk[c]
+        if uinv is not None:
+            for row in uinv:
+                row[k] += q * row[i]
 
     def row_combine(t: int, i: int, x: int, y: int, xf: int, yf: int) -> None:
-        for mat, width in ((a, n), (u, m)):
+        for mat in row_mats:
             rt, ri = mat[t], mat[i]
-            for c in range(width):
+            for c in range(len(rt)):
                 s, w = rt[c], ri[c]
                 rt[c] = x * s + y * w
                 ri[c] = xf * s + yf * w
+        if uinv is not None:
+            # the combination has determinant 1; its inverse is [[yf, -y], [-xf, x]]
+            for row in uinv:
+                s, w = row[t], row[i]
+                row[t] = yf * s - xf * w
+                row[i] = x * w - y * s
 
     def col_sub(j: int, k: int, q: int) -> None:
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
+        for mat in col_mats:
+            for row in mat:
+                row[j] -= q * row[k]
 
     def col_combine(t: int, j: int, x: int, y: int, xf: int, yf: int) -> None:
-        for mat in (a, v):
+        for mat in col_mats:
             for row in mat:
                 s, w = row[t], row[j]
                 row[t] = x * s + y * w
@@ -345,13 +377,15 @@ def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if best is None:
             break
         if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+            for mat in row_mats:
+                mat[t], mat[pi] = mat[pi], mat[t]
+            if uinv is not None:
+                for row in uinv:
+                    row[t], row[pi] = row[pi], row[t]
         if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            for mat in col_mats:
+                for row in mat:
+                    row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, m):
                 b = a[i][t]
@@ -392,11 +426,27 @@ def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 # to a common divisor on the next elimination pass.
                 row_sub(t, offender, -1)
         if a[t][t] < 0:
-            for c in range(n):
-                a[t][c] = -a[t][c]
-            for c in range(m):
-                u[t][c] = -u[t][c]
+            for mat in row_mats:
+                mat[t] = [-x for x in mat[t]]
+            if uinv is not None:
+                for row in uinv:
+                    row[t] = -row[t]
         t += 1
+
+
+def snf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: ``(U, D, V)`` with ``D = U @ M @ V``.
+
+    ``U`` (``rows x rows``) and ``V`` (``cols x cols``) are unimodular; the
+    diagonal of ``D`` is nonnegative and forms a divisibility chain
+    ``d_1 | d_2 | ...`` (trailing zeros allowed).  It runs the in-place
+    kernel ``_snf_in_place`` with both transforms carried along.
+    """
+    m, n = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    _snf_in_place(a, n, u, v)
     return (
         IntMatrix.from_rows(u, cols=m),
         IntMatrix.from_rows(a, cols=n),
@@ -558,7 +608,7 @@ def _lower_lattice(cols: list[list[int]], top: int, ambient: int) -> Lattice:
     ``top`` rows trail the nonzero ones, and their bottom parts are already
     the canonical basis of that lattice.
     """
-    rank = _hnf_in_place(cols, top + ambient)
+    rank = _hnf_in_place(cols, top + ambient, top=top)
     first = next((j for j in range(rank) if not any(cols[j][:top])), rank)
     return Lattice(ambient, tuple(tuple(c[top:]) for c in cols[first:rank]))
 

@@ -33,6 +33,8 @@ from .intlinalg import (
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    lift_kernel,
+    lift_span,
     quotient_projection,
     validate_prime,
 )
@@ -241,6 +243,7 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
 
     The kernel condition is decided on lattices: the preimage of p Z^d
     under an integer lift of p_i must equal p*(generators) + relations.
+    Both contain p Z^gens, so both are built from echelon forms over F_p.
     Witnesses name the failing side and, for kernel failures, a vector in
     the symmetric difference.
     """
@@ -258,8 +261,8 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     for i in (1, 2):
         mod = D.component(i)
         mat = D.structure_map(i)
-        kernel = preimage_lattice(mat.lift(), Lattice.scaled_full(D.mbar_dim, D.p))
-        expected = Lattice.scaled_full(mod.gens, D.p).sum(mod.relations)
+        kernel = lift_kernel(D.p, mat.entries, mod.gens)
+        expected = lift_span(D.p, mod.gens, mod.relations.basis)
         if kernel != expected:
             separated = False
             bad = next(
@@ -449,10 +452,16 @@ class PullbackModule:
         )
 
 
+def _matching_lattice(a: FpMatrix, b: FpMatrix) -> Lattice:
+    """The pairs ``(x, y)`` with ``a x = b y`` mod p, as an integer lattice."""
+    p = a.p
+    rows = [ra + tuple(-y % p for y in rb) for ra, rb in zip(a.entries, b.entries)]
+    return lift_kernel(p, rows, a.cols + b.cols)
+
+
 def pullback_group(D: PullbackDiagram) -> PullbackModule:
     """Matching pairs of D; see ``PullbackModule``."""
-    stack = D.p1.lift().hstack(D.p2.lift().scale(-1))
-    matching = preimage_lattice(stack, Lattice.scaled_full(D.mbar_dim, D.p))
+    matching = _matching_lattice(D.p1, D.p2)
     relations = D.M1.relations.direct_sum(D.M2.relations)
     rel_coords = []
     for r in relations.basis:
@@ -640,9 +649,7 @@ def is_mono(m: DiagramMorphism) -> bool:
     L1 = m.f1.kernel_lattice()
     L2 = m.f2.kernel_lattice()
     dom = L1.direct_sum(L2)
-    stack = src.p1.lift().hstack(src.p2.lift().scale(-1))
-    match = preimage_lattice(stack, Lattice.scaled_full(src.mbar_dim, src.p))
-    Z = lattice_intersection(dom, match)
+    Z = lattice_intersection(dom, _matching_lattice(src.p1, src.p2))
     rels = src.M1.relations.direct_sum(src.M2.relations)
     return rels.contains_lattice(Z)
 
@@ -694,11 +701,10 @@ def _mixed_pullback_map(m: DiagramMorphism, side: int) -> ModuleMap:
     N_side relations as relations.
     """
     p = m.source.p
-    dm, dn = m.source.mbar_dim, m.target.mbar_dim
+    dm = m.source.mbar_dim
     q = m.target.structure_map(side)
     Nside = m.target.component(side)
-    stack = m.fbar.lift().hstack(q.lift().scale(-1))
-    match = preimage_lattice(stack, Lattice.scaled_full(dn, p))
+    match = _matching_lattice(m.fbar, q)
     rels = Lattice.scaled_full(dm, p).direct_sum(Nside.relations)
     rel_coords = []
     for r in rels.basis:

@@ -25,6 +25,7 @@ from .intlinalg import IntMatrix, Lattice, preimage_lattice
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    lift_kernel,
     quotient_projection,
     validate_prime,
 )
@@ -153,10 +154,23 @@ def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
 
 
 def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
-    """The integer lattice {x : q(x) in V mod p}."""
-    d = q.rows
-    target = Lattice.from_generators(d, list(V.basis)).sum(Lattice.scaled_full(d, q.p))
-    return preimage_lattice(q.lift(), target)
+    """The integer lattice {x : q(x) in V mod p}.
+
+    Reducing modulo V's echelon basis is linear and zeroes V's pivot
+    coordinates, so this is the kernel mod p of q's rows at the other
+    coordinates, each reduced by the basis rows.
+    """
+    pivot_of = dict(zip(V.pivots, V.basis))
+    rows = []
+    for t in range(q.rows):
+        if t in pivot_of:
+            continue
+        row = q.entries[t]
+        for c, b in pivot_of.items():
+            if b[t]:
+                row = [x - b[t] * y for x, y in zip(row, q.entries[c])]
+        rows.append(row)
+    return lift_kernel(q.p, rows, q.cols)
 
 
 def _apply_quotient(
@@ -255,7 +269,7 @@ def _standardize_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     for i in (1, 2):
         q = K.structure_map(i)
         mod = K.component(i)
-        ker_lat = preimage_lattice(q.lift(), Lattice.scaled_full(d, p))
+        ker_lat = lift_kernel(p, q.entries, q.cols)
         if not mod.relations.contains_lattice(ker_lat):
             raise AssertionError(
                 f"structure map {i} of K is not injective; quotient the kernels first"
@@ -366,18 +380,17 @@ def reduce_combined(pres: SeparatedPresentation) -> "RDiagram":
     stepwise hypotheses, but the resulting quotient is the same as running
     the three elementary reductions; the result is validated as an
     R-diagram and the vanishing of the reduced fbar is asserted.
+
+    Each L_i contains p Z^gens, and q_i maps T_i mod p onto Tbar_i, so
+    L_i is the lift of q_i^{-1}(Lbar) over F_p plus p Z^gens: one kernel
+    mod p per side.
     """
     K = pres.K
-    T1 = pres.f1.kernel_lattice()
-    T2 = pres.f2.kernel_lattice()
-    Tbar1 = _image_subspace(K.p1, T1)
-    Tbar2 = _image_subspace(K.p2, T2)
-    U = pres.fbar.kernel().complement()
+    Tbar1 = _image_subspace(K.p1, pres.f1.kernel_lattice())
+    Tbar2 = _image_subspace(K.p2, pres.f2.kernel_lattice())
+    Lbar = pres.fbar.kernel().complement().sum(Tbar1).sum(Tbar2)
     L = SubDiagram(
-        K,
-        _subspace_preimage(K.p1, U.sum(Tbar2)).sum(T1),
-        U.sum(Tbar1).sum(Tbar2),
-        _subspace_preimage(K.p2, U.sum(Tbar1)).sum(T2),
+        K, _subspace_preimage(K.p1, Lbar), Lbar, _subspace_preimage(K.p2, Lbar)
     )
     out = _apply_quotient(pres, L, quotient_target_right=True)
     if not out.fbar.is_zero():

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, document handling, determinism."""
 
+import hashlib
+import io
 import json
 import os
 import random
@@ -117,6 +119,24 @@ class TestValidateCommand:
         path.write_text("{nope")
         assert main(["validate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integer literals of any length",
+    )
+    @pytest.mark.parametrize("command", [["validate"], ["rdiagram", "--all"]])
+    def test_integer_literal_past_the_digit_limit_is_unreadable(
+        self, command, tmp_path, capsys
+    ):
+        # json.loads raises a plain ValueError for literals int() refuses to convert
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        doc = '{"p": 2, "differentials": [{"d1": [[%s]], "d2": [[1]]}]}' % digits
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            load_document(doc)
+        path = tmp_path / "input.json"
+        path.write_text(doc)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert "digits" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/input.json"]) == 2
@@ -314,3 +334,37 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "selftest: ok" in proc.stdout
+
+
+def golden_corpus():
+    """Thirty seeded complexes, p cycling through 2, 3, 5, as CLI documents."""
+    docs = []
+    for seed in range(30):
+        p = (2, 3, 5)[seed % 3]
+        rng = random.Random(seed)
+        ranks = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+        diffs = random_complex_differentials(rng, p, ranks, bound=2)
+        differentials = [
+            {"d1": [list(r) for r in d1.entries], "d2": [list(r) for r in d2.entries]}
+            for d1, d2 in diffs
+        ]
+        docs.append(json.dumps({"p": p, "ranks": ranks, "differentials": differentials}))
+    return docs
+
+
+# sha256 of the concatenated `rdiagram - --all [--trace]` outputs on golden_corpus();
+# any change to a normal form, a chosen generator or the JSON layout moves it
+GOLDEN_SHA256 = {
+    (): "85f32ff63b877c6aa07b9d9d95d2e3745dca16e5e49b196426efc7cd04bee9a4",
+    ("--trace",): "5901c6c48a2948f28e29354064bf5b348733a973f0d8a0859f9fe75b39c7a754",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_SHA256))
+def test_rdiagram_output_matches_the_golden_digest(flags, monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for doc in golden_corpus():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main(["rdiagram", "-", "--all", *flags]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_SHA256[flags]

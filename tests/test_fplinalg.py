@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rdiagram.fplinalg as fplinalg
 from rdiagram.fplinalg import (
     FpMatrix,
     FpSubspace,
+    lift_kernel,
+    lift_span,
     quotient_projection,
     relative_complement,
     validate_prime,
 )
+from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 
 PRIMES = (2, 3, 5)
 
@@ -181,3 +185,46 @@ def test_coords_in_roundtrip(W):
         for i in range(W.ambient):
             rebuilt[i] = (rebuilt[i] + c * row[i]) % W.p
     assert rebuilt == combo
+
+
+# --------------------------------------------------------------------------
+# integer lattices between p Z^n and Z^n, built from echelon forms
+# --------------------------------------------------------------------------
+
+
+@given(st.data())
+def test_lift_span_and_lift_kernel_equal_the_integer_lattices(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 1_000_000_007)))
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 6))
+    entry = st.integers(-2 * p, 2 * p)
+    vecs = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    scaled_units = [[p * int(i == j) for i in range(n)] for j in range(n)]
+    assert lift_span(p, n, vecs) == Lattice.from_generators(n, vecs + scaled_units)
+    A = IntMatrix.from_rows(vecs, cols=n)
+    assert lift_kernel(p, vecs, n) == preimage_lattice(A, Lattice.scaled_full(k, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1_000_000_007])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_lift_span_and_lift_kernel_of_nothing(p, n):
+    assert lift_span(p, n, []) == Lattice.scaled_full(n, p)
+    assert lift_kernel(p, [], n) == Lattice.full(n)
+
+
+def test_lift_constructors_reject_wrong_lengths():
+    with pytest.raises(ValueError, match="wrong length"):
+        lift_span(3, 2, [[1, 2, 0]])
+    with pytest.raises(ValueError, match="wrong length"):
+        lift_kernel(3, [[1]], 2)
+
+
+def test_lift_constructors_trust_their_prime(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fplinalg, "validate_prime", lambda p: calls.append(p) or p)
+    p = 1_000_000_007
+    lift_span(p, 3, [[1, 2, 3], [p + 1, 0, 5]])
+    lift_kernel(p, [[1, 2, 3], [4, 5, 6]], 3)
+    assert calls == []
+    FpSubspace.zero(p, 3)  # the counter does see a constructor that validates
+    assert calls == [p]

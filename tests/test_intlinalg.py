@@ -399,3 +399,31 @@ def test_det_matches_leibniz(M):
             term *= M.entries[i][perm[i]]
         total += term
     assert det(M) == total
+
+
+# --------------------------------------------------------------------------
+# the lattice kernels against hnf of the stacked columns
+# --------------------------------------------------------------------------
+
+
+def lower_reference(cols, top: int, ambient: int) -> Lattice:
+    """Bottom parts of the canonical columns with a zero top, from public ``hnf``."""
+    H, _ = hnf(IntMatrix.from_cols(cols, rows=top + ambient))
+    lower = [c[top:] for c in H.columns() if any(c) and not any(c[:top])]
+    return Lattice(ambient, tuple(lower))
+
+
+@given(matrices(max_dim=5, max_entry=30), st.data())
+def test_lattice_kernels_match_hnf_of_the_stacked_columns(M, data):
+    m, n = M.rows, M.cols
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    graph = [c + e for c, e in zip(M.columns(), units)]
+    assert kernel_basis(M) == lower_reference(graph, m, n)
+
+    L = data.draw(lattices(ambient=m, max_entry=30))
+    padded = [l + (0,) * n for l in L.basis]
+    assert preimage_lattice(M, L) == lower_reference(graph + padded, m, n)
+
+    A = data.draw(lattices(ambient=m, max_entry=30))
+    stacked = [a + a for a in A.basis] + [l + (0,) * m for l in L.basis]
+    assert lattice_intersection(A, L) == lower_reference(stacked, m, m)
