@@ -22,6 +22,7 @@ bad degree), 2 unreadable input, 3 internal consistency failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -107,6 +108,8 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer literal past int()'s digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
     if "p" not in doc or not isinstance(doc["p"], int) or isinstance(doc["p"], bool):
@@ -143,12 +146,14 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
 
 
 def _read_input(path: str) -> str:
+    """The document text, decoded as UTF-8 from a file or from stdin (``-``)."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
@@ -408,7 +413,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="rdiagram",
         description="Homology of complexes over a p-pullback ring, as R-diagrams.",

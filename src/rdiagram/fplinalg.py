@@ -10,6 +10,14 @@ columns of its echelon form, and relative complements extend a basis
 greedily along the canonical basis of the larger space.  This keeps every
 pipeline output byte-reproducible.
 
+Derived objects are read off one echelon form each, with no second
+elimination: the complement and the quotient projection come straight
+from a subspace's stored RREF, an intersection from one elimination of
+the rows ``(a | a)`` and ``(b | 0)``, and a kernel from one elimination of
+the matrix with its columns reversed, whose null vectors are then already
+in RREF.  Each result has a unique form (an RREF, or the inverse of a
+fixed basis), so it is the same object the longer constructions built.
+
 Integer lattices between ``p Z^n`` and ``Z^n`` are the lifts of subspaces
 of F_p^n, and ``lift_span``/``lift_kernel`` build them from an echelon
 form instead of an integer normal form: the RREF rows, with ``p e_i`` at
@@ -20,6 +28,7 @@ trust the ``p`` they are given, which the caller has already validated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 from .intlinalg import IntMatrix, Lattice
@@ -77,21 +86,36 @@ def _rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], l
     return rows, pivots
 
 
-def _null_vectors(
-    p: int, rows: Sequence[Sequence[int]], pivots: Sequence[int], width: int
-) -> list[list[int]]:
-    """A kernel basis read off an RREF: one vector per non-pivot column."""
+def _kernel_rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """The RREF basis of ``{x : A x = 0}`` over F_p and its pivots.
+
+    ``rows`` are A's rows, reduced mod p; they are reversed in place and
+    brought to RREF, one elimination in all.  With the columns reversed,
+    the null vector of a free column c has its 1 at c and its other
+    entries only at pivot columns to the right of c in the original
+    order.  So, taken by increasing c, the null vectors are already in
+    RREF with the free columns as pivots.
+    """
+    for r in rows:
+        r.reverse()
+    rows, pivots = _rref(p, rows, width)
+    top = width - 1
     bound = set(pivots)
-    basis = []
+    basis, free = [], []
     for c in range(width):
-        if c in bound:
+        rc = top - c
+        if rc in bound:
             continue
         v = [0] * width
         v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][c] % p
+        for row, pc in zip(rows, pivots):
+            if pc > rc:
+                break
+            if row[rc]:
+                v[top - pc] = p - row[rc]
         basis.append(v)
-    return basis
+        free.append(c)
+    return basis, free
 
 
 def _lift_rref(p: int, ambient: int, rows: list[list[int]], pivots: list[int]) -> Lattice:
@@ -138,9 +162,7 @@ def lift_kernel(p: int, rows: Iterable[Sequence[int]], width: int) -> Lattice:
     for r in a:
         if len(r) != width:
             raise ValueError("row has wrong length")
-    a, pivots = _rref(p, a, width)
-    kernel, pivots = _rref(p, _null_vectors(p, a, pivots, width), width)
-    return _lift_rref(p, width, kernel, pivots)
+    return _lift_rref(p, width, *_kernel_rref(p, a, width))
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +173,8 @@ class FpMatrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-    _rref_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rank: int | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: FpSubspace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = validate_prime(self.p)
@@ -198,8 +221,7 @@ class FpMatrix:
         bcols = [other.column(j) for j in range(other.cols)]
         p = self.p
         entries = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in bcols)
-            for row in self.entries
+            tuple(sum(map(mul, row, col)) % p for col in bcols) for row in self.entries
         )
         return FpMatrix(p, self.rows, other.cols, entries)
 
@@ -207,7 +229,7 @@ class FpMatrix:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         p = self.p
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
+        return tuple(sum(map(mul, row, v)) % p for row in self.entries)
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.p, self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
@@ -220,37 +242,54 @@ class FpMatrix:
             tuple(r + s for r, s in zip(self.entries, other.entries)),
         )
 
-    def _rref(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        cached = self._rref_cache
+    def kernel(self) -> "FpSubspace":
+        """Solution space of ``Mx = 0`` as a subspace of F_p^cols."""
+        cached = self._kernel
         if cached is None:
-            rows, pivots = _rref(self.p, [list(r) for r in self.entries], self.cols)
-            cached = (tuple(tuple(r) for r in rows), tuple(pivots))
-            object.__setattr__(self, "_rref_cache", cached)
+            basis, free = _kernel_rref(self.p, [list(r) for r in self.entries], self.cols)
+            cached = FpSubspace(self.p, self.cols, tuple(map(tuple, basis)), tuple(free))
+            object.__setattr__(self, "_kernel", cached)
         return cached
 
     def rank(self) -> int:
-        return len(self._rref()[1])
-
-    def kernel(self) -> "FpSubspace":
-        """Solution space of ``Mx = 0`` as a subspace of F_p^cols."""
-        rows, pivots = self._rref()
-        return FpSubspace.from_vectors(
-            self.p, self.cols, _null_vectors(self.p, rows, pivots, self.cols)
-        )
+        # kept as a number: a wide matrix's kernel is larger than the matrix
+        cached = self._rank
+        if cached is None:
+            cached = len(_rref(self.p, [list(r) for r in self.entries], self.cols)[1])
+            object.__setattr__(self, "_rank", cached)
+        return cached
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``Mx = b`` (entries in ``[0, p)``), or ``None``."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side has wrong length")
-        p = self.p
-        aug = [list(r) + [int(bv) % p] for r, bv in zip(self.entries, b)]
-        rows, pivots = _rref(p, aug, self.cols + 1)
-        if self.cols in pivots:
-            return None
-        x = [0] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = rows[r][self.cols]
-        return tuple(x)
+        return self.solve_many([b])[0]
+
+    def solve_many(self, rhs: Sequence[Sequence[int]]) -> list[tuple[int, ...] | None]:
+        """``solve`` for each right-hand side, from one elimination.
+
+        Gauss-Jordan runs once on ``[M | b_1 ... b_k]``, with pivots taken
+        only among M's columns; the row operations, and so the solutions,
+        are those ``solve`` would make for each b alone.  Returns one
+        solution (entries in ``[0, p)``) or ``None`` per right-hand side.
+        """
+        for b in rhs:
+            if len(b) != self.rows:
+                raise ValueError("right-hand side has wrong length")
+        if not rhs:
+            return []
+        p, n = self.p, self.cols
+        aug = [list(r) + [int(b[i]) % p for b in rhs] for i, r in enumerate(self.entries)]
+        rows, pivots = _rref(p, aug, n)
+        rank = len(pivots)
+        out: list[tuple[int, ...] | None] = []
+        for j in range(n, n + len(rhs)):
+            if any(row[j] for row in rows[rank:]):
+                out.append(None)
+                continue
+            x = [0] * n
+            for row, c in zip(rows, pivots):
+                x[c] = row[j]
+            out.append(tuple(x))
+        return out
 
     def inverse(self) -> "FpMatrix":
         if self.rows != self.cols:
@@ -298,9 +337,14 @@ class FpSubspace:
 
     @staticmethod
     def full(p: int, ambient: int) -> "FpSubspace":
-        return FpSubspace.from_vectors(
-            p, ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)]
-        )
+        return FpSubspace._spanned_by_units(p, ambient, range(ambient))
+
+    @staticmethod
+    def _spanned_by_units(p: int, ambient: int, cols: Iterable[int]) -> "FpSubspace":
+        """The span of the e_c for increasing ``cols``: these rows are an RREF."""
+        cols = tuple(cols)
+        basis = tuple(tuple(int(t == c) for t in range(ambient)) for c in cols)
+        return FpSubspace(p, ambient, basis, cols)
 
     @property
     def dim(self) -> int:
@@ -331,23 +375,33 @@ class FpSubspace:
 
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._check_compatible(other)
+        if not other.basis:
+            return self
+        if not self.basis:
+            return other
         return FpSubspace.from_vectors(self.p, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "FpSubspace") -> "FpSubspace":
+        """``self ∩ other`` from one elimination (Zassenhaus).
+
+        The rows ``(a | a)`` and ``(b | 0)`` span the pairs ``(a + b, a)``;
+        in their RREF, the rows with zero left half span the pairs
+        ``(0, a)`` with a in both spaces, and their right halves are
+        already the RREF of the intersection.
+        """
         self._check_compatible(other)
         if not self.basis or not other.basis:
             return FpSubspace.zero(self.p, self.ambient)
-        stacked = FpMatrix.from_rows(self.p, list(self.basis) + list(other.basis))
-        ker = stacked.transpose().kernel()
-        da = self.dim
-        vecs = []
-        for z in ker.basis:
-            combo = [0] * self.ambient
-            for coeff, row in zip(z[:da], self.basis):
-                for i in range(self.ambient):
-                    combo[i] = (combo[i] + coeff * row[i]) % self.p
-            vecs.append(combo)
-        return FpSubspace.from_vectors(self.p, self.ambient, vecs)
+        n = self.ambient
+        rows = [list(a + a) for a in self.basis] + [list(b) + [0] * n for b in other.basis]
+        rows, pivots = _rref(self.p, rows, 2 * n)
+        first = next((r for r, c in enumerate(pivots) if c >= n), len(pivots))
+        return FpSubspace(
+            self.p,
+            n,
+            tuple(tuple(row[n:]) for row in rows[first : len(pivots)]),
+            tuple(c - n for c in pivots[first:]),
+        )
 
     def contains_subspace(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
@@ -355,13 +409,11 @@ class FpSubspace:
 
     def complement(self) -> "FpSubspace":
         """Deterministic complement: standard vectors at non-pivot columns."""
-        vecs = []
-        for c in range(self.ambient):
-            if c not in self.pivots:
-                v = [0] * self.ambient
-                v[c] = 1
-                vecs.append(v)
-        return FpSubspace.from_vectors(self.p, self.ambient, vecs)
+        return FpSubspace._spanned_by_units(self.p, self.ambient, self._free_columns())
+
+    def _free_columns(self) -> list[int]:
+        bound = set(self.pivots)
+        return [c for c in range(self.ambient) if c not in bound]
 
     def _check_compatible(self, other: "FpSubspace") -> None:
         if self.p != other.p or self.ambient != other.ambient:
@@ -381,12 +433,24 @@ def relative_complement(inner: FpSubspace, outer: FpSubspace) -> list[tuple[int,
     """
     if not outer.contains_subspace(inner):
         raise ValueError("relative complement requires inner to lie inside outer")
-    span = inner
+    p = inner.p
+    # echelon rows of the span so far, by pivot; each row is 1 at its pivot
+    # and 0 before it, so reducing by increasing pivot clears every pivot
+    echelon = dict(zip(inner.pivots, inner.basis))
     added: list[tuple[int, ...]] = []
     for v in outer.basis:
-        if not span.contains(v):
-            added.append(v)
-            span = span.sum(FpSubspace.from_vectors(span.p, span.ambient, [v]))
+        w = list(v)
+        for c in range(inner.ambient):
+            f = w[c]
+            if not f:
+                continue
+            row = echelon.get(c)
+            if row is None:
+                inv = pow(f, p - 2, p)
+                echelon[c] = [x * inv % p for x in w]
+                added.append(v)
+                break
+            w = [(x - f * y) % p for x, y in zip(w, row)]
     return added
 
 
@@ -399,16 +463,20 @@ def quotient_projection(W: FpSubspace) -> tuple[FpMatrix, FpMatrix]:
     via the deterministic complement of ``W``.
     """
     p, n = W.p, W.ambient
-    comp = W.complement()
-    d = W.dim
-    cols = [list(v) for v in W.basis] + [list(v) for v in comp.basis]
-    if len(cols) != n:
-        raise ValueError("basis and complement do not fill the space")
-    B = FpMatrix.from_rows(p, cols, cols=n).transpose() if cols else FpMatrix.zeros(p, n, 0)
-    if n == 0:
-        return FpMatrix.zeros(p, 0, 0), FpMatrix.zeros(p, 0, 0)
-    Binv = B.inverse()
-    proj = FpMatrix(p, n - d, n, Binv.entries[d:])
-    section = FpMatrix.from_rows(p, [list(v) for v in comp.basis], cols=n).transpose() \
-        if comp.basis else FpMatrix.zeros(p, n, 0)
-    return proj, section
+    free = W._free_columns()
+    # x = sum_r x[pivot_r] w_r + sum_c b_c e_c, so b_c = x[c] - sum_r w_r[c] x[pivot_r]
+    proj_rows = []
+    for c in free:
+        row = [0] * n
+        row[c] = 1
+        for w, pc in zip(W.basis, W.pivots):
+            if w[c]:
+                row[pc] = p - w[c]
+        proj_rows.append(tuple(row))
+    section_rows = [[0] * len(free) for _ in range(n)]
+    for j, c in enumerate(free):
+        section_rows[c][j] = 1
+    return (
+        FpMatrix(p, len(free), n, tuple(proj_rows)),
+        FpMatrix(p, n, len(free), tuple(map(tuple, section_rows))),
+    )

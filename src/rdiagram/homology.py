@@ -299,11 +299,10 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     if meet != diag_span:
         B1 = IntMatrix.from_cols(v1full, rows=m)
         B2 = IntMatrix.from_cols(v2full, rows=m)
-        B1bar = FpMatrix.from_int(B1, p)
-        B2bar = FpMatrix.from_int(B2, p)
-        for z in relative_complement(diag_span, meet):
-            c1 = B1bar.solve(z)
-            c2 = B2bar.solve(z)
+        zs = relative_complement(diag_span, meet)
+        sols1 = FpMatrix.from_int(B1, p).solve_many(zs)
+        sols2 = FpMatrix.from_int(B2, p).solve_many(zs)
+        for c1, c2 in zip(sols1, sols2):
             if c1 is None or c2 is None:  # pragma: no cover - meet is in both spans
                 raise AssertionError("mixed class has no preimage in a kernel")
             mixed.append((tuple(B1.mul_vec(c1)), tuple(B2.mul_vec(c2))))
@@ -436,14 +435,8 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     # L_i = lift(U + Tbar_{3-i}) + p Z^ell + T_i is lift(Lbar) + p Z^ell on both sides
     L = lift_span(p, ell, Lbar.basis)
 
-    def side_quotient(fmap):
-        image = Lattice.from_generators(
-            fmap.target.gens, [fmap.matrix.mul_vec(v) for v in L.basis]
-        )
-        return ZModulePresentation(fmap.target.gens, fmap.target.relations.sum(image))
-
-    s1 = side_quotient(f1)
-    s2 = side_quotient(f2)
+    s1 = f1.target.quotient_by(f1.matrix.mul_vec(v) for v in L.basis)
+    s2 = f2.target.quotient_by(f2.matrix.mul_vec(v) for v in L.basis)
 
     _, section = quotient_projection(Lbar)
     lifts = [section.column(j) for j in range(kdim)]

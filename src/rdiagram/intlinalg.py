@@ -579,6 +579,10 @@ class Lattice:
     def sum(self, other: "Lattice") -> "Lattice":
         if self.ambient != other.ambient:
             raise ValueError("ambient rank mismatch")
+        if not other.basis:
+            return self
+        if not self.basis:
+            return other
         return Lattice.from_generators(self.ambient, self.basis + other.basis)
 
     def direct_sum(self, other: "Lattice") -> "Lattice":

@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .intlinalg import (
     IntMatrix,
     Lattice,
-    column_span,
     preimage_lattice,
     snf,
 )
@@ -96,7 +95,8 @@ class ZModulePresentation:
         return self.relations.contains(diff)
 
     def quotient_by(self, extra: Iterable[Sequence[int]]) -> "ZModulePresentation":
-        rels = self.relations.sum(Lattice.from_generators(self.gens, extra))
+        """The quotient by the classes of ``extra``: one HNF of the relations and them."""
+        rels = Lattice.from_generators(self.gens, [*self.relations.basis, *extra])
         return ZModulePresentation(self.gens, rels)
 
     def __repr__(self) -> str:
@@ -159,12 +159,10 @@ class ModuleMap:
         return self.kernel_lattice() == self.source.relations
 
     def is_surjective(self) -> bool:
-        image = column_span(self.matrix).sum(self.target.relations)
-        return image == Lattice.full(self.target.gens)
+        return self.cokernel().relations == Lattice.full(self.target.gens)
 
     def cokernel(self) -> ZModulePresentation:
-        rels = self.target.relations.sum(column_span(self.matrix))
-        return ZModulePresentation(self.target.gens, rels)
+        return self.target.quotient_by(self.matrix.columns())
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.source!r} -> {self.target!r})"

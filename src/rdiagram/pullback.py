@@ -321,7 +321,7 @@ class Separation:
 
     def embedded_pullback_lattice(self) -> Lattice:
         """Image in Z^a + Z^b of the matching-pairs lattice of the diagram."""
-        match = pullback_group(self.diagram).matching
+        match = _matching_lattice(self.diagram.p1, self.diagram.p2)
         k = len(self.generators)
         gens = [self.embed_pair(col[:k], col[k:]) for col in match.basis]
         return Lattice.from_generators(self.a + self.b, gens)
@@ -393,11 +393,12 @@ def separate_presented(
     G = IntMatrix.from_cols(gens, rows=ambient)
     scaled1 = [tuple(p * t for t in col[:a]) + (0,) * b for col in module_lattice.basis]
     scaled2 = [(0,) * a + tuple(p * t for t in col[a:]) for col in module_lattice.basis]
-    p1s = Lattice.from_generators(ambient, scaled1).sum(relations)
-    p2s = Lattice.from_generators(ambient, scaled2).sum(relations)
-    span_g = Lattice.from_generators(ambient, gens)
+    p1s = Lattice.from_generators(ambient, scaled1 + list(relations.basis))
+    p2s = Lattice.from_generators(ambient, scaled2 + list(relations.basis))
     for other, label in ((p2s, "M/P2M"), (p1s, "M/P1M")):
-        if not span_g.sum(other).contains_lattice(module_lattice):
+        if not Lattice.from_generators(ambient, gens + list(other.basis)).contains_lattice(
+            module_lattice
+        ):
             raise ValueError(f"generator classes do not generate {label}")
 
     rel1 = preimage_lattice(G, p2s)

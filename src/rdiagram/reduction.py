@@ -192,15 +192,9 @@ def _apply_quotient(
     projK, sectionK = quotient_projection(L.Lbar)
     newK = PullbackDiagram(p, newK1, newK2, projK.rows, projK @ K.p1, projK @ K.p2)
 
-    f1L1 = Lattice.from_generators(
-        S.M1.gens, [pres.f1.matrix.mul_vec(v) for v in L.L1.basis]
-    )
-    newS1 = ZModulePresentation(S.M1.gens, S.M1.relations.sum(f1L1))
+    newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
     if quotient_target_right:
-        f2L2 = Lattice.from_generators(
-            S.M2.gens, [pres.f2.matrix.mul_vec(v) for v in L.L2.basis]
-        )
-        newS2 = ZModulePresentation(S.M2.gens, S.M2.relations.sum(f2L2))
+        newS2 = S.M2.quotient_by(pres.f2.matrix.mul_vec(v) for v in L.L2.basis)
         fbarLbar = FpSubspace.from_vectors(
             p, S.mbar_dim, [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
         )
@@ -275,10 +269,9 @@ def _standardize_K(pres: SeparatedPresentation) -> SeparatedPresentation:
                 f"structure map {i} of K is not injective; quotient the kernels first"
             )
         f = pres.morphism.component(i)
+        units = [[int(t == r) for t in range(d)] for r in range(d)]
         cols = []
-        for r in range(d):
-            e = [int(t == r) for t in range(d)]
-            w = q.solve(e)
+        for w in q.solve_many(units):
             if w is None:
                 raise AssertionError(f"structure map {i} of K is not surjective")
             cols.append(f.matrix.mul_vec(w))

@@ -145,6 +145,45 @@ class TestValidateCommand:
         assert main(["validate", write(tmp_path, WORKED), "--p-check"]) == 0
 
 
+# a document that is not UTF-8, and one nested past the recursion limit
+UNREADABLE = {
+    "not-utf-8": b'{"p": 2, "labels": ["\xff"], "differentials": []}',
+    "too-deep": b"[" * 200_000,
+}
+UNREADABLE_COMMANDS = [["validate"], ["rdiagram", "--all"]]
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", UNREADABLE_COMMANDS)
+def test_unreadable_file_exits_2(kind, command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[kind])
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", UNREADABLE_COMMANDS)
+def test_unreadable_stdin_exits_2(kind, command, monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(UNREADABLE[kind]), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([command[0], "-", *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    path = write(tmp_path, WORKED)
+    assert main(["rdiagram", path, "--all", "--trace"]) == 0
+    assert all("trace" in block for block in json.loads(capsys.readouterr().out)["degrees"])
+    assert main(["rdiagram", path, "--all"]) == 0
+    assert all("trace" not in block for block in json.loads(capsys.readouterr().out)["degrees"])
+    assert main(["validate", path]) == 0
+    assert "valid complex" in capsys.readouterr().out
+    assert main(["selftest", "--seed", "2", "--trials", "2"]) == 0
+    assert "selftest: ok (2 presentation trials, seed 2)" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestRDiagramCommand:
     def test_worked_example_json(self, tmp_path, capsys):
         assert main(["rdiagram", write(tmp_path, WORKED), "--degree", "1"]) == 0

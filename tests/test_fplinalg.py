@@ -228,3 +228,199 @@ def test_lift_constructors_trust_their_prime(monkeypatch):
     assert calls == []
     FpSubspace.zero(p, 3)  # the counter does see a constructor that validates
     assert calls == [p]
+
+
+# --------------------------------------------------------------------------
+# objects read off one echelon form equal the longer constructions
+# --------------------------------------------------------------------------
+#
+# The references below are the constructions the echelon-form readings
+# replaced.  Each result has a unique form (an RREF, or the inverse of a
+# fixed basis), so the two must agree exactly, pivots included.
+
+EQ_PRIMES = (2, 3, 5, 1_000_000_007)
+
+
+def ref_kernel(M):
+    """Two passes: the RREF of M, its null vectors, then their RREF."""
+    p, n = M.p, M.cols
+    rows, pivots = fplinalg._rref(p, [list(r) for r in M.entries], n)
+    vecs = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [0] * n
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][c] % p
+        vecs.append(v)
+    return FpSubspace.from_vectors(p, n, vecs)
+
+
+def ref_complement(W):
+    n = W.ambient
+    units = [[int(t == c) for t in range(n)] for c in range(n) if c not in W.pivots]
+    return FpSubspace.from_vectors(W.p, n, units)
+
+
+def ref_intersect(A, B):
+    """Combinations of A's basis given by the kernel of the stacked bases."""
+    p, n = A.p, A.ambient
+    if not A.basis or not B.basis:
+        return FpSubspace.zero(p, n)
+    ker = ref_kernel(FpMatrix.from_rows(p, list(A.basis) + list(B.basis)).transpose())
+    vecs = []
+    for z in ker.basis:
+        combo = [0] * n
+        for coeff, row in zip(z[: A.dim], A.basis):
+            combo = [(x + coeff * y) % p for x, y in zip(combo, row)]
+        vecs.append(combo)
+    return FpSubspace.from_vectors(p, n, vecs)
+
+
+def ref_relative_complement(inner, outer):
+    """Greedy, with a subspace rebuilt for every added vector."""
+    span, added = inner, []
+    for v in outer.basis:
+        if not span.contains(v):
+            added.append(v)
+            span = span.sum(FpSubspace.from_vectors(span.p, span.ambient, [v]))
+    return added
+
+
+def ref_quotient_projection(W):
+    """Invert the basis [W | complement] and keep the complement rows."""
+    p, n, d = W.p, W.ambient, W.dim
+    comp = ref_complement(W)
+    if n == 0:
+        return FpMatrix.zeros(p, 0, 0), FpMatrix.zeros(p, 0, 0)
+    B = FpMatrix.from_rows(p, list(W.basis) + list(comp.basis), cols=n).transpose()
+    proj = FpMatrix(p, n - d, n, B.inverse().entries[d:])
+    if not comp.basis:
+        return proj, FpMatrix.zeros(p, n, 0)
+    return proj, FpMatrix.from_rows(p, comp.basis, cols=n).transpose()
+
+
+def ref_solve(M, b):
+    """One elimination of [M | b]; a pivot in the last column means no solution."""
+    p, n = M.p, M.cols
+    aug = [list(r) + [bv % p] for r, bv in zip(M.entries, b)]
+    rows, pivots = fplinalg._rref(p, aug, n + 1)
+    if n in pivots:
+        return None
+    x = [0] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    return tuple(x)
+
+
+def fp_entries(p):
+    # small entries and -1 make dependencies likely at large p as well
+    return st.one_of(st.sampled_from((0, 0, 1, p - 1)), st.integers(0, p - 1))
+
+
+@st.composite
+def fp_vectors(draw, p, n, max_count=7):
+    count = draw(st.integers(0, max_count))
+    return [[draw(fp_entries(p)) for _ in range(n)] for _ in range(count)]
+
+
+@st.composite
+def eq_case(draw):
+    p = draw(st.sampled_from(EQ_PRIMES))
+    n = draw(st.integers(0, 6))
+    return p, n
+
+
+def assert_same_subspace(new, ref):
+    assert new == ref
+    assert (new.basis, new.pivots) == (ref.basis, ref.pivots)
+
+
+@given(eq_case(), st.data())
+def test_kernel_equals_the_two_pass_kernel(case, data):
+    p, n = case
+    rows = data.draw(fp_vectors(p, n))
+    M = FpMatrix.from_rows(p, rows, cols=n)
+    ref = ref_kernel(M)
+    assert_same_subspace(M.kernel(), ref)
+    assert M.rank() == n - ref.dim
+    assert lift_kernel(p, rows, n) == lift_span(p, n, ref.basis)
+
+
+@given(eq_case(), st.data())
+def test_complement_and_projection_equal_the_inverse_construction(case, data):
+    p, n = case
+    W = FpSubspace.from_vectors(p, n, data.draw(fp_vectors(p, n)))
+    comp = W.complement()
+    assert_same_subspace(comp, ref_complement(W))
+    assert quotient_projection(W) == ref_quotient_projection(W)
+
+
+@given(eq_case(), st.data())
+def test_intersect_and_relative_complement_equal_the_references(case, data):
+    p, n = case
+    A = FpSubspace.from_vectors(p, n, data.draw(fp_vectors(p, n)))
+    B = FpSubspace.from_vectors(p, n, data.draw(fp_vectors(p, n)))
+    meet = A.intersect(B)
+    assert_same_subspace(meet, ref_intersect(A, B))
+    assert relative_complement(meet, A) == ref_relative_complement(meet, A)
+    assert relative_complement(meet, B) == ref_relative_complement(meet, B)
+    inner = FpSubspace.from_vectors(p, n, [v for v in A.basis if data.draw(st.booleans())])
+    assert relative_complement(inner, A) == ref_relative_complement(inner, A)
+
+
+@given(eq_case(), st.data())
+def test_solve_many_agrees_with_solve_vector_by_vector(case, data):
+    p, n = case
+    m = data.draw(st.integers(0, 6))
+    entries = [[data.draw(fp_entries(p)) for _ in range(n)] for _ in range(m)]
+    M = FpMatrix.from_rows(p, entries, cols=n)
+    # images of random vectors (solvable) next to arbitrary vectors (often not)
+    rhs = [M.mul_vec(v) for v in data.draw(fp_vectors(p, n, max_count=3))]
+    rhs += data.draw(fp_vectors(p, m, max_count=3))
+    rhs = data.draw(st.permutations(rhs))
+    sols = M.solve_many(rhs)
+    assert sols == [M.solve(b) for b in rhs] == [ref_solve(M, b) for b in rhs]
+    for b, x in zip(rhs, sols):
+        assert x is None or M.mul_vec(x) == tuple(bv % p for bv in b)
+
+
+def test_solve_many_edge_cases():
+    M = FpMatrix.from_rows(5, [[2, 0], [0, 3]])
+    assert M.solve_many([]) == []
+    assert M.solve_many([(4, 1), (0, 0), (1, 1)]) == [(2, 2), (0, 0), (3, 2)]
+    Z = FpMatrix.zeros(5, 2, 2)
+    assert Z.solve_many([(0, 0), (1, 0)]) == [(0, 0), None]
+    assert FpMatrix.zeros(3, 0, 2).solve_many([()]) == [(0, 0)]
+    with pytest.raises(ValueError, match="wrong length"):
+        M.solve_many([(1, 1), (1,)])
+
+
+def test_derived_objects_take_one_elimination_at_most(monkeypatch):
+    calls = []
+    real = fplinalg._rref
+
+    def counting(p, rows, width):
+        calls.append(width)
+        return real(p, rows, width)
+
+    monkeypatch.setattr(fplinalg, "_rref", counting)
+    W = FpSubspace.from_vectors(3, 5, [[1, 2, 0, 1, 1], [0, 0, 1, 2, 0]])
+    calls.clear()
+    quotient_projection(W)
+    W.complement()
+    FpSubspace.full(3, 4)
+    assert calls == []
+    lift_kernel(3, [[1, 2, 0, 1, 1], [0, 0, 1, 2, 0]], 5)
+    assert len(calls) == 1
+    M = FpMatrix.from_rows(3, [[1, 2, 0], [2, 1, 0]])
+    M.kernel(), M.kernel()
+    assert len(calls) == 2
+    M.rank(), M.rank()
+    assert len(calls) == 3
+    W.intersect(FpSubspace.from_vectors(3, 5, [[1, 2, 1, 0, 1]]))
+    assert len(calls) == 5  # the from_vectors above, then the intersection
+    relative_complement(FpSubspace.zero(3, 5), W)
+    M.solve_many([(1, 2), (0, 1)])
+    assert len(calls) == 6

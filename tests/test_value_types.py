@@ -152,8 +152,9 @@ def test_memo_fields_do_not_affect_equality_or_hash():
     assert P == fresh and hash(P) == hash(fresh)
 
     M, fresh = FpMatrix.from_rows(3, [[1, 2], [2, 1]]), FpMatrix.from_rows(3, [[1, 2], [2, 1]])
-    M.rank()
-    assert M._rref_cache is not None and fresh._rref_cache is None
+    M.rank(), M.kernel()
+    assert M._rank is not None and fresh._rank is None
+    assert M._kernel is not None and fresh._kernel is None
     assert M == fresh and hash(M) == hash(fresh)
 
     D = free_diagram(3, 2)
