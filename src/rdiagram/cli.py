@@ -304,11 +304,24 @@ def _render_text(p: int, payload: dict) -> str:
 
 
 def _degree_list(C: ChainComplexR, args) -> list[int]:
+    """The requested degrees; a missing or out-of-range one is a usage error."""
     if args.all:
         return list(range(C.terms))
     if args.degree is None:
         raise DocumentError("one of --degree or --all is required")
+    if not 0 <= args.degree < C.terms:
+        raise DocumentError(f"degree {args.degree} outside the complex (0..{C.terms - 1})")
     return [args.degree]
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def cmd_validate(args) -> int:
@@ -449,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="seeded randomized cross-checks")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trials", type=int, default=50)
+    s.add_argument("--trials", type=_non_negative_int, default=50)
     s.add_argument("--p", type=int, default=None, help="restrict to a single prime")
     s.set_defaults(func=cmd_selftest)
     return top

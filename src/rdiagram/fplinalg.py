@@ -18,6 +18,16 @@ the matrix with its columns reversed, whose null vectors are then already
 in RREF.  Each result has a unique form (an RREF, or the inverse of a
 fixed basis), so it is the same object the longer constructions built.
 
+The prime is checked where a bare ``p`` enters, and only there.  The
+public constructors (``FpMatrix(...)``, ``from_rows``, ``from_int``,
+``identity``, ``zeros``, ``FpSubspace(...)``, ``from_vectors``, ``zero``
+and ``full``) run ``validate_prime``, and the matrix ones reduce their
+entries mod p.  A value computed from F_p values that already exist (a
+product, a kernel, a sum, an intersection, a complement, a quotient
+projection) takes its ``p`` from them, has its entries in ``[0, p)`` by
+construction, and is built by the private ``_derived`` constructors
+without either step.
+
 Integer lattices between ``p Z^n`` and ``Z^n`` are the lifts of subspaces
 of F_p^n, and ``lift_span``/``lift_kernel`` build them from an echelon
 form instead of an integer normal form: the RREF rows, with ``p e_i`` at
@@ -47,8 +57,9 @@ __all__ = [
 def validate_prime(p: int) -> int:
     """Return ``p`` if it is a prime number, raise ``ValueError`` otherwise.
 
-    Trial division, so the cost grows with the square root of ``p``; it
-    runs on every construction of an object that carries ``p``.
+    Trial division, so the cost grows with the square root of ``p``.  It
+    runs wherever a bare ``p`` enters: in the public constructors of
+    ``FpMatrix`` and ``FpSubspace``, not in values derived from them.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an integer, got {p!r}")
@@ -118,6 +129,15 @@ def _kernel_rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[i
     return basis, free
 
 
+def _mul_entries(p: int, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
+    """The entries of the product of two entry grids, reduced into ``[0, p)``.
+
+    ``b`` has ``cols`` columns; the inner dimensions must agree.
+    """
+    bcols = [tuple(r[j] for r in b) for j in range(cols)]
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bcols) for row in a)
+
+
 def _lift_rref(p: int, ambient: int, rows: list[list[int]], pivots: list[int]) -> Lattice:
     """The lattice lift(span of the RREF ``rows``) + p Z^ambient, canonically.
 
@@ -183,6 +203,22 @@ class FpMatrix:
         object.__setattr__(self, "entries", tuple(tuple(x % p for x in r) for r in self.entries))
 
     @staticmethod
+    def _derived(p: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "FpMatrix":
+        """A matrix computed from existing F_p values, built without checks.
+
+        ``p`` was validated when those values were built, and the caller
+        produces ``entries`` of the given shape in ``[0, p)``.
+        """
+        M = object.__new__(FpMatrix)
+        object.__setattr__(M, "p", p)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "cols", cols)
+        object.__setattr__(M, "entries", entries)
+        object.__setattr__(M, "_rank", None)
+        object.__setattr__(M, "_kernel", None)
+        return M
+
+    @staticmethod
     def from_rows(p: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "FpMatrix":
         data = tuple(tuple(int(x) for x in r) for r in rows)
         if data:
@@ -218,12 +254,9 @@ class FpMatrix:
             raise ValueError("mixing different moduli")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in multiplication")
-        bcols = [other.column(j) for j in range(other.cols)]
         p = self.p
-        entries = tuple(
-            tuple(sum(map(mul, row, col)) % p for col in bcols) for row in self.entries
-        )
-        return FpMatrix(p, self.rows, other.cols, entries)
+        entries = _mul_entries(p, self.entries, other.entries, other.cols)
+        return FpMatrix._derived(p, self.rows, other.cols, entries)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -231,23 +264,12 @@ class FpMatrix:
         p = self.p
         return tuple(sum(map(mul, row, v)) % p for row in self.entries)
 
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
-
-    def hstack(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.rows != other.rows:
-            raise ValueError("hstack mismatch")
-        return FpMatrix(
-            self.p, self.rows, self.cols + other.cols,
-            tuple(r + s for r, s in zip(self.entries, other.entries)),
-        )
-
     def kernel(self) -> "FpSubspace":
         """Solution space of ``Mx = 0`` as a subspace of F_p^cols."""
         cached = self._kernel
         if cached is None:
             basis, free = _kernel_rref(self.p, [list(r) for r in self.entries], self.cols)
-            cached = FpSubspace(self.p, self.cols, tuple(map(tuple, basis)), tuple(free))
+            cached = FpSubspace._derived(self.p, self.cols, tuple(map(tuple, basis)), tuple(free))
             object.__setattr__(self, "_kernel", cached)
         return cached
 
@@ -291,16 +313,6 @@ class FpMatrix:
             out.append(tuple(x))
         return out
 
-    def inverse(self) -> "FpMatrix":
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n, p = self.rows, self.p
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.entries)]
-        rows, pivots = _rref(p, aug, 2 * n)
-        if list(pivots[:n]) != list(range(n)):
-            raise ValueError("matrix is singular")
-        return FpMatrix(p, n, n, tuple(tuple(rows[i][n:]) for i in range(n)))
-
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols}, {list(map(list, self.entries))})"
 
@@ -322,6 +334,22 @@ class FpSubspace:
         validate_prime(self.p)
 
     @staticmethod
+    def _derived(
+        p: int, ambient: int, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
+    ) -> "FpSubspace":
+        """A subspace computed from existing F_p values, built without checks.
+
+        ``p`` was validated when those values were built, and the caller
+        produces ``basis`` as an RREF over F_p with the given ``pivots``.
+        """
+        W = object.__new__(FpSubspace)
+        object.__setattr__(W, "p", p)
+        object.__setattr__(W, "ambient", ambient)
+        object.__setattr__(W, "basis", basis)
+        object.__setattr__(W, "pivots", pivots)
+        return W
+
+    @staticmethod
     def from_vectors(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
         rows = [[int(x) % p for x in v] for v in vecs]
         for v in rows:
@@ -337,14 +365,17 @@ class FpSubspace:
 
     @staticmethod
     def full(p: int, ambient: int) -> "FpSubspace":
-        return FpSubspace._spanned_by_units(p, ambient, range(ambient))
+        return FpSubspace._spanned_by_units(validate_prime(p), ambient, range(ambient))
 
     @staticmethod
     def _spanned_by_units(p: int, ambient: int, cols: Iterable[int]) -> "FpSubspace":
-        """The span of the e_c for increasing ``cols``: these rows are an RREF."""
+        """The span of the e_c for increasing ``cols``: these rows are an RREF.
+
+        ``p`` must already be validated.
+        """
         cols = tuple(cols)
         basis = tuple(tuple(int(t == c) for t in range(ambient)) for c in cols)
-        return FpSubspace(p, ambient, basis, cols)
+        return FpSubspace._derived(p, ambient, basis, cols)
 
     @property
     def dim(self) -> int:
@@ -379,7 +410,9 @@ class FpSubspace:
             return self
         if not self.basis:
             return other
-        return FpSubspace.from_vectors(self.p, self.ambient, self.basis + other.basis)
+        p, n = self.p, self.ambient
+        rows, pivots = _rref(p, [list(v) for v in self.basis + other.basis], n)
+        return FpSubspace._derived(p, n, tuple(map(tuple, rows[: len(pivots)])), tuple(pivots))
 
     def intersect(self, other: "FpSubspace") -> "FpSubspace":
         """``self ∩ other`` from one elimination (Zassenhaus).
@@ -391,12 +424,12 @@ class FpSubspace:
         """
         self._check_compatible(other)
         if not self.basis or not other.basis:
-            return FpSubspace.zero(self.p, self.ambient)
+            return FpSubspace._derived(self.p, self.ambient, (), ())
         n = self.ambient
         rows = [list(a + a) for a in self.basis] + [list(b) + [0] * n for b in other.basis]
         rows, pivots = _rref(self.p, rows, 2 * n)
         first = next((r for r, c in enumerate(pivots) if c >= n), len(pivots))
-        return FpSubspace(
+        return FpSubspace._derived(
             self.p,
             n,
             tuple(tuple(row[n:]) for row in rows[first : len(pivots)]),
@@ -477,6 +510,6 @@ def quotient_projection(W: FpSubspace) -> tuple[FpMatrix, FpMatrix]:
     for j, c in enumerate(free):
         section_rows[c][j] = 1
     return (
-        FpMatrix(p, len(free), n, tuple(proj_rows)),
-        FpMatrix(p, n, len(free), tuple(map(tuple, section_rows))),
+        FpMatrix._derived(p, len(free), n, tuple(proj_rows)),
+        FpMatrix._derived(p, n, len(free), tuple(map(tuple, section_rows))),
     )

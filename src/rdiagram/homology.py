@@ -256,13 +256,15 @@ class CanonicalKernel:
 
     ``plain_form`` records whether the plain five-set generators already
     span the kernel (no mixed classes were needed); the embedded pullback
-    equals the brute-force kernel lattice either way.
+    equals the brute-force kernel lattice either way.  ``kernels`` are
+    ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
     """
 
     separation: Separation
     sets: GeneratorSets
     mixed: tuple
     kernel_lattice: Lattice
+    kernels: tuple[Lattice, Lattice]
 
     def __post_init__(self):
         object.__setattr__(self, "mixed", tuple(self.mixed))
@@ -316,7 +318,7 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     sep = separate_presented(p, m, m, lat, Lattice.zero(2 * m), generators=gens)
     if sep.embedded_pullback_lattice() != lat:
         raise AssertionError("embedded pullback differs from the kernel lattice")
-    return CanonicalKernel(sep, gs, mixed, lat)
+    return CanonicalKernel(sep, gs, mixed, lat, kernels)
 
 
 def rewrite_differential(
@@ -369,7 +371,7 @@ def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
         raise ValueError(f"invalid complex: {report}")
     dout1, dout2 = C.pair(n)
     canon = canonical_kernel_presentation(dout1, dout2, C.p)
-    _divisibility_check(C, n, canon.sets)
+    _divisibility_check(C, n, canon.sets, canon.kernels)
     return SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon))
 
 
@@ -451,7 +453,12 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     return ClosedFormComponents(p, kdim, sbar_dim, s1, s2, q1, q2)
 
 
-def _divisibility_check(C: ChainComplexR, n: int, gs_out: GeneratorSets) -> None:
+def _divisibility_check(
+    C: ChainComplexR,
+    n: int,
+    gs_out: GeneratorSets,
+    kernels: tuple[Lattice, Lattice] | None = None,
+) -> None:
     """One-sided images of the incoming differential must be p-divisible.
 
     With (din1, din2) the incoming pair and v12, v1, v2 the outgoing
@@ -465,15 +472,21 @@ def _divisibility_check(C: ChainComplexR, n: int, gs_out: GeneratorSets) -> None
     which is what is checked: no generator sets of the incoming pair are
     built.  The mirror side swaps the two sides.  Violation indicates
     corrupted inputs and is fatal.
+
+    ``kernels`` are the outgoing ``kernel_basis(d1)`` and
+    ``kernel_basis(d2)`` when the caller has them: the kernel splits in
+    ``generator_sets`` assert that these are span(v12 + v1) and
+    span(v12 + v2).
     """
     p = C.p
     din1, din2 = C.pair(n - 1)
     m = din1.rows
-    for label, dmat, dother, one_sided in (
-        ("d1-image of a side-2 generator", din1, din2, gs_out.v1),
-        ("d2-image of a side-1 generator", din2, din1, gs_out.v2),
+    if kernels is None:
+        kernels = tuple(Lattice.from_generators(m, gs_out.v12 + v) for v in (gs_out.v1, gs_out.v2))
+    for label, dmat, dother, one_sided, kernel in (
+        ("d1-image of a side-2 generator", din1, din2, gs_out.v1, kernels[0]),
+        ("d2-image of a side-1 generator", din2, din1, gs_out.v2, kernels[1]),
     ):
-        kernel = Lattice.from_generators(m, gs_out.v12 + one_sided)
         divisible = Lattice.from_generators(
             m, gs_out.v12 + tuple(tuple(p * x for x in v) for v in one_sided)
         )

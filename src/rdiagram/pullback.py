@@ -33,6 +33,7 @@ from .intlinalg import (
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    _mul_entries,
     lift_kernel,
     lift_span,
     quotient_projection,
@@ -502,9 +503,13 @@ class DiagramMorphism:
         if (fbar.rows, fbar.cols) != (target.mbar_dim, source.mbar_dim):
             raise ValueError("fbar has the wrong shape")
         p = source.p
+        if fbar.p != p:
+            raise ValueError("mixing different moduli")
         for i, f in ((1, self.f1), (2, self.f2)):
-            left = target.structure_map(i) @ FpMatrix.from_int(f.matrix, p)
-            right = fbar @ source.structure_map(i)
+            # target.p_i f_i = fbar source.p_i, compared entrywise mod p
+            to, src = target.structure_map(i), source.structure_map(i)
+            left = _mul_entries(p, to.entries, f.matrix.entries, f.matrix.cols)
+            right = _mul_entries(p, fbar.entries, src.entries, src.cols)
             if left != right:
                 raise ValueError(f"square {i} does not commute")
 

@@ -255,7 +255,21 @@ class TestRDiagramCommand:
         assert capsys.readouterr().out == first
 
     def test_invalid_degree(self, tmp_path, capsys):
-        assert main(["rdiagram", write(tmp_path, WORKED), "--degree", "9"]) == 1
+        # a usage error (exit 2), raised before any degree is built
+        assert main(["rdiagram", write(tmp_path, WORKED), "--degree", "9"]) == 2
+        assert "degree 9 outside the complex (0..1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, degree",
+        [("rdiagram", "2"), ("rdiagram", "-1"), ("invariants", "9"), ("invariants", "-1")],
+    )
+    def test_degree_outside_the_complex_is_a_usage_error(
+        self, command, degree, tmp_path, capsys
+    ):
+        assert main([command, write(tmp_path, WORKED), "--degree", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"degree {degree} outside the complex (0..1)" in captured.err
 
     def test_degree_flag_is_required(self, tmp_path, capsys):
         assert main(["rdiagram", write(tmp_path, WORKED)]) == 2
@@ -348,6 +362,19 @@ class TestSelftestCommand:
     def test_small_run_passes(self, capsys):
         assert main(["selftest", "--seed", "5", "--trials", "6"]) == 0
         assert "selftest: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["-3", "-1", "x"])
+    def test_trials_must_be_a_non_negative_integer(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--trials", trials])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert "selftest: ok" not in captured.out
+
+    def test_zero_trials_still_runs_one_complex_trial(self, capsys):
+        assert main(["selftest", "--seed", "1", "--trials", "0"]) == 0
+        assert "selftest: ok (0 presentation trials, seed 1)" in capsys.readouterr().out
 
     def test_single_prime_restriction(self, capsys):
         assert main(["selftest", "--seed", "1", "--trials", "4", "--p", "3"]) == 0

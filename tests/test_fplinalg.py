@@ -14,9 +14,30 @@ from rdiagram.fplinalg import (
     relative_complement,
     validate_prime,
 )
+from rdiagram import homology, pullback, reduction
+from rdiagram.homology import ChainComplexR, generator_sets
 from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
+from rdiagram.presentations import ModuleMap, ZModulePresentation
+from rdiagram.pullback import DiagramMorphism, PullbackDiagram, separate_presented
+from rdiagram.reduction import RDiagram, free_diagram
 
 PRIMES = (2, 3, 5)
+
+
+def transpose(M):
+    return FpMatrix(M.p, M.cols, M.rows, tuple(M.column(j) for j in range(M.cols)))
+
+
+def inverse(M):
+    """Gauss-Jordan on [M | I]; the reference constructions below use it."""
+    if M.rows != M.cols:
+        raise ValueError("only square matrices can be inverted")
+    n, p = M.rows, M.p
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(M.entries)]
+    rows, pivots = fplinalg._rref(p, aug, 2 * n)
+    if list(pivots[:n]) != list(range(n)):
+        raise ValueError("matrix is singular")
+    return FpMatrix(p, n, n, tuple(tuple(rows[i][n:]) for i in range(n)))
 
 
 @st.composite
@@ -91,9 +112,9 @@ def test_solve_small():
 
 def test_inverse_roundtrip_small():
     M = FpMatrix.from_rows(7, [[2, 1], [5, 3]])
-    assert M @ M.inverse() == FpMatrix.identity(7, 2)
+    assert M @ inverse(M) == FpMatrix.identity(7, 2)
     with pytest.raises(ValueError):
-        FpMatrix.from_rows(7, [[1, 1], [2, 2]]).inverse()
+        inverse(FpMatrix.from_rows(7, [[1, 1], [2, 2]]))
 
 
 def test_mixed_moduli_rejected():
@@ -268,7 +289,7 @@ def ref_intersect(A, B):
     p, n = A.p, A.ambient
     if not A.basis or not B.basis:
         return FpSubspace.zero(p, n)
-    ker = ref_kernel(FpMatrix.from_rows(p, list(A.basis) + list(B.basis)).transpose())
+    ker = ref_kernel(transpose(FpMatrix.from_rows(p, list(A.basis) + list(B.basis))))
     vecs = []
     for z in ker.basis:
         combo = [0] * n
@@ -294,11 +315,11 @@ def ref_quotient_projection(W):
     comp = ref_complement(W)
     if n == 0:
         return FpMatrix.zeros(p, 0, 0), FpMatrix.zeros(p, 0, 0)
-    B = FpMatrix.from_rows(p, list(W.basis) + list(comp.basis), cols=n).transpose()
-    proj = FpMatrix(p, n - d, n, B.inverse().entries[d:])
+    B = transpose(FpMatrix.from_rows(p, list(W.basis) + list(comp.basis), cols=n))
+    proj = FpMatrix(p, n - d, n, inverse(B).entries[d:])
     if not comp.basis:
         return proj, FpMatrix.zeros(p, n, 0)
-    return proj, FpMatrix.from_rows(p, comp.basis, cols=n).transpose()
+    return proj, transpose(FpMatrix.from_rows(p, comp.basis, cols=n))
 
 
 def ref_solve(M, b):
@@ -424,3 +445,127 @@ def test_derived_objects_take_one_elimination_at_most(monkeypatch):
     relative_complement(FpSubspace.zero(3, 5), W)
     M.solve_many([(1, 2), (0, 1)])
     assert len(calls) == 6
+
+
+# --------------------------------------------------------------------------
+# the trust boundary: a bare p is validated, derived values are not rechecked
+# --------------------------------------------------------------------------
+
+
+def assert_public_matrix(M):
+    """M is the public construction from its entries, with empty memo slots."""
+    assert type(M) is FpMatrix
+    assert M == FpMatrix(M.p, M.rows, M.cols, M.entries)
+    assert M._rank is None and M._kernel is None
+
+
+def assert_public_subspace(W):
+    """W is the public construction from its basis, pivots included."""
+    assert type(W) is FpSubspace
+    assert_same_subspace(W, FpSubspace.from_vectors(W.p, W.ambient, W.basis))
+    assert W == FpSubspace(W.p, W.ambient, W.basis, W.pivots)
+
+
+@given(eq_case(), st.data())
+def test_derived_values_equal_the_public_constructions(case, data):
+    p, n = case
+    m = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, 6))
+    a = [[data.draw(fp_entries(p)) for _ in range(n)] for _ in range(m)]
+    b = [[data.draw(fp_entries(p)) for _ in range(k)] for _ in range(n)]
+    A = FpMatrix.from_rows(p, a, cols=n)
+    B = FpMatrix.from_rows(p, b, cols=k)
+    AB = A @ B
+    assert_public_matrix(AB)
+    # the integer product, reduced by the public constructor
+    assert AB == FpMatrix.from_int(IntMatrix.from_rows(a, cols=n) @ IntMatrix.from_rows(b, cols=k), p)
+    ker = A.kernel()
+    assert_public_subspace(ker)
+    assert all(not any(A.mul_vec(v)) for v in ker.basis)
+    V = FpSubspace.from_vectors(p, n, data.draw(fp_vectors(p, n)))
+    W = FpSubspace.from_vectors(p, n, data.draw(fp_vectors(p, n)))
+    for derived in (V.sum(W), V.intersect(W), V.complement(), W.complement()):
+        assert_public_subspace(derived)
+    assert V.sum(W) == FpSubspace.from_vectors(p, n, V.basis + W.basis)
+    proj, section = quotient_projection(V)
+    assert_public_matrix(proj)
+    assert_public_matrix(section)
+
+
+@pytest.fixture
+def prime_checks(monkeypatch):
+    """Count ``validate_prime`` calls under every name the package binds it to."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return p
+
+    for mod in (fplinalg, pullback, reduction, homology):
+        monkeypatch.setattr(mod, "validate_prime", counting)
+    return calls
+
+
+def test_derived_values_do_not_recheck_the_prime(prime_checks):
+    p = 1_000_000_007
+    A = FpMatrix.from_rows(p, [[1, 2, 3], [2, 4, 6]])
+    B = FpMatrix.from_rows(p, [[1, 0], [0, p - 1], [5, 7]])
+    V = FpSubspace.from_vectors(p, 3, [[1, 2, 3]])
+    W = FpSubspace.from_vectors(p, 3, [[0, 1, 1], [1, 0, 0]])
+    zero = FpSubspace.zero(p, 3)
+    D = free_diagram(p, 2)
+    f = ModuleMap.identity(D.M1)
+    eye = FpMatrix.identity(p, 2)
+    prime_checks.clear()
+    A @ B
+    A.kernel(), A.rank(), A.solve_many([(1, 2)]), A.mul_vec((1, 1, 1))
+    V.sum(W), W.sum(V), V.intersect(W), V.complement(), V.contains_subspace(W)
+    quotient_projection(W)
+    relative_complement(V, V.sum(W))
+    zero.sum(V), V.intersect(zero)
+    DiagramMorphism(D, D, f, f, eye)
+    assert prime_checks == []
+
+
+def test_every_bare_prime_constructor_validates_once(prime_checks):
+    p = 7
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    free = ZModulePresentation.free(2)
+    eye = FpMatrix.identity(p, 2)
+    D = PullbackDiagram(p, free, free, 2, eye, eye)
+    constructions = [
+        lambda: PullbackDiagram(p, free, free, 2, eye, eye),
+        lambda: RDiagram(p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0)),
+        lambda: ChainComplexR(p, [(M, M)]),
+        lambda: FpMatrix(p, 1, 2, ((1, 9),)),
+        lambda: FpMatrix.from_rows(p, [[1, 9]]),
+        lambda: FpMatrix.from_int(M, p),
+        lambda: FpMatrix.identity(p, 2),
+        lambda: FpMatrix.zeros(p, 2, 3),
+        lambda: FpSubspace(p, 2, ((1, 0),), (0,)),
+        lambda: FpSubspace.from_vectors(p, 2, [[2, 3]]),
+        lambda: FpSubspace.zero(p, 2),
+        lambda: FpSubspace.full(p, 2),
+    ]
+    for build in constructions:
+        prime_checks.clear()
+        build()
+        assert prime_checks == [p]
+
+
+def test_pipeline_entry_points_reject_a_composite_modulus():
+    p, q = 3, 15
+    D = free_diagram(p, 1)
+    Z = IntMatrix.zeros(1, 1)
+    free = ZModulePresentation.free(1)
+    entries = [
+        lambda: PullbackDiagram(q, free, free, 1, D.p1, D.p2),
+        lambda: RDiagram(q, 0, D, IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 0)),
+        lambda: ChainComplexR(q, [(Z, Z)]),
+        lambda: generator_sets(Z, Z, q),
+        lambda: free_diagram(q, 1),
+        lambda: separate_presented(q, 1, 1, Lattice.full(2), Lattice.zero(2)),
+    ]
+    for build in entries:
+        with pytest.raises(ValueError, match="not prime"):
+            build()

@@ -223,6 +223,33 @@ class TestDivisibilityCheck:
             _divisibility_check(C, 1, GeneratorSets([], [], [(2,)], [], []))
 
 
+def test_divisibility_check_reuses_the_outgoing_kernels(monkeypatch):
+    # span(v12 + v1) and span(v12 + v2) are the outgoing kernels, which the
+    # canonical kernel already holds: two fewer lattices per degree
+    C = ChainComplexR(3, random_complex_differentials(random.Random(4), 3, [2, 3, 2], bound=2))
+    calls = []
+    real = Lattice.from_generators
+    monkeypatch.setattr(
+        Lattice, "from_generators", staticmethod(lambda *a: calls.append(a) or real(*a))
+    )
+    for n in range(C.terms):
+        canon = canonical_kernel_presentation(*C.pair(n), C.p)
+        assert canon.kernels == (kernel_basis(C.pair(n)[0]), kernel_basis(C.pair(n)[1]))
+        calls.clear()
+        _divisibility_check(C, n, canon.sets)
+        rebuilt = len(calls)
+        calls.clear()
+        _divisibility_check(C, n, canon.sets, canon.kernels)
+        assert len(calls) == rebuilt - 2
+        calls.clear()
+        validate_complex(C)
+        rewrite_differential(C.pair(n - 1), canonical_kernel_presentation(*C.pair(n), C.p))
+        parts = len(calls)
+        calls.clear()
+        homology_presentation(C, n)
+        assert len(calls) == parts + rebuilt - 2
+
+
 class TestRewriteDifferential:
     def test_zero_incoming_map_is_the_zero_morphism(self):
         d1, d2 = two_by_two(2)

@@ -214,6 +214,39 @@ class TestMono:
         assert not is_mono_direct(m)
 
 
+class TestMorphismSquares:
+    @pytest.mark.parametrize("p", [2, 5, 1_000_000_007])
+    @pytest.mark.parametrize("broken", [1, 2])
+    def test_a_broken_square_is_named(self, p, broken):
+        D = _free_diagram(p, 2)
+        same = ModuleMap.identity(D.M1)
+        swapped = ModuleMap(D.M1, D.M1, IntMatrix.from_rows([[0, 1], [1, 0]]))
+        f1, f2 = (swapped, same) if broken == 1 else (same, swapped)
+        with pytest.raises(ValueError, match=f"square {broken} does not commute"):
+            DiagramMorphism(D, D, f1, f2, FpMatrix.identity(p, 2))
+
+    @pytest.mark.parametrize("p", [2, 5, 1_000_000_007])
+    def test_squares_are_compared_mod_p(self, p):
+        # component maps congruent to the identity, with entries outside [0, p)
+        D = _free_diagram(p, 2)
+        f = ModuleMap(D.M1, D.M1, IntMatrix.from_rows([[1 + p, -p], [3 * p, 1 - 2 * p]]))
+        DiagramMorphism(D, D, f, f, FpMatrix.identity(p, 2))
+
+    def test_fbar_over_another_prime_is_rejected(self):
+        D = _free_diagram(3, 1)
+        eye = ModuleMap.identity(D.M1)
+        with pytest.raises(ValueError, match="mixing different moduli"):
+            DiagramMorphism(D, D, eye, eye, FpMatrix.identity(5, 1))
+
+    def test_empty_middle_and_components(self):
+        for n in (0, 1):
+            D = PullbackDiagram(
+                2, ZModulePresentation.free(n), ZModulePresentation.free(n), 0,
+                FpMatrix.zeros(2, 0, n), FpMatrix.zeros(2, 0, n),
+            )
+            DiagramMorphism.identity(D)
+
+
 class TestEpi:
     def test_identity_all_conditions_hold(self):
         m = DiagramMorphism.identity(_free_diagram(2, 2))
