@@ -18,15 +18,25 @@ the matrix with its columns reversed, whose null vectors are then already
 in RREF.  Each result has a unique form (an RREF, or the inverse of a
 fixed basis), so it is the same object the longer constructions built.
 
-The prime is checked where a bare ``p`` enters, and only there.  The
-public constructors (``FpMatrix(...)``, ``from_rows``, ``from_int``,
+The prime is checked once, where a bare ``p`` enters, and only there.
+The public constructors (``FpMatrix(...)``, ``from_rows``, ``from_int``,
 ``identity``, ``zeros``, ``FpSubspace(...)``, ``from_vectors``, ``zero``
 and ``full``) run ``validate_prime``, and the matrix ones reduce their
-entries mod p.  A value computed from F_p values that already exist (a
-product, a kernel, a sum, an intersection, a complement, a quotient
-projection) takes its ``p`` from them, has its entries in ``[0, p)`` by
-construction, and is built by the private ``_derived`` constructors
-without either step.
+entries mod p.  ``from_int``, ``identity`` and ``from_vectors`` are each
+``validate_prime`` followed by a private body (``_from_int``,
+``_identity``, ``_spanned``); the pipeline calls those bodies directly,
+with a ``p`` read off a complex, diagram or presentation whose own
+constructor checked it.  ``_from_int`` still reduces its entries mod p;
+only the primality test is skipped.  A value computed from F_p values
+that already exist (a product, a kernel, a sum, an intersection, a
+complement, a quotient projection) takes its ``p`` from them, has its
+entries in ``[0, p)`` by construction, and is built by the private
+``_derived`` constructors without either step.
+
+``validate_prime`` is trial division, so it rejects any ``p >= 2**32``
+before dividing: below that bound one call costs at most about 65 000
+divisions, and a larger modulus fails at once instead of starting a loop
+whose length grows with its square root.
 
 Integer lattices between ``p Z^n`` and ``Z^n`` are the lifts of subspaces
 of F_p^n, and ``lift_span``/``lift_kernel`` build them from an echelon
@@ -44,6 +54,7 @@ from typing import Iterable, Sequence
 from .intlinalg import IntMatrix, Lattice
 
 __all__ = [
+    "PRIME_BOUND",
     "validate_prime",
     "FpMatrix",
     "FpSubspace",
@@ -54,17 +65,24 @@ __all__ = [
 ]
 
 
-def validate_prime(p: int) -> int:
-    """Return ``p`` if it is a prime number, raise ``ValueError`` otherwise.
+PRIME_BOUND = 2**32
 
-    Trial division, so the cost grows with the square root of ``p``.  It
-    runs wherever a bare ``p`` enters: in the public constructors of
-    ``FpMatrix`` and ``FpSubspace``, not in values derived from them.
+
+def validate_prime(p: int) -> int:
+    """Return ``p`` if it is a prime below ``PRIME_BOUND``, else raise ``ValueError``.
+
+    Trial division, so the cost grows with the square root of ``p``; the
+    bound, checked before any division, caps one call at about 65 000
+    divisions.  It runs wherever a bare ``p`` enters: in the public
+    constructors of ``FpMatrix`` and ``FpSubspace`` and at the pipeline's
+    entry points, not in values built from an already-checked ``p``.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an integer, got {p!r}")
     if p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p}")
+    if p >= PRIME_BOUND:
+        raise ValueError(f"modulus {p} is too large: primes must be below 2**32")
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -204,10 +222,11 @@ class FpMatrix:
 
     @staticmethod
     def _derived(p: int, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> "FpMatrix":
-        """A matrix computed from existing F_p values, built without checks.
+        """A matrix over an already-validated ``p``, built without checks.
 
-        ``p`` was validated when those values were built, and the caller
-        produces ``entries`` of the given shape in ``[0, p)``.
+        ``p`` was validated when the values or the object it was read from
+        were built, and the caller produces ``entries`` of the given shape
+        in ``[0, p)``.
         """
         M = object.__new__(FpMatrix)
         object.__setattr__(M, "p", p)
@@ -229,11 +248,25 @@ class FpMatrix:
 
     @staticmethod
     def from_int(M: IntMatrix, p: int) -> "FpMatrix":
-        return FpMatrix(p, M.rows, M.cols, M.entries)
+        return FpMatrix._from_int(M, validate_prime(p))
+
+    @staticmethod
+    def _from_int(M: IntMatrix, p: int) -> "FpMatrix":
+        """``M`` reduced mod p, for a ``p`` that is already validated."""
+        entries = tuple(tuple(x % p for x in r) for r in M.entries)
+        return FpMatrix._derived(p, M.rows, M.cols, entries)
 
     @staticmethod
     def identity(p: int, n: int) -> "FpMatrix":
-        return FpMatrix(p, n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return FpMatrix._identity(validate_prime(p), n)
+
+    @staticmethod
+    def _identity(p: int, n: int) -> "FpMatrix":
+        """The n x n identity, for a ``p`` that is already validated."""
+        entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return FpMatrix._derived(p, n, n, entries)
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "FpMatrix":
@@ -337,10 +370,11 @@ class FpSubspace:
     def _derived(
         p: int, ambient: int, basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
     ) -> "FpSubspace":
-        """A subspace computed from existing F_p values, built without checks.
+        """A subspace over an already-validated ``p``, built without checks.
 
-        ``p`` was validated when those values were built, and the caller
-        produces ``basis`` as an RREF over F_p with the given ``pivots``.
+        ``p`` was validated when the values or the object it was read from
+        were built, and the caller produces ``basis`` as an RREF over F_p
+        with the given ``pivots``.
         """
         W = object.__new__(FpSubspace)
         object.__setattr__(W, "p", p)
@@ -351,13 +385,18 @@ class FpSubspace:
 
     @staticmethod
     def from_vectors(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
+        return FpSubspace._spanned(validate_prime(p), ambient, vecs)
+
+    @staticmethod
+    def _spanned(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
+        """The span of ``vecs`` mod p, for a ``p`` that is already validated."""
         rows = [[int(x) % p for x in v] for v in vecs]
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector has wrong length")
         rref_rows, pivots = _rref(p, rows, ambient)
         nonzero = tuple(tuple(r) for r in rref_rows[: len(pivots)])
-        return FpSubspace(p, ambient, nonzero, tuple(pivots))
+        return FpSubspace._derived(p, ambient, nonzero, tuple(pivots))
 
     @staticmethod
     def zero(p: int, ambient: int) -> "FpSubspace":

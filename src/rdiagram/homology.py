@@ -243,8 +243,8 @@ def generator_sets(
     v12b, v2 = kernel_split(d2, d1, ker2)
     if Lattice.from_generators(m, v12) != Lattice.from_generators(m, v12b):
         raise AssertionError("the two kernel splits disagree on the intersection")
-    kerbar = FpMatrix.from_int(d1, p).kernel()
-    reduced = FpSubspace.from_vectors(p, m, list(v12) + list(v1) + list(v2))
+    kerbar = FpMatrix._from_int(d1, p).kernel()
+    reduced = FpSubspace._spanned(p, m, list(v12) + list(v1) + list(v2))
     vbar = relative_complement(reduced, kerbar)
     vbarc = list(kerbar.complement().basis)
     return GeneratorSets(v12, v1, v2, vbar, vbarc)
@@ -293,17 +293,17 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     m = d1.cols
     v1full = list(gs.v12) + list(gs.v1)
     v2full = list(gs.v12) + list(gs.v2)
-    q1span = FpSubspace.from_vectors(p, m, v1full)
-    q2span = FpSubspace.from_vectors(p, m, v2full)
+    q1span = FpSubspace._spanned(p, m, v1full)
+    q2span = FpSubspace._spanned(p, m, v2full)
     meet = q1span.intersect(q2span)
-    diag_span = FpSubspace.from_vectors(p, m, list(gs.v12))
+    diag_span = FpSubspace._spanned(p, m, list(gs.v12))
     mixed = []
     if meet != diag_span:
         B1 = IntMatrix.from_cols(v1full, rows=m)
         B2 = IntMatrix.from_cols(v2full, rows=m)
         zs = relative_complement(diag_span, meet)
-        sols1 = FpMatrix.from_int(B1, p).solve_many(zs)
-        sols2 = FpMatrix.from_int(B2, p).solve_many(zs)
+        sols1 = FpMatrix._from_int(B1, p).solve_many(zs)
+        sols2 = FpMatrix._from_int(B2, p).solve_many(zs)
         for c1, c2 in zip(sols1, sols2):
             if c1 is None or c2 is None:  # pragma: no cover - meet is in both spans
                 raise AssertionError("mixed class has no preimage in a kernel")
@@ -349,8 +349,8 @@ def rewrite_differential(
         ) from exc
     m1 = IntMatrix.from_cols(cols1, rows=D.M1.gens)
     m2 = IntMatrix.from_cols(cols2, rows=D.M2.gens)
-    fbar = D.p1 @ FpMatrix.from_int(m1, p)
-    other = D.p2 @ FpMatrix.from_int(m2, p)
+    fbar = D.p1 @ FpMatrix._from_int(m1, p)
+    other = D.p2 @ FpMatrix._from_int(m2, p)
     if fbar != other:
         raise AssertionError("the two routes to the bar component disagree")
     f1 = ModuleMap(K.M1, D.M1, m1)
@@ -412,22 +412,22 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     D = pres.S
     f1, f2, fbar = pres.f1, pres.f2, pres.fbar
     ell = f1.matrix.cols
-    free, eye = ZModulePresentation.free(ell), FpMatrix.identity(p, ell)
+    free, eye = ZModulePresentation.free(ell), FpMatrix._identity(p, ell)
     if not (pres.K.M1 == pres.K.M2 == free and pres.K.p1 == pres.K.p2 == eye):
         raise ValueError("the closed form needs a free source diagram")
 
     T1 = f1.kernel_lattice()
     T2 = f2.kernel_lattice()
-    Tbar1 = FpSubspace.from_vectors(p, ell, [v for v in T1.basis])
-    Tbar2 = FpSubspace.from_vectors(p, ell, [v for v in T2.basis])
+    Tbar1 = FpSubspace._spanned(p, ell, [v for v in T1.basis])
+    Tbar2 = FpSubspace._spanned(p, ell, [v for v in T2.basis])
     U = fbar.kernel().complement()
     Lbar = U.sum(Tbar1).sum(Tbar2)
     kdim = ell - Lbar.dim
 
-    im_fbar = FpSubspace.from_vectors(
+    im_fbar = FpSubspace._spanned(
         p, D.mbar_dim, [fbar.column(j) for j in range(ell)]
     )
-    fbar_Lbar = FpSubspace.from_vectors(
+    fbar_Lbar = FpSubspace._spanned(
         p, D.mbar_dim, [fbar.mul_vec(v) for v in Lbar.basis]
     )
     if fbar_Lbar != im_fbar:

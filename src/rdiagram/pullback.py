@@ -407,7 +407,7 @@ def separate_presented(
     relbar = preimage_lattice(G, p1s.sum(p2s))
     if not relbar.contains_lattice(Lattice.scaled_full(k, p)):
         raise AssertionError("M/(P1M+P2M) failed to be p-elementary")
-    W = FpSubspace.from_vectors(p, k, [col for col in relbar.basis])
+    W = FpSubspace._spanned(p, k, [col for col in relbar.basis])
     proj, section = quotient_projection(W)
     M1 = ZModulePresentation(k, rel1)
     M2 = ZModulePresentation(k, rel2)
@@ -523,7 +523,7 @@ class DiagramMorphism:
             D,
             ModuleMap.identity(D.M1),
             ModuleMap.identity(D.M2),
-            FpMatrix.identity(D.p, D.mbar_dim),
+            FpMatrix._identity(D.p, D.mbar_dim),
         )
 
     def __repr__(self) -> str:
@@ -574,8 +574,8 @@ def separate_morphism(
         src.diagram.M2, tgt.diagram.M2, IntMatrix.from_cols(cols2, rows=kt)
     )
     p = src.p
-    fbar = tgt.proj @ FpMatrix.from_int(f1.matrix, p) @ src.section
-    fbar_via_2 = tgt.proj @ FpMatrix.from_int(f2.matrix, p) @ src.section
+    fbar = tgt.proj @ FpMatrix._from_int(f1.matrix, p) @ src.section
+    fbar_via_2 = tgt.proj @ FpMatrix._from_int(f2.matrix, p) @ src.section
     if fbar != fbar_via_2:
         raise AssertionError("the two components induce different maps on Sbar")
     # lift-independence: nudge the first expressible column by a relation
@@ -636,8 +636,8 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
             if coords is None:
                 raise AssertionError("structure map failed to land in ker fbar")
             ccols.append(coords)
-        crows = [[ccols[j][r] for j in range(n)] for r in range(dims)]
-        cmaps.append(FpMatrix.from_rows(p, crows, cols=n))
+        crows = tuple(tuple(ccols[j][r] for j in range(n)) for r in range(dims))
+        cmaps.append(FpMatrix._derived(p, dims, n, crows))
     c1, c2 = cmaps
     diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, c1, c2)
     return KernelDiagram(diagram, includes[0], includes[1], kerfbar, c1, c2)

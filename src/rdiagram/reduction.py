@@ -138,19 +138,19 @@ def free_diagram(p: int, rank: int) -> PullbackDiagram:
     """The separated diagram (Z^rank, F_p^rank, Z^rank) of the free module."""
     validate_prime(p)
     free = ZModulePresentation.free(rank)
-    eye = FpMatrix.identity(p, rank)
+    eye = FpMatrix._identity(p, rank)
     return PullbackDiagram(p, free, free, rank, eye, eye)
 
 
 def _elementary_diagram(p: int, dim: int) -> PullbackDiagram:
     """The diagram ((Z/p)^dim, F_p^dim, (Z/p)^dim; id, id)."""
     E = ZModulePresentation.fp_elementary(p, dim)
-    eye = FpMatrix.identity(p, dim)
+    eye = FpMatrix._identity(p, dim)
     return PullbackDiagram(p, E, E, dim, eye, eye)
 
 
 def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
-    return FpSubspace.from_vectors(q.p, q.rows, [q.mul_vec(v) for v in L.basis])
+    return FpSubspace._spanned(q.p, q.rows, [q.mul_vec(v) for v in L.basis])
 
 
 def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
@@ -195,12 +195,12 @@ def _apply_quotient(
     newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
     if quotient_target_right:
         newS2 = S.M2.quotient_by(pres.f2.matrix.mul_vec(v) for v in L.L2.basis)
-        fbarLbar = FpSubspace.from_vectors(
+        fbarLbar = FpSubspace._spanned(
             p, S.mbar_dim, [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
         )
     else:
         newS2 = S.M2
-        fbarLbar = FpSubspace.zero(p, S.mbar_dim)
+        fbarLbar = FpSubspace._derived(p, S.mbar_dim, (), ())
     projS, _ = quotient_projection(fbarLbar)
     newS = PullbackDiagram(p, newS1, newS2, projS.rows, projS @ S.p1, projS @ S.p2)
 
@@ -294,7 +294,7 @@ def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     """
     K = pres.K
     p = pres.p
-    zero_bar = FpSubspace.zero(p, K.mbar_dim)
+    zero_bar = FpSubspace._derived(p, K.mbar_dim, (), ())
     L = SubDiagram(
         K,
         _subspace_preimage(K.p1, zero_bar),
@@ -484,7 +484,7 @@ def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
         if not mono:
             witness = next(col for col in ker.basis if not full_k.contains(col))
         checks.append((mono_name, mono, witness))
-        composite = rd.S.structure_map(i) @ FpMatrix.from_int(q, rd.p)
+        composite = rd.S.structure_map(i) @ FpMatrix._from_int(q, rd.p)
         checks.append((zero_name, composite.is_zero(), None))
     sep = is_separated(rd.S)
     checks.append(("s-separated", sep.separated, sep.witnesses or None))
@@ -512,5 +512,6 @@ def rdiagram_as_presentation(rd: RDiagram) -> SeparatedPresentation:
     K = _elementary_diagram(rd.p, rd.kdim)
     f1 = ModuleMap(K.M1, rd.S.M1, rd.q1)
     f2 = ModuleMap(K.M2, rd.S.M2, rd.q2)
-    fbar = FpMatrix.zeros(rd.p, rd.S.mbar_dim, rd.kdim)
+    zero_rows = ((0,) * rd.kdim,) * rd.S.mbar_dim
+    fbar = FpMatrix._derived(rd.p, rd.S.mbar_dim, rd.kdim, zero_rows)
     return SeparatedPresentation(DiagramMorphism(K, rd.S, f1, f2, fbar))

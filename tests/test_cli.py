@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,15 @@ class TestLoadDocument:
         path.write_text(doc)
         assert main(["validate", str(path)]) == 2
         assert "labels" in capsys.readouterr().err
+
+    def test_oversized_prime_fails_fast(self, monkeypatch, capsys):
+        # 2**61 - 1 is prime, and trial division on it would run for minutes
+        doc = '{"p": 2305843009213693951, "differentials": [{"d1": [[1]], "d2": [[1]]}]}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        start = time.perf_counter()
+        assert main(["rdiagram", "-", "--all"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "below 2**32" in capsys.readouterr().err
 
     def test_labels_are_passed_through(self):
         _, labels = load_document(

@@ -1,11 +1,14 @@
 """Tests for linear algebra over F_p."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import rdiagram.fplinalg as fplinalg
 from rdiagram.fplinalg import (
+    PRIME_BOUND,
     FpMatrix,
     FpSubspace,
     lift_kernel,
@@ -15,10 +18,11 @@ from rdiagram.fplinalg import (
     validate_prime,
 )
 from rdiagram import homology, pullback, reduction
-from rdiagram.homology import ChainComplexR, generator_sets
+from rdiagram.homology import ChainComplexR, generator_sets, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import DiagramMorphism, PullbackDiagram, separate_presented
+from rdiagram.randomgen import random_complex_differentials
 from rdiagram.reduction import RDiagram, free_diagram
 
 PRIMES = (2, 3, 5)
@@ -69,10 +73,21 @@ def test_validate_prime_rejects_composites_and_junk():
             validate_prime(bad)
 
 
+def test_validate_prime_rejects_moduli_from_the_bound_on():
+    largest = 4_294_967_291  # the largest prime below 2**32
+    assert PRIME_BOUND == 2**32 and validate_prime(largest) == largest
+    # 2**61 - 1 is prime: trial division would run for minutes on it
+    for big in (PRIME_BOUND, 4_294_967_311, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"too large: primes must be below 2\*\*32"):
+            validate_prime(big)
+
+
 def test_kernel_of_identity_is_zero():
     M = FpMatrix.identity(3, 4)
     assert M.kernel().dim == 0
     assert M.rank() == 4
+    with pytest.raises(ValueError, match="nonnegative"):
+        FpMatrix.identity(3, -1)
 
 
 def test_kernel_mod2_sum_map():
@@ -492,6 +507,32 @@ def test_derived_values_equal_the_public_constructions(case, data):
     assert_public_matrix(section)
 
 
+def residues(p):
+    """Integers in [0, p), negative ones and ones at or past p."""
+    return st.one_of(fp_entries(p), st.integers(-3 * p, -1), st.integers(p, 3 * p))
+
+
+@given(eq_case(), st.data())
+def test_private_bodies_equal_the_validating_constructors(case, data):
+    # the references reduce mod p in FpMatrix.__post_init__, not in the bodies
+    p, n = case
+    m = data.draw(st.integers(0, 6))
+    M = IntMatrix.from_rows([[data.draw(residues(p)) for _ in range(n)] for _ in range(m)], cols=n)
+    reduced = FpMatrix(p, m, n, M.entries)
+    for got, ref in (
+        (FpMatrix._from_int(M, p), reduced),
+        (FpMatrix._identity(p, n), FpMatrix(p, n, n, IntMatrix.identity(n).entries)),
+    ):
+        assert type(got) is FpMatrix
+        assert got == ref  # the same p, shape and entries
+        assert got._rank is None and got._kernel is None
+    assert FpMatrix.from_int(M, p) == reduced
+    W = FpSubspace._spanned(p, n, M.entries)
+    assert type(W) is FpSubspace
+    assert_same_subspace(W, FpSubspace.from_vectors(p, n, reduced.entries))
+    assert all(W.contains(v) for v in reduced.entries) and W.dim == reduced.rank()
+
+
 @pytest.fixture
 def prime_checks(monkeypatch):
     """Count ``validate_prime`` calls under every name the package binds it to."""
@@ -551,6 +592,19 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
         prime_checks.clear()
         build()
         assert prime_checks == [p]
+
+
+def test_homology_rdiagram_validates_only_at_the_boundary(prime_checks):
+    # per degree: generator_sets, separate_presented, free_diagram, RDiagram and
+    # the PullbackDiagrams of separate_presented, free_diagram,
+    # _elementary_diagram and _apply_quotient (two); every other F_p value in
+    # the pipeline reads its p off one of these
+    p = 1_000_000_007
+    C = ChainComplexR(p, random_complex_differentials(random.Random(0), p, [2, 3, 2]))
+    for n in range(C.terms):
+        prime_checks.clear()
+        homology_rdiagram(C, n)
+        assert prime_checks == [p] * 9
 
 
 def test_pipeline_entry_points_reject_a_composite_modulus():

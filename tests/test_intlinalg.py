@@ -6,6 +6,7 @@ arithmetic rather than against itself.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from rdiagram.intlinalg import (
     solve_in_span,
     solve_many,
 )
+from rdiagram.randomgen import random_unimodular
 
 
 def mat(rows, cols=None):
@@ -242,6 +244,18 @@ def test_hnf_span_agrees_with_sympy(M):
 def test_lattice_basis_is_the_hnf_without_zero_columns(M):
     # the lattice path runs without a transform, hnf with one
     assert list(Lattice.from_generators(M.rows, M.columns()).basis) == _nonzero_columns(hnf(M)[0])
+
+
+@given(matrices(max_dim=4, max_entry=20), st.integers(0, 2**32 - 1), st.data())
+def test_lattice_equality_is_subgroup_equality(M, seed, data):
+    # M U for a unimodular U, plus integer combinations of M's columns, spans
+    # what M spans: two generator sets of one subgroup give one Lattice
+    U = random_unimodular(random.Random(seed), M.cols)
+    combos = data.draw(
+        st.lists(st.lists(st.integers(-5, 5), min_size=M.cols, max_size=M.cols), max_size=3)
+    )
+    other = (M @ U).columns() + [M.mul_vec(c) for c in combos]
+    assert Lattice.from_generators(M.rows, other) == Lattice.from_generators(M.rows, M.columns())
 
 
 @given(matrices())
