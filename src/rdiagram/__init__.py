@@ -52,6 +52,7 @@ from .homology import (
     congruent_kernel_lattice,
     generator_sets,
     homology_presentation,
+    homology_presentations,
     homology_rdiagram,
     kernel_split,
     reduce_homology,
@@ -106,6 +107,7 @@ __all__ = [
     "congruent_kernel_lattice",
     "generator_sets",
     "homology_presentation",
+    "homology_presentations",
     "homology_rdiagram",
     "kernel_split",
     "reduce_homology",

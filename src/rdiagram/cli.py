@@ -14,9 +14,10 @@ entries may be decimal strings and are always emitted as strings, since
 Smith-form intermediates overflow the float-safe range long before the
 inputs look big.
 
-Exit codes: 0 success, 1 invalid input mathematics (bad complex,
-bad degree), 2 unreadable input, 3 internal consistency failure
-(pipeline/oracle disagreement — a bug, reported with a reproducer).
+Exit codes: 0 success, 1 invalid input mathematics (bad complex),
+2 unreadable input or a usage error (bad degree, bad option value),
+3 internal consistency failure (pipeline/oracle disagreement — a bug,
+reported with a reproducer).
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ import re
 import sys
 
 from .intlinalg import IntMatrix, Lattice
-from .fplinalg import FpMatrix
+from .fplinalg import FpMatrix, validate_prime
 from .presentations import ZModulePresentation
 from .pullback import PullbackDiagram
 from .homology import (
     ChainComplexR,
-    homology_presentation,
-    homology_rdiagram,
+    homology_presentations,
     reduce_homology,
     validate_complex,
 )
@@ -229,8 +229,7 @@ def _presentation_summary(pres) -> dict:
     }
 
 
-def _rdiagram_payload(C: ChainComplexR, n: int, labels, trace: bool) -> dict:
-    pres = homology_presentation(C, n)
+def _rdiagram_payload(n: int, pres, labels, trace: bool) -> dict:
     rd = reduce_homology(pres)
     report = validate_rdiagram(rd)
     oracle = underlying_invariants_of_rdiagram(rd)
@@ -324,6 +323,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _prime(text: str) -> int:
+    try:
+        return validate_prime(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a prime below 2**32, got {text!r}") from None
+
+
 def cmd_validate(args) -> int:
     C, _ = load_document(_read_input(args.input))
     if args.p_check and not quotient_ring_check(C.p):
@@ -342,7 +348,8 @@ def cmd_validate(args) -> int:
 def cmd_rdiagram(args) -> int:
     C, labels = load_document(_read_input(args.input))
     degrees = _degree_list(C, args)
-    payloads = [_rdiagram_payload(C, n, labels, args.trace) for n in degrees]
+    presentations = homology_presentations(C, degrees)
+    payloads = [_rdiagram_payload(n, pres, labels, args.trace) for n, pres in zip(degrees, presentations)]
     if args.format == "json":
         print(json.dumps({"p": C.p, "degrees": payloads}, indent=2, sort_keys=True))
     else:
@@ -358,10 +365,9 @@ def cmd_invariants(args) -> int:
     degrees = _degree_list(C, args)
     rows = []
     agree_all = True
-    for n in degrees:
+    for n, pres in zip(degrees, homology_presentations(C, degrees)):
         byint = integer_homology_invariants(C, n)
-        rd = homology_rdiagram(C, n)
-        bypipe = underlying_invariants_of_rdiagram(rd)
+        bypipe = underlying_invariants_of_rdiagram(reduce_homology(pres))
         agree = invariants_equal(byint, bypipe)
         agree_all = agree_all and agree
         row = {
@@ -384,7 +390,7 @@ def cmd_selftest(args) -> int:
     from .randomgen import random_complex_differentials, random_presentation
 
     rng = random.Random(args.seed)
-    ps = [args.p] if args.p else [2, 3, 5]
+    ps = [args.p] if args.p is not None else [2, 3, 5]
     failures = 0
     for trial in range(args.trials):
         p = ps[trial % len(ps)]
@@ -413,9 +419,9 @@ def cmd_selftest(args) -> int:
     for trial in range(max(1, args.trials // 4)):
         p = ps[trial % len(ps)]
         C = ChainComplexR(p, random_complex_differentials(rng, p, sizes, bound=2))
-        for n in range(C.terms):
+        for n, pres in enumerate(homology_presentations(C, range(C.terms))):
             a = integer_homology_invariants(C, n)
-            b = underlying_invariants_of_rdiagram(homology_rdiagram(C, n))
+            b = underlying_invariants_of_rdiagram(reduce_homology(pres))
             if not invariants_equal(a, b):
                 print(f"complex trial {trial} degree {n}: oracle {a} vs pipeline {b}")
                 failures += 1
@@ -463,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("selftest", help="seeded randomized cross-checks")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trials", type=_non_negative_int, default=50)
-    s.add_argument("--p", type=int, default=None, help="restrict to a single prime")
+    s.add_argument("--p", type=_prime, default=None, help="restrict to a single prime")
     s.set_defaults(func=cmd_selftest)
     return top
 

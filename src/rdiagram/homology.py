@@ -6,8 +6,10 @@ the pipeline builds a canonical separated diagram Q for ker d, rewrites
 the incoming differential in Q's generators to obtain a separated
 presentation of H^n, built once per degree, and reduces that to an
 R-diagram.  A closed-form evaluation of the reduced components from the
-same presentation, without diagram quotients, independently checks the
-reduction.
+same presentation, without diagram quotients, checks the reduction; it
+shares the memoised ``kernel_lattice``, Lbar, ``lift_span`` and
+``quotient_by`` with ``reduce_combined``, so it is not independent of it.
+The requested degrees of a complex are built in one validated pass.
 
 The canonical presentation here is strictly more general than building
 Q from the five generator sets alone: the span of those generators can
@@ -55,6 +57,7 @@ __all__ = [
     "canonical_kernel_presentation",
     "rewrite_differential",
     "homology_presentation",
+    "homology_presentations",
     "closed_form_components",
     "homology_rdiagram",
     "reduce_homology",
@@ -65,19 +68,18 @@ def congruent_kernel_lattice(
     p: int,
     d1: IntMatrix,
     d2: IntMatrix,
-    kernels: tuple[Lattice, Lattice] | None = None,
+    kernels: tuple[Lattice, Lattice],
 ) -> Lattice:
     """The lattice {(u, v) : d1 u = 0, d2 v = 0, u = v mod p}.
 
     This is the brute-force model of ker d inside Z^m + Z^m, used as the
     reference the canonical presentation is checked against.  ``kernels``
-    are ``kernel_basis(d1)`` and ``kernel_basis(d2)`` when the caller has
-    them already.
+    are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
     """
     if d1.cols != d2.cols or d1.rows != d2.rows:
         raise ValueError("the pair must share shapes")
     m = d1.cols
-    ker1, ker2 = kernels or (kernel_basis(d1), kernel_basis(d2))
+    ker1, ker2 = kernels
     diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
     return lattice_intersection(ker1.direct_sum(ker2), lift_span(p, 2 * m, diagonal))
 
@@ -171,9 +173,7 @@ def validate_complex(C: ChainComplexR) -> ComplexReport:
     return ComplexReport(tuple(failures))
 
 
-def kernel_split(
-    f: IntMatrix, g: IntMatrix, ker_f: Lattice | None = None
-) -> tuple[list, list]:
+def kernel_split(f: IntMatrix, g: IntMatrix, ker_f: Lattice) -> tuple[list, list]:
     """Split ker f = K + U with K = ker f ∩ ker g, both parts free.
 
     The coordinates of K inside ker f form a saturated sublattice, so a
@@ -182,13 +182,12 @@ def kernel_split(
     columns span a genuine integral complement: the columns of ``U^-1``
     for ``D = U @ M @ V``, which the Smith kernel carries along.  Both the
     sum equality and the zero intersection are verified before returning.
-    ``ker_f`` is ``kernel_basis(f)`` when the caller has it already.
+    ``ker_f`` is ``kernel_basis(f)``.
     """
     if f.cols != g.cols:
         raise ValueError("the two maps must share their domain")
-    B = kernel_basis(f) if ker_f is None else ker_f
-    r = B.rank
-    Bmat = B.basis_matrix()
+    r = ker_f.rank
+    Bmat = ker_f.basis_matrix()
     inner = kernel_basis(g @ Bmat)
     s = inner.rank
     uinv = [[int(i == j) for j in range(r)] for i in range(r)]
@@ -199,7 +198,7 @@ def kernel_split(
     ambient = f.cols
     ksp = Lattice.from_generators(ambient, K)
     usp = Lattice.from_generators(ambient, Ub)
-    if ksp.sum(usp) != B or lattice_intersection(ksp, usp).rank:
+    if ksp.sum(usp) != ker_f or lattice_intersection(ksp, usp).rank:
         raise AssertionError("kernel splitting failed to be a direct sum")
     return K, Ub
 
@@ -229,16 +228,15 @@ def generator_sets(
     d1: IntMatrix,
     d2: IntMatrix,
     p: int,
-    kernels: tuple[Lattice, Lattice] | None = None,
+    kernels: tuple[Lattice, Lattice],
 ) -> GeneratorSets:
     """Compute all five generator families for a congruent pair.
 
-    ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)`` when the
-    caller has them already.
+    ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
     """
     validate_prime(p)
     m = d1.cols
-    ker1, ker2 = kernels or (kernel_basis(d1), kernel_basis(d2))
+    ker1, ker2 = kernels
     v12, v1 = kernel_split(d1, d2, ker1)
     v12b, v2 = kernel_split(d2, d1, ker2)
     if Lattice.from_generators(m, v12) != Lattice.from_generators(m, v12b):
@@ -358,21 +356,34 @@ def rewrite_differential(
     return DiagramMorphism(K, D, f1, f2, fbar)
 
 
-def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
-    """Separated presentation of H^n: free source of rank C^{n-1} onto ker d.
+def homology_presentations(C: ChainComplexR, degrees: Sequence[int]) -> list[SeparatedPresentation]:
+    """Separated presentations of H^n, free source of rank C^{n-1} onto ker d, per degree.
 
-    The one place a degree is built: validation, the canonical kernel and
-    the divisibility check each run once here.
+    The one place degrees are built: the complex is validated once, each
+    degree's canonical kernel and divisibility check run once, and degree
+    n reads its incoming pair's kernel bases off degree n-1's canonical
+    kernel when both are built in this pass.
     """
-    if not 0 <= n < C.terms:
-        raise ValueError(f"degree {n} outside the complex (0..{C.terms - 1})")
+    for n in degrees:
+        if not 0 <= n < C.terms:
+            raise ValueError(f"degree {n} outside the complex (0..{C.terms - 1})")
     report = validate_complex(C)
     if not report.ok:
         raise ValueError(f"invalid complex: {report}")
-    dout1, dout2 = C.pair(n)
-    canon = canonical_kernel_presentation(dout1, dout2, C.p)
-    _divisibility_check(C, n, canon.sets, canon.kernels)
-    return SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon))
+    kernels = {}  # degree -> kernel_basis of each matrix of its outgoing pair
+    presentations = []
+    for n in degrees:
+        canon = canonical_kernel_presentation(*C.pair(n), C.p)
+        kernels[n] = canon.kernels
+        incoming = kernels.get(n - 1) or tuple(map(kernel_basis, C.pair(n - 1)))
+        _divisibility_check(C, n, canon.sets, canon.kernels, incoming)
+        presentations.append(SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon)))
+    return presentations
+
+
+def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
+    """Separated presentation of H^n: free source of rank C^{n-1} onto ker d."""
+    return homology_presentations(C, [n])[0]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -392,8 +403,10 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     """Evaluate the reduced components of a free-source presentation in one pass.
 
     ``pres`` is the one built by ``homology_presentation`` and reduced by
-    ``reduce_combined``; re-deriving the components without
-    ``_apply_quotient`` keeps this an independent check of the reduction.
+    ``reduce_combined``.  The components are re-derived without
+    ``_apply_quotient``, but not independently: both sides use the
+    memoised ``kernel_lattice`` of f_i, the same Lbar, ``lift_span`` and
+    ``quotient_by``.
 
     With T_i the kernel of the rewritten component f_i and U a complement
     of ker fbar, the sub-diagram quotiented away in the general reduction
@@ -457,7 +470,8 @@ def _divisibility_check(
     C: ChainComplexR,
     n: int,
     gs_out: GeneratorSets,
-    kernels: tuple[Lattice, Lattice] | None = None,
+    kernels_out: tuple[Lattice, Lattice],
+    kernels_in: tuple[Lattice, Lattice],
 ) -> None:
     """One-sided images of the incoming differential must be p-divisible.
 
@@ -473,24 +487,22 @@ def _divisibility_check(
     built.  The mirror side swaps the two sides.  Violation indicates
     corrupted inputs and is fatal.
 
-    ``kernels`` are the outgoing ``kernel_basis(d1)`` and
-    ``kernel_basis(d2)`` when the caller has them: the kernel splits in
-    ``generator_sets`` assert that these are span(v12 + v1) and
-    span(v12 + v2).
+    ``kernels_out`` are the outgoing ``kernel_basis(d1)`` and
+    ``kernel_basis(d2)``: the kernel splits in ``generator_sets`` assert
+    that these are span(v12 + v1) and span(v12 + v2).  ``kernels_in`` are
+    ``kernel_basis(din1)`` and ``kernel_basis(din2)``.
     """
     p = C.p
     din1, din2 = C.pair(n - 1)
     m = din1.rows
-    if kernels is None:
-        kernels = tuple(Lattice.from_generators(m, gs_out.v12 + v) for v in (gs_out.v1, gs_out.v2))
-    for label, dmat, dother, one_sided, kernel in (
-        ("d1-image of a side-2 generator", din1, din2, gs_out.v1, kernels[0]),
-        ("d2-image of a side-1 generator", din2, din1, gs_out.v2, kernels[1]),
+    for label, dmat, one_sided, kernel, sources in (
+        ("d1-image of a side-2 generator", din1, gs_out.v1, kernels_out[0], kernels_in[1]),
+        ("d2-image of a side-1 generator", din2, gs_out.v2, kernels_out[1], kernels_in[0]),
     ):
         divisible = Lattice.from_generators(
             m, gs_out.v12 + tuple(tuple(p * x for x in v) for v in one_sided)
         )
-        for vec in kernel_basis(dother).basis:
+        for vec in sources.basis:
             image = dmat.mul_vec(vec)
             if any(x % p for x in image):
                 raise ArithmeticError(f"{label} is not divisible by {p}: {image}")

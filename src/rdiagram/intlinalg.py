@@ -131,9 +131,6 @@ class IntMatrix:
 
     # --- access -------------------------------------------------------
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
@@ -178,9 +175,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -591,14 +585,6 @@ class Lattice:
         gens = [col + (0,) * b for col in self.basis]
         gens += [(0,) * a + col for col in other.basis]
         return Lattice.from_generators(a + b, gens)
-
-    def scaled(self, k: int) -> "Lattice":
-        k = abs(k)
-        if k == 0:
-            return Lattice(self.ambient, ())
-        if k == 1:
-            return self
-        return Lattice(self.ambient, tuple(tuple(k * x for x in col) for col in self.basis))
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={list(map(list, self.basis))})"

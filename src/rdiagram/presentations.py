@@ -136,15 +136,6 @@ class ModuleMap:
     def identity(pres: ZModulePresentation) -> "ModuleMap":
         return ModuleMap(pres, pres, IntMatrix.identity(pres.gens))
 
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        return self.matrix.mul_vec(v)
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """``self after inner``."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("maps do not compose")
-        return ModuleMap(inner.source, self.target, self.matrix @ inner.matrix)
-
     def kernel_lattice(self) -> Lattice:
         """All generator vectors whose image is zero in the target module."""
         cached = self._kernel

@@ -201,7 +201,7 @@ def test_criterion_5_canonical_kernel_presentations():
         )
         canon = canonical_kernel_presentation(d1, d2, p)
         assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(
-            p, d1, d2
+            p, d1, d2, (kernel_basis(d1), kernel_basis(d2))
         )
     _announce(
         5,
@@ -332,7 +332,8 @@ def test_criterion_10_divisibility_assertion(complex_corpus):
         for n, _, _ in per_degree:
             dout1, dout2 = C.pair(n)
             canon = canonical_kernel_presentation(dout1, dout2, C.p)
-            _divisibility_check(C, n, canon.sets)  # hard error on violation
+            incoming = tuple(map(kernel_basis, C.pair(n - 1)))
+            _divisibility_check(C, n, canon.sets, canon.kernels, incoming)  # fatal if violated
             checked += 1
     _announce(
         10,

@@ -289,11 +289,12 @@ class TestRDiagramCommand:
         assert main(["rdiagram", write(tmp_path, doc), "--degree", "0"]) == 1
 
 
-# calls per degree: each builder runs once, and only reduce_combined reduces
+# calls per degree built alone: each builder runs once, and only reduce_combined reduces
 PER_DEGREE = {
     "canonical_kernel_presentation": 1,
     "validate_complex": 1,
     "generator_sets": 1,
+    "kernel_basis": 6,
     "reduce_K": 0,
     "reduce_barf": 0,
     "reduce_monos": 0,
@@ -318,7 +319,7 @@ def build_counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("flags", [[], ["--trace"]])
+@pytest.mark.parametrize("flags", [["rdiagram"], ["rdiagram", "--trace"], ["invariants"]])
 def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     diffs = random_complex_differentials(random.Random(7), 3, [2, 3, 2], bound=2)
     C = homology.ChainComplexR(3, diffs)
@@ -334,9 +335,13 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
         ],
     }
     build_counts.update(dict.fromkeys(build_counts, 0))
-    assert main(["rdiagram", write(tmp_path, doc), "--all", *flags]) == 0
+    assert main([*flags, write(tmp_path, doc), "--all"]) == 0
     assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
-    assert build_counts == {name: k * C.terms for name, k in PER_DEGREE.items()}
+    # one pass over the complex validates it once, and takes the kernel bases
+    # of each differential's pair once: degree n reuses degree n-1's
+    per_run = {name: k * C.terms for name, k in PER_DEGREE.items()}
+    per_run.update(validate_complex=1, kernel_basis=6 * C.terms - 2 * (C.terms - 1))
+    assert build_counts == per_run
 
 
 def test_each_rdiagram_is_checked_once(monkeypatch, tmp_path, capsys):
@@ -389,6 +394,15 @@ class TestSelftestCommand:
     def test_single_prime_restriction(self, capsys):
         assert main(["selftest", "--seed", "1", "--trials", "4", "--p", "3"]) == 0
 
+    @pytest.mark.parametrize("p", ["0", "4", "4294967311", "x"])
+    def test_p_must_be_a_prime_below_the_bound(self, p, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--trials", "1", "--p", p])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--p" in captured.err
+        assert "selftest: ok" not in captured.out
+
     def test_failed_reduction_hypothesis_is_an_internal_failure(self, monkeypatch, capsys):
         def broken(pres):
             raise reduction.HypothesisViolation("u1-not-surjective", "injected")
@@ -436,11 +450,25 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("flags", sorted(GOLDEN_SHA256))
-def test_rdiagram_output_matches_the_golden_digest(flags, monkeypatch, capsys):
+# sha256 of the concatenated `invariants - --all` outputs on golden_corpus()
+INVARIANTS_SHA256 = "27fe8314b292a46d1a5f139061af41de684f638fa532f62add79fb3a07b2b7d0"
+
+
+def corpus_digest(argv, monkeypatch, capsys) -> str:
+    """sha256 of the concatenated stdout of ``main(argv)`` on each golden_corpus() document."""
     digest = hashlib.sha256()
     for doc in golden_corpus():
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
-        assert main(["rdiagram", "-", "--all", *flags]) == 0
+        assert main(argv) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == GOLDEN_SHA256[flags]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_SHA256))
+def test_rdiagram_output_matches_the_golden_digest(flags, monkeypatch, capsys):
+    digest = corpus_digest(["rdiagram", "-", "--all", *flags], monkeypatch, capsys)
+    assert digest == GOLDEN_SHA256[flags]
+
+
+def test_invariants_output_matches_the_golden_digest(monkeypatch, capsys):
+    assert corpus_digest(["invariants", "-", "--all"], monkeypatch, capsys) == INVARIANTS_SHA256

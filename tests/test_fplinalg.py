@@ -19,7 +19,7 @@ from rdiagram.fplinalg import (
 )
 from rdiagram import homology, pullback, reduction
 from rdiagram.homology import ChainComplexR, generator_sets, homology_rdiagram
-from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import DiagramMorphism, PullbackDiagram, separate_presented
 from rdiagram.randomgen import random_complex_differentials
@@ -616,7 +616,7 @@ def test_pipeline_entry_points_reject_a_composite_modulus():
         lambda: PullbackDiagram(q, free, free, 1, D.p1, D.p2),
         lambda: RDiagram(q, 0, D, IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 0)),
         lambda: ChainComplexR(q, [(Z, Z)]),
-        lambda: generator_sets(Z, Z, q),
+        lambda: generator_sets(Z, Z, q, (kernel_basis(Z), kernel_basis(Z))),
         lambda: free_diagram(q, 1),
         lambda: separate_presented(q, 1, 1, Lattice.full(2), Lattice.zero(2)),
     ]

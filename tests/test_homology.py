@@ -107,36 +107,38 @@ class TestValidateComplex:
 
 class TestKernelSplit:
     def test_transverse_kernels(self):
-        K, U = kernel_split(rows([[1, 0]]), rows([[0, 1]]))
+        f = rows([[1, 0]])
+        K, U = kernel_split(f, rows([[0, 1]]), kernel_basis(f))
         assert K == []
         assert U == [(0, 1)]
 
     def test_zero_against_projection(self):
-        K, U = kernel_split(rows([[0, 0]]), rows([[1, 0]]))
+        f = rows([[0, 0]])
+        K, U = kernel_split(f, rows([[1, 0]]), kernel_basis(f))
         assert K == [(0, 1)]
         assert U == [(1, 0)]
 
     def test_equal_maps_put_everything_in_K(self):
         f = rows([[2, 4]])
-        K, U = kernel_split(f, f)
+        K, U = kernel_split(f, f, kernel_basis(f))
         assert U == []
         assert Lattice.from_generators(2, K) == kernel_basis(f)
 
     def test_domain_mismatch(self):
         with pytest.raises(ValueError, match="domain"):
-            kernel_split(rows([[1, 0]]), rows([[1]]))
+            kernel_split(rows([[1, 0]]), rows([[1]]), Lattice.full(2))
 
 
 class TestGeneratorSets:
     def test_zero_maps_make_everything_diagonal(self):
         z = rows([[0, 0]])
-        gs = generator_sets(z, z, 3)
+        gs = generator_sets(z, z, 3, (kernel_basis(z), kernel_basis(z)))
         assert gs.v12 == ((1, 0), (0, 1))
         assert gs.v1 == () and gs.v2 == () and gs.vbar == () and gs.vbarc == ()
 
     def test_running_example(self):
         d1, d2 = two_by_two(2)
-        gs = generator_sets(d1, d2, 2)
+        gs = generator_sets(d1, d2, 2, (kernel_basis(d1), kernel_basis(d2)))
         assert gs.v12 == ()
         assert gs.v1 == ((0, 1),)
         assert gs.v2 == ((1, 0),)
@@ -144,7 +146,7 @@ class TestGeneratorSets:
 
     def test_identity_differential_kills_all_sets(self):
         eye = IntMatrix.identity(2)
-        gs = generator_sets(eye, eye, 5)
+        gs = generator_sets(eye, eye, 5, (kernel_basis(eye), kernel_basis(eye)))
         assert gs.v12 == () and gs.v1 == () and gs.v2 == ()
         assert gs.vbar == ()
         assert len(gs.vbarc) == 2
@@ -203,51 +205,65 @@ class TestCanonicalKernel:
             assert is_separated(canon.diagram).separated
 
 
+def check_divisibility(C, n, gs):
+    """The divisibility check with outgoing kernels span(v12 + v1), span(v12 + v2)."""
+    spans = tuple(Lattice.from_generators(C.rank(n), gs.v12 + v) for v in (gs.v1, gs.v2))
+    _divisibility_check(C, n, gs, spans, tuple(map(kernel_basis, C.pair(n - 1))))
+
+
 class TestDivisibilityCheck:
     def test_image_outside_an_empty_kernel_basis_is_fatal(self):
         # v2 = (1,) has d1-image (2,): divisible by p, but no kernel generator spans it
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
         with pytest.raises(ArithmeticError, match="outside the kernel"):
-            _divisibility_check(C, 1, GeneratorSets([], [], [], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [], [], [], []))
 
     def test_non_divisible_one_sided_coordinate_is_fatal(self):
         # the same image (2,) on the one-sided generator (2,) has coordinate 1
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            _divisibility_check(C, 1, GeneratorSets([], [(2,)], [], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [(2,)], [], [], []))
 
     def test_mirror_side_non_divisible_coordinate_is_fatal(self):
         # swapped sides: the d2-image (2,) of a side-1 generator on v2 = (2,)
         C = ChainComplexR(2, [(rows([[0]]), rows([[2]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            _divisibility_check(C, 1, GeneratorSets([], [], [(2,)], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [], [(2,)], [], []))
 
 
 def test_divisibility_check_reuses_the_outgoing_kernels(monkeypatch):
-    # span(v12 + v1) and span(v12 + v2) are the outgoing kernels, which the
-    # canonical kernel already holds: two fewer lattices per degree
+    # the check reads every kernel it tests off the canonical kernels it is
+    # handed: it builds only the two divisible lattices and takes no kernel
+    # basis, and a pass over all degrees hands degree n-1's kernels to
+    # degree n, two kernel bases fewer per shared differential
     C = ChainComplexR(3, random_complex_differentials(random.Random(4), 3, [2, 3, 2], bound=2))
-    calls = []
-    real = Lattice.from_generators
+    lattices, kernels = [], []
+    real_lattice, real_kernel = Lattice.from_generators, homology.kernel_basis
     monkeypatch.setattr(
-        Lattice, "from_generators", staticmethod(lambda *a: calls.append(a) or real(*a))
+        Lattice, "from_generators", staticmethod(lambda *a: lattices.append(a) or real_lattice(*a))
     )
+    monkeypatch.setattr(homology, "kernel_basis", lambda M: kernels.append(M) or real_kernel(M))
+    one_by_one = 0
     for n in range(C.terms):
         canon = canonical_kernel_presentation(*C.pair(n), C.p)
-        assert canon.kernels == (kernel_basis(C.pair(n)[0]), kernel_basis(C.pair(n)[1]))
-        calls.clear()
-        _divisibility_check(C, n, canon.sets)
-        rebuilt = len(calls)
-        calls.clear()
-        _divisibility_check(C, n, canon.sets, canon.kernels)
-        assert len(calls) == rebuilt - 2
-        calls.clear()
+        assert canon.kernels == tuple(map(real_kernel, C.pair(n)))
+        incoming = tuple(map(real_kernel, C.pair(n - 1)))
+        lattices.clear()
+        kernels.clear()
+        _divisibility_check(C, n, canon.sets, canon.kernels, incoming)
+        assert (len(lattices), len(kernels)) == (2, 0)
+        lattices.clear()
         validate_complex(C)
         rewrite_differential(C.pair(n - 1), canonical_kernel_presentation(*C.pair(n), C.p))
-        parts = len(calls)
-        calls.clear()
+        parts = len(lattices)
+        lattices.clear()
+        kernels.clear()
         homology_presentation(C, n)
-        assert len(calls) == parts + rebuilt - 2
+        assert len(lattices) == parts + 2
+        one_by_one += len(kernels)
+    kernels.clear()
+    homology.homology_presentations(C, range(C.terms))
+    assert len(kernels) == one_by_one - 2 * (C.terms - 1)
 
 
 class TestRewriteDifferential:
@@ -510,7 +526,7 @@ def test_kernel_split_is_an_exact_direct_sum(p, seed):
     m = rng.randint(1, 4)
     f = random_int_matrix(rng, rng.randint(1, 3), m, bound=3)
     g = random_int_matrix(rng, rng.randint(1, 3), m, bound=3)
-    K, U = kernel_split(f, g)
+    K, U = kernel_split(f, g, kernel_basis(f))
     ksp = Lattice.from_generators(m, K)
     usp = Lattice.from_generators(m, U)
     assert ksp.sum(usp) == kernel_basis(f)
@@ -524,7 +540,10 @@ def test_canonical_presentation_embeds_onto_the_kernel(p, seed):
     rng = random.Random(seed)
     d1, d2 = random_congruent_pair(rng, p, rng.randint(1, 3), rng.randint(1, 4))
     canon = canonical_kernel_presentation(d1, d2, p)
-    assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(p, d1, d2)
+    kernels = (kernel_basis(d1), kernel_basis(d2))
+    assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(
+        p, d1, d2, kernels
+    )
     assert is_separated(canon.diagram).separated
 
 

@@ -20,7 +20,7 @@ from rdiagram.homology import (
     reduce_homology,
     validate_complex,
 )
-from rdiagram.intlinalg import IntMatrix, Lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis
 from rdiagram.oracle import underlying_invariants_of_rdiagram
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
@@ -95,7 +95,7 @@ def _build() -> dict:
         epi_conditions(m),
         C,
         validate_complex(C),
-        generator_sets(d1, d2, C.p),
+        generator_sets(d1, d2, C.p, (kernel_basis(d1), kernel_basis(d2))),
         canonical_kernel_presentation(d1, d2, C.p),
         pres,
         closed_form_components(pres),
