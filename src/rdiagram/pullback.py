@@ -177,7 +177,9 @@ class PullbackDiagram:
 
     The middle object is always a literal coordinate space over F_p; ``p1``
     and ``p2`` are matrices on generators.  Construction verifies that both
-    maps kill the relation lattices mod p (well-definedness).
+    maps kill the relation lattices mod p (well-definedness).  The public
+    constructor also checks that ``p`` is prime; ``_derived`` skips only
+    that test, for a ``p`` read off an object that was already checked.
     """
 
     p: int
@@ -192,6 +194,34 @@ class PullbackDiagram:
 
     def __post_init__(self):
         validate_prime(self.p)
+        self._check_maps()
+
+    @staticmethod
+    def _derived(
+        p: int,
+        M1: ZModulePresentation,
+        M2: ZModulePresentation,
+        mbar_dim: int,
+        p1: FpMatrix,
+        p2: FpMatrix,
+    ) -> "PullbackDiagram":
+        """A diagram over an already-validated ``p``, built without the primality test.
+
+        Every other check of the public constructor still runs.
+        """
+        D = object.__new__(PullbackDiagram)
+        object.__setattr__(D, "p", p)
+        object.__setattr__(D, "M1", M1)
+        object.__setattr__(D, "M2", M2)
+        object.__setattr__(D, "mbar_dim", mbar_dim)
+        object.__setattr__(D, "p1", p1)
+        object.__setattr__(D, "p2", p2)
+        object.__setattr__(D, "_sep_cache", None)
+        D._check_maps()
+        return D
+
+    def _check_maps(self) -> None:
+        """Moduli, shapes and well-definedness of the structure maps."""
         for label, mat, mod in (("p1", self.p1, self.M1), ("p2", self.p2, self.M2)):
             if mat.p != self.p:
                 raise ValueError(f"{label} has modulus {mat.p}, expected {self.p}")
@@ -239,6 +269,10 @@ class SeparationReport:
         )
 
 
+# a separated diagram's report has no witnesses, so every one shares this
+_SEPARATED = SeparationReport(True, True, ())
+
+
 def is_separated(D: PullbackDiagram) -> SeparationReport:
     """Check surjectivity of the p_i and the kernel condition ker p_i = p M_i.
 
@@ -246,7 +280,8 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     under an integer lift of p_i must equal p*(generators) + relations.
     Both contain p Z^gens, so both are built from echelon forms over F_p.
     Witnesses name the failing side and, for kernel failures, a vector in
-    the symmetric difference.
+    the symmetric difference.  The report is kept on the diagram; every
+    separated diagram keeps the same shared report.
     """
     cached = D._sep_cache
     if cached is not None:
@@ -275,7 +310,10 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
                     (col for col in expected.basis if not kernel.contains(col)), None
                 )
             witnesses.append(("kernel-mismatch", i, bad))
-    report = SeparationReport(preseparated, separated, tuple(witnesses))
+    if separated:
+        report = _SEPARATED
+    else:
+        report = SeparationReport(preseparated, separated, tuple(witnesses))
     object.__setattr__(D, "_sep_cache", report)
     return report
 
@@ -411,7 +449,7 @@ def separate_presented(
     proj, section = quotient_projection(W)
     M1 = ZModulePresentation(k, rel1)
     M2 = ZModulePresentation(k, rel2)
-    diagram = PullbackDiagram(p, M1, M2, proj.rows, proj, proj)
+    diagram = PullbackDiagram._derived(p, M1, M2, proj.rows, proj, proj)
     report = is_separated(diagram)
     if not report.separated:
         raise AssertionError(f"separation produced a non-separated diagram: {report}")
@@ -639,7 +677,7 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
         crows = tuple(tuple(ccols[j][r] for j in range(n)) for r in range(dims))
         cmaps.append(FpMatrix._derived(p, dims, n, crows))
     c1, c2 = cmaps
-    diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, c1, c2)
+    diagram = PullbackDiagram._derived(p, presentations[0], presentations[1], dims, c1, c2)
     return KernelDiagram(diagram, includes[0], includes[1], kerfbar, c1, c2)
 
 

@@ -139,14 +139,14 @@ def free_diagram(p: int, rank: int) -> PullbackDiagram:
     validate_prime(p)
     free = ZModulePresentation.free(rank)
     eye = FpMatrix._identity(p, rank)
-    return PullbackDiagram(p, free, free, rank, eye, eye)
+    return PullbackDiagram._derived(p, free, free, rank, eye, eye)
 
 
 def _elementary_diagram(p: int, dim: int) -> PullbackDiagram:
     """The diagram ((Z/p)^dim, F_p^dim, (Z/p)^dim; id, id)."""
     E = ZModulePresentation.fp_elementary(p, dim)
     eye = FpMatrix._identity(p, dim)
-    return PullbackDiagram(p, E, E, dim, eye, eye)
+    return PullbackDiagram._derived(p, E, E, dim, eye, eye)
 
 
 def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
@@ -190,7 +190,7 @@ def _apply_quotient(
     newK1 = ZModulePresentation(K.M1.gens, K.M1.relations.sum(L.L1))
     newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
     projK, sectionK = quotient_projection(L.Lbar)
-    newK = PullbackDiagram(p, newK1, newK2, projK.rows, projK @ K.p1, projK @ K.p2)
+    newK = PullbackDiagram._derived(p, newK1, newK2, projK.rows, projK @ K.p1, projK @ K.p2)
 
     newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
     if quotient_target_right:
@@ -202,7 +202,7 @@ def _apply_quotient(
         newS2 = S.M2
         fbarLbar = FpSubspace._derived(p, S.mbar_dim, (), ())
     projS, _ = quotient_projection(fbarLbar)
-    newS = PullbackDiagram(p, newS1, newS2, projS.rows, projS @ S.p1, projS @ S.p2)
+    newS = PullbackDiagram._derived(p, newS1, newS2, projS.rows, projS @ S.p1, projS @ S.p2)
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)
     newf2 = ModuleMap(newK2, newS2, pres.f2.matrix)
@@ -324,7 +324,7 @@ def _swap(pres: SeparatedPresentation) -> SeparatedPresentation:
     """Exchange the two sides of both diagrams."""
 
     def flip(D: PullbackDiagram) -> PullbackDiagram:
-        return PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+        return PullbackDiagram._derived(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
 
     m = DiagramMorphism(
         flip(pres.K), flip(pres.S), pres.f2, pres.f1, pres.fbar
@@ -396,9 +396,12 @@ class RDiagram:
     """The reduced form: K = F_p^kdim mapped into S_1 and S_2.
 
     ``q1``/``q2`` are integer matrices sending the standard basis of K to
-    generator coordinates of the S components.  Construction checks shapes
-    only; ``validate_rdiagram`` decides the semantic conditions, once per
-    diagram: the report is kept on the diagram.
+    generator coordinates of the S components.  Construction checks the
+    prime and the shapes only; ``_derived`` skips only the primality
+    test, for a ``p`` read off an object that was already checked.
+    ``validate_rdiagram`` decides the semantic conditions, once per
+    diagram: the report is kept on the diagram, and when every check
+    passes it is one shared object.
     """
 
     p: int
@@ -410,6 +413,27 @@ class RDiagram:
 
     def __post_init__(self):
         validate_prime(self.p)
+        self._check_shapes()
+
+    @staticmethod
+    def _derived(
+        p: int, kdim: int, S: PullbackDiagram, q1: IntMatrix, q2: IntMatrix
+    ) -> "RDiagram":
+        """An R-diagram over an already-validated ``p``, built without the primality test.
+
+        The shape checks of the public constructor still run.
+        """
+        rd = object.__new__(RDiagram)
+        object.__setattr__(rd, "p", p)
+        object.__setattr__(rd, "kdim", kdim)
+        object.__setattr__(rd, "S", S)
+        object.__setattr__(rd, "q1", q1)
+        object.__setattr__(rd, "q2", q2)
+        object.__setattr__(rd, "_report", None)
+        rd._check_shapes()
+        return rd
+
+    def _check_shapes(self) -> None:
         if self.S.p != self.p:
             raise ValueError("S has a different p")
         if (self.q1.rows, self.q1.cols) != (self.S.M1.gens, self.kdim):
@@ -448,6 +472,19 @@ class RDiagramReport:
         return f"RDiagramReport({shown})"
 
 
+_SIDE_CHECKS = (
+    (1, ("q1-torsion-image", "q1-mono", "p1q1-zero")),
+    (2, ("q2-torsion-image", "q2-mono", "p2q2-zero")),
+)
+
+# a passing report is always the same checks, each (name, True, None), so
+# every valid R-diagram keeps this one instance
+_PASSED = RDiagramReport(
+    tuple((name, True, None) for _, names in _SIDE_CHECKS for name in names)
+    + (("s-separated", True, None),)
+)
+
+
 def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
     """Check every R-diagram condition.
 
@@ -456,17 +493,26 @@ def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
     - p_i after q_i vanishes mod p;
     - the S diagram is separated.
 
-    The report is computed once per diagram and kept on it.
+    The report is computed once per diagram and kept on it.  When every
+    check passes it is one shared object; a failing report is the
+    diagram's own and carries its witnesses.
     """
     if rd._report is not None:
         return rd._report
+    checks = _rdiagram_checks(rd)
+    if all(passed for _, passed, _ in checks):
+        report = _PASSED
+    else:
+        report = RDiagramReport(checks)
+    object.__setattr__(rd, "_report", report)
+    return report
+
+
+def _rdiagram_checks(rd: RDiagram) -> tuple:
+    """Evaluate the conditions of ``validate_rdiagram`` as (name, passed, witness)."""
     checks = []
     full_k = Lattice.scaled_full(rd.kdim, rd.p)
-    # literal names are shared by every report, and every R-diagram keeps its report
-    for i, (torsion_name, mono_name, zero_name) in (
-        (1, ("q1-torsion-image", "q1-mono", "p1q1-zero")),
-        (2, ("q2-torsion-image", "q2-mono", "p2q2-zero")),
-    ):
+    for i, (torsion_name, mono_name, zero_name) in _SIDE_CHECKS:
         q = rd.structure_matrix(i)
         mod = rd.S.component(i)
         bad = next(
@@ -488,9 +534,7 @@ def validate_rdiagram(rd: RDiagram) -> RDiagramReport:
         checks.append((zero_name, composite.is_zero(), None))
     sep = is_separated(rd.S)
     checks.append(("s-separated", sep.separated, sep.witnesses or None))
-    report = RDiagramReport(tuple(checks))
-    object.__setattr__(rd, "_report", report)
-    return report
+    return tuple(checks)
 
 
 def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
@@ -498,7 +542,7 @@ def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
     if not pres.fbar.is_zero():
         raise AssertionError("fbar must vanish before extracting an R-diagram")
     std = _standardize_K(pres)
-    rd = RDiagram(
+    rd = RDiagram._derived(
         std.p, std.K.mbar_dim, std.S, std.f1.matrix, std.f2.matrix
     )
     report = validate_rdiagram(rd)

@@ -345,17 +345,17 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
 
 
 def test_each_rdiagram_is_checked_once(monkeypatch, tmp_path, capsys):
-    # the reduction, the payload and the oracle share one report per degree
-    reports = []
-    build = reduction.RDiagramReport
+    # the reduction, the payload and the oracle share one evaluation per degree
+    evaluated = []
+    evaluate = reduction._rdiagram_checks
 
-    def shim(checks):
-        reports.append(build(checks))
-        return reports[-1]
+    def shim(rd):
+        evaluated.append(rd)
+        return evaluate(rd)
 
-    monkeypatch.setattr(reduction, "RDiagramReport", shim)
+    monkeypatch.setattr(reduction, "_rdiagram_checks", shim)
     assert main(["rdiagram", write(tmp_path, WORKED), "--all"]) == 0
-    assert len(reports) == len(json.loads(capsys.readouterr().out)["degrees"])
+    assert len(evaluated) == len(json.loads(capsys.readouterr().out)["degrees"])
 
 
 class TestInvariantsCommand:

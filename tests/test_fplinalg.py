@@ -1,6 +1,7 @@
 """Tests for linear algebra over F_p."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -565,6 +566,8 @@ def test_derived_values_do_not_recheck_the_prime(prime_checks):
     relative_complement(V, V.sum(W))
     zero.sum(V), V.intersect(zero)
     DiagramMorphism(D, D, f, f, eye)
+    PullbackDiagram._derived(p, D.M1, D.M2, 2, eye, eye)
+    RDiagram._derived(p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
     assert prime_checks == []
 
 
@@ -595,16 +598,16 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
 
 
 def test_homology_rdiagram_validates_only_at_the_boundary(prime_checks):
-    # per degree: generator_sets, separate_presented, free_diagram, RDiagram and
-    # the PullbackDiagrams of separate_presented, free_diagram,
-    # _elementary_diagram and _apply_quotient (two); every other F_p value in
-    # the pipeline reads its p off one of these
+    # per degree: generator_sets, separate_presented and free_diagram, the
+    # public functions that take a bare p; every diagram the pipeline builds
+    # (by PullbackDiagram._derived and RDiagram._derived) and every F_p value
+    # reads its p off one of these
     p = 1_000_000_007
     C = ChainComplexR(p, random_complex_differentials(random.Random(0), p, [2, 3, 2]))
     for n in range(C.terms):
         prime_checks.clear()
         homology_rdiagram(C, n)
-        assert prime_checks == [p] * 9
+        assert prime_checks == [p] * 3
 
 
 def test_pipeline_entry_points_reject_a_composite_modulus():
@@ -623,3 +626,38 @@ def test_pipeline_entry_points_reject_a_composite_modulus():
     for build in entries:
         with pytest.raises(ValueError, match="not prime"):
             build()
+
+
+def _bad_diagram_arguments():
+    p = 3
+    free = ZModulePresentation.free(1)
+    eye = FpMatrix.identity(p, 1)
+    unit_relation = ZModulePresentation(1, Lattice.full(1))
+    return [
+        ("p1 has modulus 5, expected 3", (p, free, free, 1, FpMatrix.identity(5, 1), eye)),
+        ("p2 must be 1x1, got 2x2", (p, free, free, 1, eye, FpMatrix.identity(p, 2))),
+        ("p1 does not vanish on a relation", (p, unit_relation, free, 1, eye, eye)),
+    ]
+
+
+@pytest.mark.parametrize("build", [PullbackDiagram, PullbackDiagram._derived])
+def test_derived_diagrams_run_every_check_but_the_primality_test(build):
+    for message, args in _bad_diagram_arguments():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)
+
+
+def _bad_rdiagram_arguments():
+    D = free_diagram(3, 1)
+    return [
+        ("S has a different p", (5, 0, D, IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 0))),
+        ("q1 has the wrong shape", (3, 1, D, IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 1))),
+        ("q2 has the wrong shape", (3, 1, D, IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 2))),
+    ]
+
+
+@pytest.mark.parametrize("build", [RDiagram, RDiagram._derived])
+def test_derived_rdiagrams_run_every_check_but_the_primality_test(build):
+    for message, args in _bad_rdiagram_arguments():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)

@@ -148,6 +148,23 @@ class TestIsSeparated:
         assert not report.preseparated
         assert not report.separated
 
+    def test_separated_diagrams_share_one_report(self):
+        a = is_separated(_free_diagram(2, 1))
+        b = is_separated(_free_diagram(5, 3))
+        assert a is b
+
+    def test_a_kernel_mismatch_keeps_its_witness(self):
+        # p1 = [1 0] on Z^2 is onto F_2, but its kernel holds (0, 1), not in 2 Z^2
+        p1 = FpMatrix.from_rows(2, [[1, 0]])
+        free1 = ZModulePresentation.free(1)
+        D = PullbackDiagram(
+            2, ZModulePresentation.free(2), free1, 1, p1, FpMatrix.identity(2, 1)
+        )
+        report = is_separated(D)
+        assert report.preseparated and not report.separated
+        assert report.witnesses == (("kernel-mismatch", 1, (0, 1)),)
+        assert report is not is_separated(_free_diagram(2, 1))
+
 
 class TestSeparateMorphism:
     def test_identity_blocks_give_identity_triple(self):

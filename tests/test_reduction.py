@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdiagram import reduction
 from rdiagram.fplinalg import FpMatrix, FpSubspace
+from rdiagram.homology import ChainComplexR, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
@@ -17,7 +19,7 @@ from rdiagram.pullback import (
     is_separated,
     separate,
 )
-from rdiagram.randomgen import random_presentation
+from rdiagram.randomgen import random_complex_differentials, random_presentation
 from rdiagram.reduction import (
     HypothesisViolation,
     RDiagram,
@@ -255,6 +257,33 @@ class TestValidateRDiagram:
     def test_report_is_kept_on_the_diagram(self):
         rd = reduce_combined(random_presentation(random.Random(3), 3))
         assert validate_rdiagram(rd) is validate_rdiagram(rd)
+
+    def test_valid_diagrams_share_one_passing_report(self):
+        names = (
+            "q1-torsion-image", "q1-mono", "p1q1-zero",
+            "q2-torsion-image", "q2-mono", "p2q2-zero",
+            "s-separated",
+        )
+        rds = []
+        for seed, p, ranks in ((0, 3, [2, 3, 2]), (1, 5, [1, 2])):
+            C = ChainComplexR(p, random_complex_differentials(random.Random(seed), p, ranks))
+            rds.append(homology_rdiagram(C, 0))
+        first, second = (validate_rdiagram(rd) for rd in rds)
+        assert first is second
+        assert first.checks == tuple((name, True, None) for name in names)
+        assert all(reduction._rdiagram_checks(rd) == first.checks for rd in rds)
+
+    def test_a_failing_report_is_the_diagrams_own(self):
+        rd = reduce_combined(random_presentation(random.Random(7), 3))
+        assert rd.kdim > 0 and validate_rdiagram(rd).ok
+        scaled = IntMatrix.from_rows(
+            [[rd.p * x for x in row] for row in rd.q1.entries], cols=rd.kdim
+        )
+        report = validate_rdiagram(RDiagram(rd.p, rd.kdim, rd.S, scaled, rd.q2))
+        assert report is not validate_rdiagram(rd)
+        assert report.failed() == ["q1-mono"]
+        witness = next(w for name, _, w in report.checks if name == "q1-mono")
+        assert witness is not None and any(x % rd.p for x in witness)
 
 
 ps = st.sampled_from([2, 3, 5])
