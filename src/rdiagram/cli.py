@@ -9,10 +9,11 @@ Input documents are JSON: ``{"p": int, "differentials": [{"d1":
 [[int|str]], "d2": [[int|str]]}], "ranks": [...], "labels": [...]}``
 with matrices row-major; the matrix at position k maps term k to term
 k+1.  ``ranks`` is required when there are no differentials and
-cross-checked otherwise; ``labels`` are echoed into reports.  Integer
-entries may be decimal strings and are always emitted as strings, since
-Smith-form intermediates overflow the float-safe range long before the
-inputs look big.
+cross-checked otherwise; ``labels`` is a list of strings, echoed into
+reports (an entry that is not a string is an input error, exit 2).
+Integer entries may be decimal strings and are always emitted as
+strings, since Smith-form intermediates overflow the float-safe range
+long before the inputs look big.
 
 Exit codes: 0 success, 1 invalid input mathematics (bad complex),
 2 unreadable input or a usage error (bad degree, bad option value),
@@ -138,6 +139,9 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
     labels = doc.get("labels", [])
     if not isinstance(labels, list):
         raise DocumentError('"labels" must be a list')
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise DocumentError(f"labels[{k}] must be a string")
     try:
         C = ChainComplexR(doc["p"], degrees, ranks=ranks)
     except ValueError as exc:
@@ -251,7 +255,7 @@ def _rdiagram_payload(n: int, pres, labels, trace: bool) -> dict:
         "S2_presentation": _presentation_json(rd.S.M2),
     }
     if n < len(labels):
-        payload["label"] = str(labels[n])
+        payload["label"] = labels[n]
     if trace:
         # the presentation this run reduced and the R-diagram it produced
         stages = [("presentation", pres), ("reduce_combined", rdiagram_as_presentation(rd))]
@@ -377,7 +381,7 @@ def cmd_invariants(args) -> int:
             "agree": agree,
         }
         if n < len(labels):
-            row["label"] = str(labels[n])
+            row["label"] = labels[n]
         rows.append(row)
     print(json.dumps({"p": C.p, "degrees": rows}, indent=2, sort_keys=True))
     if not agree_all:

@@ -42,7 +42,7 @@ from .fplinalg import (
 )
 from .presentations import ModuleMap, ZModulePresentation
 from .pullback import DiagramMorphism, PullbackDiagram, Separation, separate_presented
-from .reduction import RDiagram, SeparatedPresentation, free_diagram, reduce_combined
+from .reduction import RDiagram, SeparatedPresentation, _free_diagram, reduce_combined
 
 __all__ = [
     "ChainComplexR",
@@ -334,9 +334,9 @@ def rewrite_differential(
     """
     d1p, d2p = d_prev
     sep = canon.separation
-    p = sep.p
+    p = sep.p  # checked when the separation was built
     D = sep.diagram
-    K = free_diagram(p, d1p.cols)
+    K = _free_diagram(p, d1p.cols)
     pairs = [a + b for a, b in zip(d1p.columns(), d2p.columns())]
     try:
         cols1 = sep.class_coordinates(pairs, side=1)

@@ -262,12 +262,29 @@ class SeparationReport:
     separated: bool
     witnesses: tuple
 
+    def swapped(self) -> "SeparationReport":
+        """The report of the same diagram with its two sides exchanged.
+
+        Every condition is decided side by side, so exchanging the sides
+        only renumbers the witnesses: side i becomes side 3 - i, listed in
+        the order ``is_separated`` produces them.
+        """
+        if not self.witnesses:
+            return self
+        renumbered = sorted(
+            ((kind, 3 - i, v) for kind, i, v in self.witnesses),
+            key=lambda w: (_WITNESS_KINDS.index(w[0]), w[1]),
+        )
+        return SeparationReport(self.preseparated, self.separated, tuple(renumbered))
+
     def __repr__(self) -> str:
         return (
             f"SeparationReport(preseparated={self.preseparated}, "
             f"separated={self.separated}, witnesses={list(self.witnesses)})"
         )
 
+
+_WITNESS_KINDS = ("not-surjective", "kernel-mismatch")
 
 # a separated diagram's report has no witnesses, so every one shares this
 _SEPARATED = SeparationReport(True, True, ())
@@ -279,13 +296,21 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     The kernel condition is decided on lattices: the preimage of p Z^d
     under an integer lift of p_i must equal p*(generators) + relations.
     Both contain p Z^gens, so both are built from echelon forms over F_p.
-    Witnesses name the failing side and, for kernel failures, a vector in
-    the symmetric difference.  The report is kept on the diagram; every
-    separated diagram keeps the same shared report.
+    A structure map that both sides share (``p2 is p1``) has its rank and
+    kernel computed once; each side still compares against its own
+    relations.  Witnesses name the failing side and, for kernel failures,
+    a vector in the symmetric difference.  The report is kept on the
+    diagram; every separated diagram keeps the same shared report.
     """
     cached = D._sep_cache
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _separation_report(D)
+        object.__setattr__(D, "_sep_cache", cached)
+    return cached
+
+
+def _separation_report(D: PullbackDiagram) -> SeparationReport:
+    """Evaluate the conditions of ``is_separated``."""
     witnesses = []
     preseparated = True
     for i in (1, 2):
@@ -294,10 +319,13 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
             preseparated = False
             witnesses.append(("not-surjective", i, None))
     separated = preseparated
+    shared = D.p2 is D.p1 and D.M2.gens == D.M1.gens
+    kernel = None
     for i in (1, 2):
         mod = D.component(i)
         mat = D.structure_map(i)
-        kernel = lift_kernel(D.p, mat.entries, mod.gens)
+        if kernel is None or not shared:
+            kernel = lift_kernel(D.p, mat.entries, mod.gens)
         expected = lift_span(D.p, mod.gens, mod.relations.basis)
         if kernel != expected:
             separated = False
@@ -311,11 +339,8 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
                 )
             witnesses.append(("kernel-mismatch", i, bad))
     if separated:
-        report = _SEPARATED
-    else:
-        report = SeparationReport(preseparated, separated, tuple(witnesses))
-    object.__setattr__(D, "_sep_cache", report)
-    return report
+        return _SEPARATED
+    return SeparationReport(preseparated, separated, tuple(witnesses))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

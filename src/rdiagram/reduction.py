@@ -136,7 +136,11 @@ class SubDiagram:
 
 def free_diagram(p: int, rank: int) -> PullbackDiagram:
     """The separated diagram (Z^rank, F_p^rank, Z^rank) of the free module."""
-    validate_prime(p)
+    return _free_diagram(validate_prime(p), rank)
+
+
+def _free_diagram(p: int, rank: int) -> PullbackDiagram:
+    """``free_diagram`` for a ``p`` that is already validated."""
     free = ZModulePresentation.free(rank)
     eye = FpMatrix._identity(p, rank)
     return PullbackDiagram._derived(p, free, free, rank, eye, eye)
@@ -173,6 +177,12 @@ def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
     return lift_kernel(q.p, rows, q.cols)
 
 
+def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatrix]:
+    """``(proj @ D.p1, proj @ D.p2)``, one product when the sides share their map."""
+    m1 = proj @ D.p1
+    return m1, (m1 if D.p2 is D.p1 else proj @ D.p2)
+
+
 def _apply_quotient(
     pres: SeparatedPresentation, L: SubDiagram, *, quotient_target_right: bool
 ) -> SeparatedPresentation:
@@ -183,6 +193,10 @@ def _apply_quotient(
     the one-sided form and requires fbar(Lbar) = 0 and f_2(L_2) = 0 to
     remain well-defined — enforced structurally by the commuting-square
     and well-definedness checks of the rebuilt morphism.
+
+    A structure map that both sides of K or S share (``p2 is p1``, as in
+    every diagram the pipeline builds) is multiplied by the projection
+    once, and the one product is again shared by both sides.
     """
     p = pres.p
     K, S = pres.K, pres.S
@@ -190,7 +204,7 @@ def _apply_quotient(
     newK1 = ZModulePresentation(K.M1.gens, K.M1.relations.sum(L.L1))
     newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
     projK, sectionK = quotient_projection(L.Lbar)
-    newK = PullbackDiagram._derived(p, newK1, newK2, projK.rows, projK @ K.p1, projK @ K.p2)
+    newK = PullbackDiagram._derived(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
 
     newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
     if quotient_target_right:
@@ -202,7 +216,7 @@ def _apply_quotient(
         newS2 = S.M2
         fbarLbar = FpSubspace._derived(p, S.mbar_dim, (), ())
     projS, _ = quotient_projection(fbarLbar)
-    newS = PullbackDiagram._derived(p, newS1, newS2, projS.rows, projS @ S.p1, projS @ S.p2)
+    newS = PullbackDiagram._derived(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)
     newf2 = ModuleMap(newK2, newS2, pres.f2.matrix)
@@ -321,10 +335,18 @@ def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
 
 
 def _swap(pres: SeparatedPresentation) -> SeparatedPresentation:
-    """Exchange the two sides of both diagrams."""
+    """Exchange the two sides of both diagrams.
+
+    A flipped diagram keeps its source's separation report with the sides
+    renumbered, so the rebuilt presentation does not re-run ``is_separated``.
+    """
 
     def flip(D: PullbackDiagram) -> PullbackDiagram:
-        return PullbackDiagram._derived(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+        E = PullbackDiagram._derived(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+        if D._sep_cache is not None:
+            # separation is decided side by side, so D's report carries over
+            object.__setattr__(E, "_sep_cache", D._sep_cache.swapped())
+        return E
 
     m = DiagramMorphism(
         flip(pres.K), flip(pres.S), pres.f2, pres.f1, pres.fbar

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -84,7 +85,10 @@ class TestLoadDocument:
         assert main(["validate", str(path)]) == 2
         assert "ranks" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("labels", ["0", "false", '""', "{}", "5"])
+    @pytest.mark.parametrize(
+        "labels",
+        ["0", "false", '""', "{}", "5", "[null]", '["H0", true]', "[1.5]", '["H0", "H1", {}]'],
+    )
     def test_rejects_labels_that_are_not_a_list(self, labels, tmp_path, capsys):
         doc = f'{{"p": 2, "differentials": [], "ranks": [1], "labels": {labels}}}'
         with pytest.raises(DocumentError, match="labels"):
@@ -102,6 +106,14 @@ class TestLoadDocument:
         assert main(["rdiagram", "-", "--all"]) == 2
         assert time.perf_counter() - start < 0.5
         assert "below 2**32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "labels,index", [("[null]", 0), ('["H0", true]', 1), ('["H0", "H1", 1.5]', 2)]
+    )
+    def test_a_label_that_is_not_a_string_is_named_by_its_index(self, labels, index):
+        doc = f'{{"p": 2, "differentials": [], "ranks": [1], "labels": {labels}}}'
+        with pytest.raises(DocumentError, match=re.escape(f"labels[{index}] must be a string")):
+            load_document(doc)
 
     def test_labels_are_passed_through(self):
         _, labels = load_document(

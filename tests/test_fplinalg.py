@@ -1,5 +1,6 @@
 """Tests for linear algebra over F_p."""
 
+import dataclasses
 import random
 import re
 
@@ -598,16 +599,26 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
 
 
 def test_homology_rdiagram_validates_only_at_the_boundary(prime_checks):
-    # per degree: generator_sets, separate_presented and free_diagram, the
-    # public functions that take a bare p; every diagram the pipeline builds
-    # (by PullbackDiagram._derived and RDiagram._derived) and every F_p value
+    # per degree: generator_sets and separate_presented, the public functions
+    # that take a bare p; the free source comes from _free_diagram with the
+    # separation's p, and every other diagram the pipeline builds (by
+    # PullbackDiagram._derived and RDiagram._derived) and every F_p value
     # reads its p off one of these
     p = 1_000_000_007
     C = ChainComplexR(p, random_complex_differentials(random.Random(0), p, [2, 3, 2]))
     for n in range(C.terms):
         prime_checks.clear()
         homology_rdiagram(C, n)
-        assert prime_checks == [p] * 3
+        assert prime_checks == [p] * 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 1_000_000_007])
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_free_diagram_body_equals_the_validating_function(p, rank):
+    body, reference = reduction._free_diagram(p, rank), free_diagram(p, rank)
+    for f in dataclasses.fields(PullbackDiagram):
+        assert getattr(body, f.name) == getattr(reference, f.name), f.name
+    assert body.p2 is body.p1
 
 
 def test_pipeline_entry_points_reject_a_composite_modulus():

@@ -165,6 +165,53 @@ class TestIsSeparated:
         assert report.witnesses == (("kernel-mismatch", 1, (0, 1)),)
         assert report is not is_separated(_free_diagram(2, 1))
 
+    @staticmethod
+    def _shared_map_diagram(p2_copy: bool):
+        # [1 0 0] over F_2 has kernel (2Z, Z, Z); the relations e2 of M1 and
+        # e3 of M2 each fill one of the other two coordinates
+        q = FpMatrix.from_rows(2, [[1, 0, 0]])
+        M1 = ZModulePresentation(3, Lattice.from_generators(3, [(0, 1, 0)]))
+        M2 = ZModulePresentation(3, Lattice.from_generators(3, [(0, 0, 1)]))
+        q2 = FpMatrix.from_rows(2, [[1, 0, 0]]) if p2_copy else q
+        return PullbackDiagram(2, M1, M2, 1, q, q2)
+
+    def test_a_shared_map_keeps_each_sides_own_witness(self):
+        D = self._shared_map_diagram(p2_copy=False)
+        assert D.p2 is D.p1
+        report = is_separated(D)
+        assert report.preseparated and not report.separated
+        assert report.witnesses == (
+            ("kernel-mismatch", 1, (0, 0, 1)),
+            ("kernel-mismatch", 2, (0, 1, 0)),
+        )
+        unshared = is_separated(self._shared_map_diagram(p2_copy=True))
+        assert unshared.witnesses == report.witnesses
+
+    @staticmethod
+    def _fields(report):
+        return report.preseparated, report.separated, report.witnesses
+
+    def test_a_swapped_report_is_the_flipped_diagrams_report(self):
+        free1, free2 = ZModulePresentation.free(1), ZModulePresentation.free(2)
+        eye, rows = FpMatrix.identity(2, 1), FpMatrix.from_rows
+        diagrams = [
+            # not surjective on side 1 only
+            PullbackDiagram(2, free1, free1, 1, FpMatrix.zeros(2, 1, 1), eye),
+            # not surjective on either side
+            PullbackDiagram(2, free1, free1, 2, rows(2, [[0], [1]]), rows(2, [[1], [0]])),
+            # a kernel mismatch on side 1 only
+            PullbackDiagram(2, free2, free1, 1, rows(2, [[1, 0]]), eye),
+            # a kernel mismatch on each side, with different witnesses
+            self._shared_map_diagram(p2_copy=False),
+        ]
+        for D in diagrams:
+            report = is_separated(D)
+            assert report.witnesses
+            flipped = PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+            assert self._fields(report.swapped()) == self._fields(is_separated(flipped))
+        passing = is_separated(_free_diagram(3, 2))
+        assert passing.swapped() is passing
+
 
 class TestSeparateMorphism:
     def test_identity_blocks_give_identity_triple(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiagram import reduction
+from rdiagram import pullback, reduction
 from rdiagram.fplinalg import FpMatrix, FpSubspace
 from rdiagram.homology import ChainComplexR, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice
@@ -229,6 +229,87 @@ class TestCombinedReduction:
         assert a.S.M1.normal_form() == b.S.M1.normal_form()
         assert a.S.M2.normal_form() == b.S.M2.normal_form()
         assert a.S.mbar_dim == b.S.mbar_dim
+
+
+def _stepwise_subdiagram(pres):
+    """The sub-diagram ``reduce_barf`` quotients by: a complement of ker fbar."""
+    K = pres.K
+    Lbar = pres.fbar.kernel().complement()
+    return SubDiagram(
+        K,
+        reduction._subspace_preimage(K.p1, Lbar),
+        Lbar,
+        reduction._subspace_preimage(K.p2, Lbar),
+    )
+
+
+def _with_copied_p2(D):
+    """D with p2 an equal but distinct matrix, so its sides share no map."""
+    p2 = FpMatrix(D.p, D.p2.rows, D.p2.cols, D.p2.entries)
+    return PullbackDiagram(D.p, D.M1, D.M2, D.mbar_dim, D.p1, p2)
+
+
+class TestSharedStructureMaps:
+    def test_pipeline_rdiagrams_share_one_structure_map(self):
+        for seed in range(12):
+            rng = random.Random(seed)
+            p = rng.choice((2, 3, 5))
+            ranks = [rng.randint(1, 3) for _ in range(3)]
+            C = ChainComplexR(p, random_complex_differentials(rng, p, ranks))
+            for n in range(C.terms):
+                rd = homology_rdiagram(C, n)
+                assert rd.S.p1 is rd.S.p2
+
+    def test_a_shared_map_is_projected_once(self, monkeypatch):
+        shared = mult_by_element_presentation(3, (3, 0))
+        m = shared.morphism
+        K, S = _with_copied_p2(m.source), _with_copied_p2(m.target)
+        copied = SeparatedPresentation(DiagramMorphism(K, S, m.f1, m.f2, m.fbar))
+        products = []
+        matmul = FpMatrix.__matmul__
+
+        def counting(a, b):
+            products.append(b)
+            return matmul(a, b)
+
+        monkeypatch.setattr(FpMatrix, "__matmul__", counting)
+        outputs = []
+        for pres in (shared, copied):
+            maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
+            products.clear()
+            out = reduction._apply_quotient(
+                pres, _stepwise_subdiagram(pres), quotient_target_right=True
+            )
+            outputs.append(out)
+            # products with a structure map, apart from fbar's two factors
+            structure_products = sum(any(b is q for q in maps) for b in products)
+            assert structure_products == (2 if pres is shared else 4)
+        one, two = outputs
+        assert one.K.p2 is one.K.p1 and one.S.p2 is one.S.p1
+        for i in (1, 2):
+            assert one.K.structure_map(i) == two.K.structure_map(i)
+            assert one.S.structure_map(i) == two.S.structure_map(i)
+        assert one.fbar == two.fbar
+
+    def test_swap_carries_the_separation_report(self, monkeypatch):
+        stage2 = reduce_barf(reduce_K(mult_by_element_presentation(2, (2, 0))))
+        evaluations = []
+        evaluate = pullback._separation_report
+
+        def counting(D):
+            evaluations.append(D)
+            return evaluate(D)
+
+        monkeypatch.setattr(pullback, "_separation_report", counting)
+        swapped = reduction._swap(stage2)
+        assert evaluations == []
+        assert swapped.K._sep_cache is pullback._SEPARATED
+        assert swapped.S._sep_cache is pullback._SEPARATED
+        out = reduce_monos(stage2)
+        # one evaluation for each of K and S per one-sided quotient; the two
+        # swaps rebuild four diagrams and evaluate none of them
+        assert len(evaluations) == 4
+        assert out.morphism.f1.is_injective() and out.morphism.f2.is_injective()
 
 
 class TestValidateRDiagram:
