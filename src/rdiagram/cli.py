@@ -13,7 +13,10 @@ cross-checked otherwise; ``labels`` is a list of strings, echoed into
 reports (an entry that is not a string is an input error, exit 2).
 Integer entries may be decimal strings and are always emitted as
 strings, since Smith-form intermediates overflow the float-safe range
-long before the inputs look big.
+long before the inputs look big.  A document may have at most
+``MAX_TERMS`` terms, each of rank at most ``MAX_RANK``, with entries of
+at most ``MAX_ENTRY_BITS`` bits; past a cap it is rejected (exit 2)
+before any normal form runs.
 
 Exit codes: 0 success, 1 invalid input mathematics (bad complex),
 2 unreadable input or a usage error (bad degree, bad option value),
@@ -66,6 +69,13 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
+# Input caps.  The cost grows about as rank^2.8 per term and with the entry
+# size, so each is bounded; a document at all three caps, with dense
+# differentials, still finishes in well under a minute.
+MAX_TERMS = 16
+MAX_RANK = 32
+MAX_ENTRY_BITS = 64
+
 
 class DocumentError(Exception):
     """The input document cannot be turned into a complex."""
@@ -77,21 +87,31 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 def _parse_entry(x, where: str) -> int:
     if isinstance(x, bool):
         raise DocumentError(f"{where}: boolean is not an integer entry")
-    if isinstance(x, int):
-        return x
     if isinstance(x, str):
-        try:
-            if _DECIMAL.fullmatch(x):
-                return int(x)
-        except ValueError:  # more digits than int() converts
-            pass
-        raise DocumentError(f"{where}: {x!r} is not a decimal integer")
-    raise DocumentError(f"{where}: entries must be integers or decimal strings")
+        value = None
+        if _DECIMAL.fullmatch(x):
+            try:
+                value = int(x)
+            except ValueError:  # more digits than int() converts
+                pass
+        if value is None:
+            raise DocumentError(f"{where}: {x!r} is not a decimal integer")
+        x = value
+    elif not isinstance(x, int):
+        raise DocumentError(f"{where}: entries must be integers or decimal strings")
+    if x.bit_length() > MAX_ENTRY_BITS:
+        raise DocumentError(
+            f"{where}: an entry of {x.bit_length()} bits exceeds the cap of {MAX_ENTRY_BITS} bits"
+        )
+    return x
 
 
 def _parse_matrix(data, where: str) -> IntMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise DocumentError(f"{where}: expected a list of rows")
+    for size in (len(data), *map(len, data)):
+        if size > MAX_RANK:
+            raise DocumentError(f"{where}: a side of {size} exceeds the rank cap of {MAX_RANK}")
     rows = [
         [_parse_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(data)
@@ -124,6 +144,12 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
         isinstance(ranks, list) and all(type(r) is int and r >= 0 for r in ranks)
     ):
         raise DocumentError('"ranks" must be a list of non-negative integers')
+    terms = max(len(diffs) + 1, len(ranks or ()))
+    if terms > MAX_TERMS:
+        raise DocumentError(f"{terms} terms exceed the cap of {MAX_TERMS} terms")
+    for k, r in enumerate(ranks or ()):
+        if r > MAX_RANK:
+            raise DocumentError(f"ranks[{k}] = {r} exceeds the rank cap of {MAX_RANK}")
     for k, item in enumerate(diffs):
         if not isinstance(item, dict) or "d1" not in item or "d2" not in item:
             raise DocumentError(f"differential {k} must be an object with d1 and d2")

@@ -181,8 +181,10 @@ def kernel_split(f: IntMatrix, g: IntMatrix, ker_f: Lattice) -> tuple[list, list
     the coordinate space whose leading columns span K and whose trailing
     columns span a genuine integral complement: the columns of ``U^-1``
     for ``D = U @ M @ V``, which the Smith kernel carries along.  Both the
-    sum equality and the zero intersection are verified before returning.
-    ``ker_f`` is ``kernel_basis(f)``.
+    sum equality and the zero intersection are verified before returning;
+    given the sum, the intersection is zero exactly when the ranks add up,
+    as ranks of subgroups of Z^n add like dimensions over Q.  ``ker_f`` is
+    ``kernel_basis(f)``.
     """
     if f.cols != g.cols:
         raise ValueError("the two maps must share their domain")
@@ -198,7 +200,7 @@ def kernel_split(f: IntMatrix, g: IntMatrix, ker_f: Lattice) -> tuple[list, list
     ambient = f.cols
     ksp = Lattice.from_generators(ambient, K)
     usp = Lattice.from_generators(ambient, Ub)
-    if ksp.sum(usp) != ker_f or lattice_intersection(ksp, usp).rank:
+    if ksp.sum(usp) != ker_f or ksp.rank + usp.rank != ker_f.rank:
         raise AssertionError("kernel splitting failed to be a direct sum")
     return K, Ub
 

@@ -19,11 +19,13 @@ Conventions the rest of the package relies on:
   unfinished column by the one with the smallest nonzero entry in the row
   (nearest-integer quotients), which keeps intermediate entries small, then
   normalises the pivot as above, so the canonical form is unchanged.
-  ``Lattice.from_generators``, ``kernel_basis``, ``lattice_intersection``
-  and ``preimage_lattice`` pass columns in and read columns out; only
-  ``hnf`` asks the kernel to carry the transform ``U`` along.  The last
-  three keep only the columns with no pivot in a stacked top block, so
-  the kernel skips the pivot-row reductions of the other columns.
+  Every caller passes columns in and reads columns out, and the kernel
+  never carries a transform: ``hnf``, ``solve_many`` and
+  ``preimage_lattice`` stack the identity below the matrix and read the
+  transform off that block.  ``kernel_basis``, ``lattice_intersection``
+  and ``preimage_lattice`` keep only the columns with no pivot in a
+  stacked top block, so the kernel skips the pivot-row reductions of the
+  other columns.
 * Lattices between ``p Z^n`` and ``Z^n`` (separatedness, matching pairs,
   congruence mod p, the combined reduction's sub-diagram) are built in
   ``fplinalg`` from an F_p echelon form instead: such a lattice is
@@ -31,13 +33,13 @@ Conventions the rest of the package relies on:
   non-pivot columns already are its canonical form (pivots 1 or p,
   entries beside them in ``[0, p)``), so ``==`` and every normal form
   agree with the integer route.
-* ``solve_many`` factors a matrix once with ``hnf`` and back-substitutes
-  every right-hand side, so solving many vectors against one matrix costs
-  one normal form.
+* ``solve_many`` factors a matrix once, as ``hnf`` does, and solves every
+  right-hand side by ``Lattice.solve`` on the triangular top block, so
+  solving many vectors against one matrix costs one normal form.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
   nonnegative, each diagonal entry dividing the next.  Its in-place
   kernel carries any of ``U``, ``V`` and ``U^-1`` that the caller asks
-  for.
+  for; ``ZModulePresentation.normal_form`` asks for none.
 
 Sublattices of ``Z^n`` are represented by ``Lattice``: ambient rank plus
 the canonical HNF basis with zero columns dropped.  Membership tests and
@@ -211,19 +213,17 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_in_place(
-    cols: list[list[int]], height: int, u: list[list[int]] | None = None, top: int = 0
-) -> int:
-    """Bring the columns ``cols`` (each ``height`` long) to canonical form in place.
+def _hnf_in_place(cols: list[list[int]], height: int, top: int = 0) -> int:
+    """Bring the columns ``cols`` to canonical form in their first ``height`` rows, in place.
 
     The nonzero columns of the result lead and are the canonical HNF basis
-    of the span; the return value is their number.  ``u``, when given, holds
-    one transform column per column and receives the same column operations,
-    so that ``u`` ends as ``U`` in ``H = M @ U`` when it starts as the
-    identity.  With ``top``, the columns whose pivot lies in the first
-    ``top`` rows are never reduced in later pivot rows: only the columns
-    with a pivot further down come out canonical, and a finished column
-    never feeds into another, so those are the same as without ``top``.
+    of the span; the return value is their number.  Rows below ``height``
+    take part in every column operation but never steer one, so identity
+    rows stacked below a matrix end as ``U`` in ``H = M @ U``.  With
+    ``top``, the columns whose pivot lies in the first ``top`` rows are
+    never reduced in later pivot rows: only the columns with a pivot
+    further down come out canonical, and a finished column never feeds
+    into another, so those are the same as without ``top``.
 
     Each row is cleared by a Euclid pass over the unfinished columns: every
     column with a nonzero entry in the row is reduced by the one with the
@@ -251,22 +251,16 @@ def _hnf_in_place(
                     continue
                 q = (2 * cols[k][i] + cs[i]) // a2  # nearest integer to b / a
                 cols[k] = ck = [x - q * y for x, y in zip(cols[k], cs)]
-                if u is not None:
-                    u[k] = [x - q * y for x, y in zip(u[k], u[s])]
                 if ck[i]:
                     rest.append(k)
             live = rest
         s = live[0]
         if s != j:
             cols[j], cols[s] = cols[s], cols[j]
-            if u is not None:
-                u[j], u[s] = u[s], u[j]
         cj = cols[j]
         a = cj[i]
         if a < 0:
             cols[j] = cj = [-x for x in cj]
-            if u is not None:
-                u[j] = [-x for x in u[j]]
             a = -a
         if i < top:
             low = j + 1
@@ -274,10 +268,14 @@ def _hnf_in_place(
             q = cols[k][i] // a
             if q:
                 cols[k] = [x - q * y for x, y in zip(cols[k], cj)]
-                if u is not None:
-                    u[k] = [x - q * y for x, y in zip(u[k], u[j])]
         j += 1
     return j
+
+
+def _stacked_over_identity(M: IntMatrix) -> list[list[int]]:
+    """The columns of ``M`` with the identity's columns stacked below them."""
+    n = M.cols
+    return [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.columns())]
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -288,17 +286,17 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     ``H`` equals the column span of ``M``.
 
     It runs the column-major kernel ``_hnf_in_place``, whose rows are
-    cleared by Euclid passes with the smallest nonzero entry as divisor, and
-    is the only caller that has the kernel carry ``U`` along; the lattice
-    functions run the same kernel without a transform.  The pivot
+    cleared by Euclid passes with the smallest nonzero entry as divisor, on
+    the columns of ``M`` stacked over the identity: the bottom block
+    receives every column operation and ends as ``U``.  The pivot
     normalisation makes ``H`` the same canonical form whichever column
     operations reached it.
     """
-    m, n = M.rows, M.cols
-    cols = [list(c) for c in M.columns()]
-    u = [[int(i == j) for i in range(n)] for j in range(n)]
-    _hnf_in_place(cols, m, u)
-    return IntMatrix.from_cols(cols, rows=m), IntMatrix.from_cols(u, rows=n)
+    m = M.rows
+    cols = _stacked_over_identity(M)
+    _hnf_in_place(cols, m)
+    H = IntMatrix.from_cols([c[:m] for c in cols], rows=m)
+    return H, IntMatrix.from_cols([c[m:] for c in cols], rows=M.cols)
 
 
 def _snf_in_place(
@@ -637,8 +635,7 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
     if L.ambient != M.rows:
         raise ValueError("lattice ambient rank must match matrix row count")
     n = M.cols
-    cols = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.columns())]
-    cols += [list(l) + [0] * n for l in L.basis]
+    cols = _stacked_over_identity(M) + [list(l) + [0] * n for l in L.basis]
     return _lower_lattice(cols, M.rows, n)
 
 
@@ -647,10 +644,12 @@ def solve_many(
 ) -> list[tuple[int, ...] | None]:
     """Solve ``Mx = b`` for each ``b`` in ``rhs`` with one factorisation.
 
-    Runs ``hnf(M)`` once, then back-substitutes each right-hand side on
-    the triangular ``H`` and maps the coordinates back through ``U``.
-    Returns one integer solution per vector, or ``None`` where ``b`` is
-    outside the column span.  No factorisation runs for an empty ``rhs``.
+    Brings ``M`` stacked over the identity to canonical form once, then
+    solves each right-hand side by ``Lattice.solve`` on the triangular top
+    block and maps the coordinates back through the bottom block, which is
+    ``U`` in ``H = M @ U``.  Returns one integer solution per vector, or
+    ``None`` where ``b`` is outside the column span.  No factorisation runs
+    for an empty ``rhs``.
     """
     m = M.rows
     for b in rhs:
@@ -658,27 +657,17 @@ def solve_many(
             raise ValueError("right-hand side has wrong length")
     if not rhs:
         return []
-    H, U = hnf(M)
-    # zero columns trail the canonical form; only the leading ones have pivots
-    steps = []
-    for col in H.columns():
-        r = next((i for i, x in enumerate(col) if x), None)
-        if r is None:
-            break
-        steps.append((r, col[r], col))
+    cols = _stacked_over_identity(M)
+    basis = cols[: _hnf_in_place(cols, m)]
+    span = Lattice(m, tuple(tuple(c[:m]) for c in basis))
     out = []
     for b in rhs:
-        w = [int(x) for x in b]
-        c = [0] * M.cols
-        for j, (r, pivot, col) in enumerate(steps):
-            q, rem = divmod(w[r], pivot)
-            if rem:
-                break  # w[r] stays nonzero: b is outside the span
-            c[j] = q
-            if q:
-                for i in range(r, m):
-                    w[i] -= q * col[i]
-        out.append(None if any(w) else U.mul_vec(c))
+        coords = span.solve(b)
+        if coords is not None:
+            coords = tuple(
+                sum(c * col[t] for c, col in zip(coords, basis)) for t in range(m, m + M.cols)
+            )
+        out.append(coords)
     return out
 
 

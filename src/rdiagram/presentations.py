@@ -19,14 +19,14 @@ lattice.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    _snf_in_place,
     preimage_lattice,
-    snf,
 )
 
 __all__ = [
@@ -64,16 +64,17 @@ class ZModulePresentation:
         """``(free_rank, invariant_factors)`` — a complete isomorphism invariant.
 
         Invariant factors are the Smith diagonal entries of the relation
-        matrix that exceed 1, in ascending divisibility order.
+        matrix that exceed 1, in ascending divisibility order.  The Smith
+        form runs on the basis columns taken as rows, without transforms: a
+        transpose has the same Smith diagonal.
         """
         cached = self._normal_form
         if cached is None:
-            B = self.relations.basis_matrix()
-            _, D, _ = snf(B)
-            diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-            nonzero = [d for d in diag if d]
-            factors = tuple(d for d in nonzero if d > 1)
-            cached = (self.gens - len(nonzero), factors)
+            a = [list(col) for col in self.relations.basis]
+            _snf_in_place(a, self.gens)
+            # the basis is independent, so every diagonal entry is nonzero
+            diag = [row[i] for i, row in enumerate(a)]
+            cached = (self.gens - len(diag), tuple(d for d in diag if d > 1))
             object.__setattr__(self, "_normal_form", cached)
         return cached
 
@@ -84,9 +85,6 @@ class ZModulePresentation:
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         return self.normal_form()[1]
-
-    def is_trivial(self) -> bool:
-        return self.normal_form() == (0, ())
 
     def elements_equal(self, v: Sequence[int], w: Sequence[int]) -> bool:
         diff = [int(a) - int(b) for a, b in zip(v, w)]
@@ -108,28 +106,24 @@ class ZModulePresentation:
 class ModuleMap:
     """A homomorphism between presented groups, as a matrix on generators.
 
-    Well-definedness (relations map into relations) is verified on
-    construction unless ``unchecked=True`` is passed; the escape hatch
-    exists so that :func:`check_map` can evaluate candidate matrices
-    without raising.  The kernel lattice is computed once per map and
-    kept.
+    Well-definedness (relations map into relations) is verified by
+    :func:`check_map` on every construction, so every ``ModuleMap`` is a
+    homomorphism.  The kernel lattice is computed once per map and kept.
     """
 
     source: ZModulePresentation
     target: ZModulePresentation
     matrix: IntMatrix
-    _: KW_ONLY
-    unchecked: InitVar[bool] = False
     _kernel: Lattice | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, unchecked: bool):
+    def __post_init__(self):
         matrix = self.matrix
         if matrix.rows != self.target.gens or matrix.cols != self.source.gens:
             raise ValueError(
                 f"matrix shape {matrix.rows}x{matrix.cols} does not map "
                 f"{self.source.gens} generators to {self.target.gens}"
             )
-        if not unchecked and not check_map(self):
+        if not check_map(self):
             raise ValueError("map does not carry source relations into target relations")
 
     @staticmethod

@@ -42,7 +42,6 @@ from .fplinalg import (
 from .presentations import ModuleMap, ZModulePresentation
 
 __all__ = [
-    "PPRElement",
     "quotient_ring_check",
     "LatticeRModule",
     "PullbackDiagram",
@@ -63,61 +62,6 @@ __all__ = [
     "EpiReport",
     "epi_conditions",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class PPRElement:
-    """An element (r1, r2) of the p-pullback ring, with r1 = r2 mod p."""
-
-    p: int
-    r1: int
-    r2: int
-
-    def __post_init__(self):
-        validate_prime(self.p)
-        if (self.r1 - self.r2) % self.p:
-            raise ValueError(
-                f"({self.r1}, {self.r2}) is not a ring element: {self.r1} != {self.r2} mod {self.p}"
-            )
-
-    @staticmethod
-    def one(p: int) -> "PPRElement":
-        return PPRElement(p, 1, 1)
-
-    @staticmethod
-    def zero(p: int) -> "PPRElement":
-        return PPRElement(p, 0, 0)
-
-    @property
-    def bar(self) -> int:
-        """The common residue class mod p."""
-        return self.r1 % self.p
-
-    def _check(self, other: "PPRElement") -> None:
-        if self.p != other.p:
-            raise ValueError("mixing ring elements with different p")
-
-    def __add__(self, other: "PPRElement") -> "PPRElement":
-        self._check(other)
-        return PPRElement(self.p, self.r1 + other.r1, self.r2 + other.r2)
-
-    def __sub__(self, other: "PPRElement") -> "PPRElement":
-        self._check(other)
-        return PPRElement(self.p, self.r1 - other.r1, self.r2 - other.r2)
-
-    def __mul__(self, other: "PPRElement") -> "PPRElement":
-        self._check(other)
-        return PPRElement(self.p, self.r1 * other.r1, self.r2 * other.r2)
-
-    def __neg__(self) -> "PPRElement":
-        return PPRElement(self.p, -self.r1, -self.r2)
-
-    def act_on_pair(self, x: Sequence[int], y: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Coordinatewise action on an element of Z^a + Z^b."""
-        return tuple(self.r1 * v for v in x), tuple(self.r2 * v for v in y)
-
-    def __repr__(self) -> str:
-        return f"PPRElement(p={self.p}, ({self.r1}, {self.r2}))"
 
 
 def quotient_ring_check(p: int) -> bool:
@@ -221,8 +165,15 @@ class PullbackDiagram:
         return D
 
     def _check_maps(self) -> None:
-        """Moduli, shapes and well-definedness of the structure maps."""
-        for label, mat, mod in (("p1", self.p1, self.M1), ("p2", self.p2, self.M2)):
+        """Moduli, shapes and well-definedness of the structure maps.
+
+        A side that is the same objects as side 1 (``p2 is p1`` and
+        ``M2 is M1``) is checked once.
+        """
+        sides = [("p1", self.p1, self.M1)]
+        if not (self.p2 is self.p1 and self.M2 is self.M1):
+            sides.append(("p2", self.p2, self.M2))
+        for label, mat, mod in sides:
             if mat.p != self.p:
                 raise ValueError(f"{label} has modulus {mat.p}, expected {self.p}")
             if (mat.rows, mat.cols) != (self.mbar_dim, mod.gens):
@@ -310,37 +261,43 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
 
 
 def _separation_report(D: PullbackDiagram) -> SeparationReport:
-    """Evaluate the conditions of ``is_separated``."""
-    witnesses = []
-    preseparated = True
-    for i in (1, 2):
-        mat = D.structure_map(i)
-        if mat.rank() != D.mbar_dim:
-            preseparated = False
-            witnesses.append(("not-surjective", i, None))
-    separated = preseparated
-    shared = D.p2 is D.p1 and D.M2.gens == D.M1.gens
-    kernel = None
-    for i in (1, 2):
-        mod = D.component(i)
-        mat = D.structure_map(i)
-        if kernel is None or not shared:
-            kernel = lift_kernel(D.p, mat.entries, mod.gens)
-        expected = lift_span(D.p, mod.gens, mod.relations.basis)
-        if kernel != expected:
-            separated = False
-            bad = next(
-                (col for col in kernel.basis if not expected.contains(col)),
-                None,
-            )
-            if bad is None:
-                bad = next(
-                    (col for col in expected.basis if not kernel.contains(col)), None
-                )
-            witnesses.append(("kernel-mismatch", i, bad))
-    if separated:
+    """Evaluate the conditions of ``is_separated``.
+
+    Side 2 is evaluated only when it is not the same objects as side 1, and
+    a shared map's kernel is lifted once; each side keeps its own witnesses.
+    """
+    kernel = lift_kernel(D.p, D.p1.entries, D.M1.gens)
+    first = _side_conditions(D, D.M1, D.p1, kernel)
+    if D.p2 is D.p1 and D.M2 is D.M1:
+        second = first
+    else:
+        if D.p2 is not D.p1:
+            kernel = lift_kernel(D.p, D.p2.entries, D.M2.gens)
+        second = _side_conditions(D, D.M2, D.p2, kernel)
+    sides = ((1, first), (2, second))
+    witnesses = [("not-surjective", i, None) for i, (onto, _, _) in sides if not onto]
+    witnesses += [("kernel-mismatch", i, bad) for i, (_, ok, bad) in sides if not ok]
+    if not witnesses:
         return _SEPARATED
-    return SeparationReport(preseparated, separated, tuple(witnesses))
+    return SeparationReport(first[0] and second[0], False, tuple(witnesses))
+
+
+def _side_conditions(
+    D: PullbackDiagram, mod: ZModulePresentation, mat: FpMatrix, kernel: Lattice
+) -> tuple[bool, bool, tuple | None]:
+    """``(onto, kernel condition holds, witness)`` for one side of ``D``.
+
+    ``kernel`` is the lifted kernel of ``mat``.  The witness is a vector in
+    the symmetric difference of it and ``p*(generators) + relations``.
+    """
+    onto = mat.rank() == D.mbar_dim
+    expected = lift_span(D.p, mod.gens, mod.relations.basis)
+    if kernel == expected:
+        return onto, True, None
+    bad = next((col for col in kernel.basis if not expected.contains(col)), None)
+    if bad is None:
+        bad = next((col for col in expected.basis if not kernel.contains(col)), None)
+    return onto, False, bad
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -510,12 +467,6 @@ class PullbackModule:
     relations: Lattice
     presentation: ZModulePresentation
 
-    def as_rmodule(self) -> LatticeRModule:
-        """The matching lattice as an R-module (closure re-verified)."""
-        return LatticeRModule(
-            self.diagram.p, self.diagram.M1.gens, self.diagram.M2.gens, self.matching
-        )
-
 
 def _matching_lattice(a: FpMatrix, b: FpMatrix) -> Lattice:
     """The pairs ``(x, y)`` with ``a x = b y`` mod p, as an integer lattice."""
@@ -568,11 +519,14 @@ class DiagramMorphism:
         p = source.p
         if fbar.p != p:
             raise ValueError("mixing different moduli")
+        right = None
         for i, f in ((1, self.f1), (2, self.f2)):
-            # target.p_i f_i = fbar source.p_i, compared entrywise mod p
+            # target.p_i f_i = fbar source.p_i, compared entrywise mod p;
+            # a source map both sides share gives one right-hand side
             to, src = target.structure_map(i), source.structure_map(i)
             left = _mul_entries(p, to.entries, f.matrix.entries, f.matrix.cols)
-            right = _mul_entries(p, fbar.entries, src.entries, src.cols)
+            if right is None or src is not source.p1:
+                right = _mul_entries(p, fbar.entries, src.entries, src.cols)
             if left != right:
                 raise ValueError(f"square {i} does not commute")
 
@@ -690,7 +644,7 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
         K = ZModulePresentation(n, Lattice.from_generators(n, rel_coords))
         presentations.append(K)
         includes.append(
-            ModuleMap(K, m.source.component(i), L.basis_matrix(), unchecked=True)
+            ModuleMap(K, m.source.component(i), L.basis_matrix())
         )
         ccols = []
         for col in L.basis:
@@ -757,9 +711,6 @@ class EpiReport:
     cond3: bool
     cond4: bool
     direct: bool
-
-    def any_condition(self) -> bool:
-        return self.cond1 or self.cond2 or self.cond3 or self.cond4
 
 
 def _mixed_pullback_map(m: DiagramMorphism, side: int) -> ModuleMap:

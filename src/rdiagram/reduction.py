@@ -113,6 +113,7 @@ class SubDiagram:
     ``L1``/``L2`` are lattices in the generator spaces of K_1/K_2, ``Lbar``
     a subspace of Kbar; the restrictions of K's structure maps are the
     implicit maps u_i, so the components must satisfy q_i(L_i) <= Lbar.
+    A side with the same lattice and map as side 1 is checked once.
     """
 
     K: InitVar[PullbackDiagram]
@@ -125,7 +126,10 @@ class SubDiagram:
             raise ValueError("sub-diagram lattices must live in the generator spaces")
         if self.Lbar.ambient != K.mbar_dim or self.Lbar.p != K.p:
             raise ValueError("Lbar must be a subspace of Kbar")
-        for lat, mat, name in ((self.L1, K.p1, "L1"), (self.L2, K.p2, "L2")):
+        sides = [(self.L1, K.p1, "L1")]
+        if not (self.L2 is self.L1 and K.p2 is K.p1):
+            sides.append((self.L2, K.p2, "L2"))
+        for lat, mat, name in sides:
             for v in lat.basis:
                 if not self.Lbar.contains(mat.mul_vec(v)):
                     raise ValueError(f"structure map carries {name} outside Lbar at {v}")
@@ -177,6 +181,12 @@ def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
     return lift_kernel(q.p, rows, q.cols)
 
 
+def _preimage_subdiagram(K: PullbackDiagram, Lbar: FpSubspace) -> SubDiagram:
+    """(L_1, Lbar, L_2) with L_i = {x : q_i(x) in Lbar}, one lattice if the sides share a map."""
+    L1 = _subspace_preimage(K.p1, Lbar)
+    return SubDiagram(K, L1, Lbar, L1 if K.p2 is K.p1 else _subspace_preimage(K.p2, Lbar))
+
+
 def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatrix]:
     """``(proj @ D.p1, proj @ D.p2)``, one product when the sides share their map."""
     m1 = proj @ D.p1
@@ -196,13 +206,17 @@ def _apply_quotient(
 
     A structure map that both sides of K or S share (``p2 is p1``, as in
     every diagram the pipeline builds) is multiplied by the projection
-    once, and the one product is again shared by both sides.
+    once, and the one product is again shared by both sides; so is the
+    quotient of K_1 when K_2 and L_2 are the same objects as K_1 and L_1.
     """
     p = pres.p
     K, S = pres.K, pres.S
 
     newK1 = ZModulePresentation(K.M1.gens, K.M1.relations.sum(L.L1))
-    newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
+    if K.M2 is K.M1 and L.L2 is L.L1:
+        newK2 = newK1
+    else:
+        newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
     projK, sectionK = quotient_projection(L.Lbar)
     newK = PullbackDiagram._derived(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
 
@@ -306,28 +320,14 @@ def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     K in Kbar coordinates, so all three K components become F_p^d with
     identity structure maps.
     """
-    K = pres.K
-    p = pres.p
-    zero_bar = FpSubspace._derived(p, K.mbar_dim, (), ())
-    L = SubDiagram(
-        K,
-        _subspace_preimage(K.p1, zero_bar),
-        zero_bar,
-        _subspace_preimage(K.p2, zero_bar),
-    )
+    zero_bar = FpSubspace._derived(pres.p, pres.K.mbar_dim, (), ())
+    L = _preimage_subdiagram(pres.K, zero_bar)
     return _standardize_K(quotient_presentation(pres, L, mode="full"))
 
 
 def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
     """Kill a complement of ker fbar, so the reduced fbar is exactly zero."""
-    K = pres.K
-    Lbar = pres.fbar.kernel().complement()
-    L = SubDiagram(
-        K,
-        _subspace_preimage(K.p1, Lbar),
-        Lbar,
-        _subspace_preimage(K.p2, Lbar),
-    )
+    L = _preimage_subdiagram(pres.K, pres.fbar.kernel().complement())
     out = quotient_presentation(pres, L, mode="full")
     if not out.fbar.is_zero():
         raise AssertionError("reduction failed to annihilate fbar")
@@ -398,16 +398,14 @@ def reduce_combined(pres: SeparatedPresentation) -> "RDiagram":
 
     Each L_i contains p Z^gens, and q_i maps T_i mod p onto Tbar_i, so
     L_i is the lift of q_i^{-1}(Lbar) over F_p plus p Z^gens: one kernel
-    mod p per side.
+    mod p per side, and one in all when K's sides share their map, as the
+    free source of a homology presentation does.
     """
     K = pres.K
     Tbar1 = _image_subspace(K.p1, pres.f1.kernel_lattice())
     Tbar2 = _image_subspace(K.p2, pres.f2.kernel_lattice())
     Lbar = pres.fbar.kernel().complement().sum(Tbar1).sum(Tbar2)
-    L = SubDiagram(
-        K, _subspace_preimage(K.p1, Lbar), Lbar, _subspace_preimage(K.p2, Lbar)
-    )
-    out = _apply_quotient(pres, L, quotient_target_right=True)
+    out = _apply_quotient(pres, _preimage_subdiagram(K, Lbar), quotient_target_right=True)
     if not out.fbar.is_zero():
         raise AssertionError("combined reduction failed to annihilate fbar")
     return _extract_rdiagram(out)

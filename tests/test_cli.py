@@ -122,6 +122,73 @@ class TestLoadDocument:
         assert labels == ["H0"]
 
 
+def _zero_complex(terms, rank):
+    """A document of ``terms`` terms of rank ``rank`` with zero differentials."""
+    zero = [[0] * rank for _ in range(rank)]
+    diffs = [{"d1": zero, "d2": zero} for _ in range(terms - 1)]
+    return {"p": 2, "ranks": [rank] * terms, "differentials": diffs}
+
+
+def _one_row(row):
+    return {"p": 2, "differentials": [{"d1": [row], "d2": [row]}]}
+
+
+def _one_entry(entry):
+    return _one_row([entry])
+
+
+class TestInputCaps:
+    """Each cap accepts a document at the cap and rejects one past it with exit 2."""
+
+    CASES = {
+        "terms": (
+            _zero_complex(cli.MAX_TERMS, 1),
+            _zero_complex(cli.MAX_TERMS + 1, 1),
+            f"cap of {cli.MAX_TERMS} terms",
+        ),
+        "rank": (
+            {"p": 2, "ranks": [cli.MAX_RANK], "differentials": []},
+            {"p": 2, "ranks": [cli.MAX_RANK + 1], "differentials": []},
+            f"rank cap of {cli.MAX_RANK}",
+        ),
+        "matrix side": (
+            _zero_complex(2, cli.MAX_RANK),
+            _one_row([0] * (cli.MAX_RANK + 1)),
+            f"rank cap of {cli.MAX_RANK}",
+        ),
+        "entry": (
+            _one_entry(-(2**cli.MAX_ENTRY_BITS - 1)),
+            _one_entry(2**cli.MAX_ENTRY_BITS),
+            f"cap of {cli.MAX_ENTRY_BITS} bits",
+        ),
+        "decimal entry": (
+            _one_entry(str(2**cli.MAX_ENTRY_BITS - 1)),
+            _one_entry(str(-(2**cli.MAX_ENTRY_BITS))),
+            f"cap of {cli.MAX_ENTRY_BITS} bits",
+        ),
+    }
+
+    @pytest.mark.parametrize("cap", sorted(CASES))
+    def test_at_the_cap_is_accepted_and_past_it_exits_2(self, cap, tmp_path, capsys):
+        at, past, message = self.CASES[cap]
+        load_document(json.dumps(at))
+        assert main(["validate", write(tmp_path, at)]) == 0
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            load_document(json.dumps(past))
+        capsys.readouterr()
+        assert main(["rdiagram", write(tmp_path, past), "--all"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_large_zero_complex_fails_fast(self, monkeypatch, capsys):
+        # rank 200 ran `rdiagram --all` for seconds and printed over a megabyte
+        doc = '{"p": 2, "ranks": [200], "differentials": []}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        start = time.perf_counter()
+        assert main(["rdiagram", "-", "--all"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "rank cap" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_valid_document(self, tmp_path, capsys):
         assert main(["validate", write(tmp_path, WORKED)]) == 0

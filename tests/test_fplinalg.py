@@ -648,6 +648,8 @@ def _bad_diagram_arguments():
         ("p1 has modulus 5, expected 3", (p, free, free, 1, FpMatrix.identity(5, 1), eye)),
         ("p2 must be 1x1, got 2x2", (p, free, free, 1, eye, FpMatrix.identity(p, 2))),
         ("p1 does not vanish on a relation", (p, unit_relation, free, 1, eye, eye)),
+        # a side that is the same objects as side 1 is checked once, not skipped
+        ("p1 does not vanish on a relation", (p, unit_relation, unit_relation, 1, eye, eye)),
     ]
 
 

@@ -5,6 +5,7 @@ then frozen, so that the implementation is checked against independent
 arithmetic rather than against itself.
 """
 
+import inspect
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from rdiagram.intlinalg import (
     IntMatrix,
+    _hnf_in_place,
     Lattice,
     column_span,
     det,
@@ -441,3 +443,9 @@ def test_lattice_kernels_match_hnf_of_the_stacked_columns(M, data):
     A = data.draw(lattices(ambient=m, max_entry=30))
     stacked = [a + a for a in A.basis] + [l + (0,) * m for l in L.basis]
     assert lattice_intersection(A, L) == lower_reference(stacked, m, m)
+
+
+def test_hnf_in_place_takes_no_transform():
+    # hnf and solve_many read U off identity rows stacked below the matrix
+    params = list(inspect.signature(_hnf_in_place).parameters)
+    assert params == ["cols", "height", "top"]

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdiagram import pullback
 from rdiagram.fplinalg import FpMatrix
 from rdiagram.intlinalg import IntMatrix, Lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
     LatticeRModule,
-    PPRElement,
     PullbackDiagram,
     epi_conditions,
     is_mono,
@@ -32,31 +32,6 @@ from rdiagram.randomgen import (
 )
 
 
-class TestRingElements:
-    def test_unit_acts_trivially(self):
-        one = PPRElement.one(5)
-        assert one.act_on_pair((3, -1), (7,)) == ((3, -1), (7,))
-        x = PPRElement(5, 2, 7)
-        assert one * x == x
-
-    def test_ideal_generators_multiply_to_zero(self):
-        assert PPRElement(2, 2, 0) * PPRElement(2, 0, 2) == PPRElement.zero(2)
-
-    def test_addition(self):
-        assert PPRElement(2, 3, 1) + PPRElement(2, 1, 3) == PPRElement(2, 4, 4)
-
-    def test_congruence_enforced(self):
-        with pytest.raises(ValueError):
-            PPRElement(2, 1, 0)
-
-    def test_mixing_p_rejected(self):
-        with pytest.raises(ValueError):
-            PPRElement(2, 1, 1) * PPRElement(3, 1, 1)
-
-    def test_bar_residue(self):
-        assert PPRElement(3, 4, 7).bar == 1
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_quotient_ring_check(p):
     assert quotient_ring_check(p)
@@ -73,7 +48,7 @@ class TestPullbackGroup:
         pg = pullback_group(_free_diagram(2, 1))
         assert pg.matching.basis == ((1, 1), (0, 2))
         assert pg.presentation.normal_form() == (2, ())
-        pg.as_rmodule()  # closure must hold
+        LatticeRModule(2, 1, 1, pg.matching)  # closure must hold
 
     def test_zero_middle_gives_direct_sum(self):
         M1 = ZModulePresentation(1, Lattice.from_generators(1, [(4,)]))  # Z/4
@@ -101,8 +76,8 @@ class TestSeparate:
     def test_zero_module(self):
         S = LatticeRModule(3, 1, 1, Lattice.zero(2))
         sep = separate(S)
-        assert sep.diagram.M1.is_trivial()
-        assert sep.diagram.M2.is_trivial()
+        assert sep.diagram.M1.normal_form() == (0, ())
+        assert sep.diagram.M2.normal_form() == (0, ())
         assert sep.diagram.mbar_dim == 0
 
     def test_first_ideal(self):
@@ -186,6 +161,23 @@ class TestIsSeparated:
         )
         unshared = is_separated(self._shared_map_diagram(p2_copy=True))
         assert unshared.witnesses == report.witnesses
+
+    def test_a_shared_side_keeps_both_witnesses(self):
+        # M2 is M1 and p2 is p1: side 2 is side 1, and both are reported
+        M = ZModulePresentation.free(2)
+        for q, kind, witness in (
+            (FpMatrix.from_rows(2, [[1, 0]]), "kernel-mismatch", (0, 1)),
+            (FpMatrix.zeros(2, 1, 2), "not-surjective", None),
+        ):
+            D = PullbackDiagram(2, M, M, 1, q, q)
+            report = is_separated(D)
+            assert not report.separated
+            assert [(k, i) for k, i, _ in report.witnesses if k == kind] == [(kind, 1), (kind, 2)]
+            if witness is not None:
+                assert [w for _, _, w in report.witnesses] == [witness, witness]
+            copy = FpMatrix(q.p, q.rows, q.cols, q.entries)
+            unshared = PullbackDiagram(2, M, ZModulePresentation.free(2), 1, q, copy)
+            assert self._fields(is_separated(unshared)) == self._fields(report)
 
     @staticmethod
     def _fields(report):
@@ -282,6 +274,7 @@ class TestMorphismSquares:
     @pytest.mark.parametrize("p", [2, 5, 1_000_000_007])
     @pytest.mark.parametrize("broken", [1, 2])
     def test_a_broken_square_is_named(self, p, broken):
+        # both sides of D share one map, so square 2 is also checked on a shared source
         D = _free_diagram(p, 2)
         same = ModuleMap.identity(D.M1)
         swapped = ModuleMap(D.M1, D.M1, IntMatrix.from_rows([[0, 1], [1, 0]]))
@@ -295,6 +288,25 @@ class TestMorphismSquares:
         D = _free_diagram(p, 2)
         f = ModuleMap(D.M1, D.M1, IntMatrix.from_rows([[1 + p, -p], [3 * p, 1 - 2 * p]]))
         DiagramMorphism(D, D, f, f, FpMatrix.identity(p, 2))
+
+    def test_fbar_times_a_shared_source_map_is_formed_once(self, monkeypatch):
+        D = _free_diagram(3, 2)
+        assert D.p2 is D.p1
+        copy = PullbackDiagram(
+            3, D.M1, D.M2, 2, D.p1, FpMatrix(3, 2, 2, D.p2.entries)
+        )
+        eye = ModuleMap.identity(D.M1)
+        fbar = FpMatrix.identity(3, 2)
+        products = []
+        multiply = pullback._mul_entries
+        monkeypatch.setattr(
+            pullback, "_mul_entries", lambda p, a, b, n: products.append(a) or multiply(p, a, b, n)
+        )
+        for source, expected in ((D, 1), (copy, 2)):
+            products.clear()
+            DiagramMorphism(source, D, eye, eye, fbar)
+            assert sum(a is fbar.entries for a in products) == expected
+            assert len(products) == 2 + expected
 
     def test_fbar_over_another_prime_is_rejected(self):
         D = _free_diagram(3, 1)
@@ -323,15 +335,15 @@ class TestEpi:
         z = IntMatrix.zeros(1, 1)
         m = separate_morphism(z, z, sep, sep)
         report = epi_conditions(m)
-        assert not report.any_condition()
+        assert not (report.cond1 or report.cond2 or report.cond3 or report.cond4)
         assert not report.direct
 
     def test_kernel_diagram_of_identity_is_zero(self):
         m = DiagramMorphism.identity(_free_diagram(3, 2))
         kd = kernel_diagram(m)
         assert kd.kerfbar.dim == 0
-        assert kd.diagram.M1.is_trivial()
-        assert kd.diagram.M2.is_trivial()
+        assert kd.diagram.M1.normal_form() == (0, ())
+        assert kd.diagram.M2.normal_form() == (0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +431,7 @@ def test_epi_conditions_imply_direct_surjectivity(p, seed):
     src = random_rmodule(rng, p, rng.randint(1, 2), rng.randint(1, 2))
     m, _, _ = random_block_morphism(rng, src, rng.randint(1, 2), rng.randint(1, 2))
     report = epi_conditions(m)
-    if report.any_condition():
+    if report.cond1 or report.cond2 or report.cond3 or report.cond4:
         assert report.direct
 
 

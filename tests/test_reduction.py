@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rdiagram import pullback, reduction
 from rdiagram.fplinalg import FpMatrix, FpSubspace
-from rdiagram.homology import ChainComplexR, homology_rdiagram
+from rdiagram.homology import ChainComplexR, homology_presentations, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
@@ -76,7 +76,7 @@ def identity_presentation(p, rank):
 class TestFreeDiagram:
     def test_rank_zero_is_the_zero_diagram(self):
         D = free_diagram(2, 0)
-        assert D.M1.is_trivial() and D.M2.is_trivial() and D.mbar_dim == 0
+        assert D.M1.normal_form() == (0, ()) and D.M2.normal_form() == (0, ()) and D.mbar_dim == 0
         assert is_separated(D).separated
 
     def test_rank_one_presents_the_ring(self):
@@ -157,6 +157,11 @@ class TestQuotientPresentation:
             SubDiagram(
                 pres.K, Lattice.full(1), FpSubspace.zero(2, 1), Lattice.zero(1)
             )
+        # a side with the same lattice and map as side 1 is checked once, not skipped
+        full = Lattice.full(1)
+        assert pres.K.p2 is pres.K.p1
+        with pytest.raises(ValueError, match="outside Lbar"):
+            SubDiagram(pres.K, full, FpSubspace.zero(2, 1), full)
 
 
 class TestElementaryReductions:
@@ -181,7 +186,7 @@ class TestElementaryReductions:
         out = reduce_barf(identity_presentation(2, 2))
         assert out.K.mbar_dim == 0
         assert out.fbar.is_zero()
-        assert out.K.M1.is_trivial() and out.K.M2.is_trivial()
+        assert out.K.M1.normal_form() == (0, ()) and out.K.M2.normal_form() == (0, ())
 
     def test_reduce_barf_rank_one_leaves_one_dimension(self):
         D = free_diagram(2, 2)
@@ -219,7 +224,7 @@ class TestCombinedReduction:
     def test_identity_presents_the_zero_module(self):
         rd = reduce_combined(identity_presentation(2, 2))
         assert rd.kdim == 0
-        assert rd.S.M1.is_trivial() and rd.S.M2.is_trivial()
+        assert rd.S.M1.normal_form() == (0, ()) and rd.S.M2.normal_form() == (0, ())
         assert rd.S.mbar_dim == 0
 
     def test_matches_sequential_on_the_worked_example(self):
@@ -310,6 +315,48 @@ class TestSharedStructureMaps:
         # swaps rebuild four diagrams and evaluate none of them
         assert len(evaluations) == 4
         assert out.morphism.f1.is_injective() and out.morphism.f2.is_injective()
+
+
+class TestSharedSides:
+    """A side that is the same objects as side 1 is computed and checked once."""
+
+    @staticmethod
+    def _free_source_presentations():
+        for seed in range(8):
+            rng = random.Random(seed)
+            p = rng.choice((2, 3, 5))
+            ranks = [rng.randint(1, 3) for _ in range(3)]
+            C = ChainComplexR(p, random_complex_differentials(rng, p, ranks))
+            yield from homology_presentations(C, range(C.terms))
+
+    def test_reduce_combined_takes_one_preimage_on_a_free_source(self, monkeypatch):
+        calls = []
+        preimage = reduction._subspace_preimage
+        monkeypatch.setattr(
+            reduction, "_subspace_preimage", lambda q, V: calls.append(q) or preimage(q, V)
+        )
+        for pres in self._free_source_presentations():
+            assert pres.K.p2 is pres.K.p1
+            calls.clear()
+            rd = reduce_combined(pres)
+            assert len(calls) == 1
+            # the same reduction with K's sides sharing nothing takes two
+            m = pres.morphism
+            K = _with_copied_p2(m.source)
+            copied = SeparatedPresentation(DiagramMorphism(K, m.target, m.f1, m.f2, m.fbar))
+            calls.clear()
+            other = reduce_combined(copied)
+            assert len(calls) == 2
+            assert (rd.kdim, rd.S.M1, rd.S.M2, rd.q1, rd.q2) == (
+                other.kdim, other.S.M1, other.S.M2, other.q1, other.q2
+            )
+
+    def test_a_shared_side_is_quotiented_once(self):
+        for pres in self._free_source_presentations():
+            L = reduction._preimage_subdiagram(pres.K, pres.fbar.kernel().complement())
+            assert L.L2 is L.L1 and pres.K.M2 is pres.K.M1
+            out = reduction._apply_quotient(pres, L, quotient_target_right=True)
+            assert out.K.M2 is out.K.M1
 
 
 class TestValidateRDiagram:

@@ -1,6 +1,6 @@
 """Every value class is a frozen slotted dataclass with unchanged equality.
 
-Seven classes compare by value (their fields, memo fields excluded); the
+Six classes compare by value (their fields, memo fields excluded); the
 rest compare by identity.  Memo fields (cached normal form, separation
 report, R-diagram report, echelon form) and derived fields never take part
 in ``==``, ``hash`` or ``repr``.
@@ -26,7 +26,6 @@ from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
     LatticeRModule,
-    PPRElement,
     epi_conditions,
     is_separated,
     kernel_diagram,
@@ -41,7 +40,6 @@ VALUE_EQUALITY = {
     "FpMatrix",
     "FpSubspace",
     "ZModulePresentation",
-    "PPRElement",
     "GroupInvariants",
 }
 
@@ -84,7 +82,6 @@ def _build() -> dict:
         FpSubspace.full(3, 2),
         ZModulePresentation.fp_elementary(3, 2),
         ModuleMap.identity(ZModulePresentation.free(2)),
-        PPRElement(3, 4, 1),
         LatticeRModule.free(3, 1),
         sep,
         sep.diagram,
@@ -114,7 +111,7 @@ INIT_ONLY = {"SubDiagram": {"K": free_diagram(3, 1)}}
 
 def test_every_value_class_is_covered():
     assert set(VALUES) == VALUE_EQUALITY | IDENTITY_EQUALITY
-    assert len(VALUES) == 25
+    assert len(VALUES) == 24
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
