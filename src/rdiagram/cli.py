@@ -14,9 +14,10 @@ reports (an entry that is not a string is an input error, exit 2).
 Integer entries may be decimal strings and are always emitted as
 strings, since Smith-form intermediates overflow the float-safe range
 long before the inputs look big.  A document may have at most
-``MAX_TERMS`` terms, each of rank at most ``MAX_RANK``, with entries of
-at most ``MAX_ENTRY_BITS`` bits; past a cap it is rejected (exit 2)
-before any normal form runs.
+``MAX_DOCUMENT_CHARS`` characters, checked before it is parsed, and at
+most ``MAX_TERMS`` terms, each of rank at most ``MAX_RANK``, with
+entries of at most ``MAX_ENTRY_BITS`` bits; past a cap it is rejected
+(exit 2) before any normal form runs.
 
 Exit codes: 0 success, 1 invalid input mathematics (bad complex),
 2 unreadable input or a usage error (bad degree, bad option value),
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import random
 import re
@@ -75,6 +77,14 @@ EXIT_INTERNAL = 3
 MAX_TERMS = 16
 MAX_RANK = 32
 MAX_ENTRY_BITS = 64
+# The document's length, checked before it is parsed, so that parsing a huge
+# document cannot take the time and memory the caps above bound.  A document
+# at every cap has 2 * (MAX_TERMS - 1) matrices of MAX_RANK**2 entries.  An
+# entry at the bit cap is at most 23 characters as a signed, quoted decimal
+# string, and about 35 once indent=2 puts it on its own line.  Allowing 64
+# characters for each entry of 2 * MAX_TERMS such matrices leaves room for
+# the row brackets, ranks and labels: 2 * 16 * 32**2 * 64 = 2 MiB.
+MAX_DOCUMENT_CHARS = 2 * MAX_TERMS * MAX_RANK**2 * 64
 
 
 class DocumentError(Exception):
@@ -125,6 +135,8 @@ def _parse_matrix(data, where: str) -> IntMatrix:
 
 def load_document(text: str) -> tuple[ChainComplexR, list]:
     """Parse a JSON complex document; raises DocumentError on any defect."""
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise DocumentError(f"the document exceeds the cap of {MAX_DOCUMENT_CHARS} characters")
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer literal past int()'s digit limit
@@ -176,13 +188,24 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
 
 
 def _read_input(path: str) -> str:
-    """The document text, decoded as UTF-8 from a file or from stdin (``-``)."""
+    """The document text, decoded as UTF-8 from a file or from stdin (``-``).
+
+    At most ``MAX_DOCUMENT_CHARS + 1`` characters are read, enough for
+    ``load_document`` to see that a longer document is past the cap.
+    """
+    limit = MAX_DOCUMENT_CHARS + 1
     try:
         if path == "-":
             raw = getattr(sys.stdin, "buffer", None)
-            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+            if raw is None:
+                return sys.stdin.read(limit)
+            text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            try:
+                return text.read(limit)
+            finally:
+                text.detach()  # leave stdin open
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read(limit)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
 

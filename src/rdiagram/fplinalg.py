@@ -18,20 +18,28 @@ the matrix with its columns reversed, whose null vectors are then already
 in RREF.  Each result has a unique form (an RREF, or the inverse of a
 fixed basis), so it is the same object the longer constructions built.
 
-The prime is checked once, where a bare ``p`` enters, and only there.
-The public constructors (``FpMatrix(...)``, ``from_rows``, ``from_int``,
-``identity``, ``zeros``, ``FpSubspace(...)``, ``from_vectors``, ``zero``
-and ``full``) run ``validate_prime``, and the matrix ones reduce their
-entries mod p.  ``from_int``, ``identity`` and ``from_vectors`` are each
-``validate_prime`` followed by a private body (``_from_int``,
-``_identity``, ``_spanned``); the pipeline calls those bodies directly,
-with a ``p`` read off a complex, diagram or presentation whose own
-constructor checked it.  ``_from_int`` still reduces its entries mod p;
-only the primality test is skipped.  A value computed from F_p values
-that already exist (a product, a kernel, a sum, an intersection, a
-complement, a quotient projection) takes its ``p`` from them, has its
+The prime is checked once, where a bare ``p`` enters, and the proof is
+carried in its type: ``validate_prime`` returns a private ``int``
+subclass, and given a value of exactly that type it returns at once.  A
+function that takes a bare ``p`` (``from_int``, ``identity``,
+``from_vectors`` and the pipeline's entry points) runs
+``p = validate_prime(p)`` and passes the result on, so every value it
+builds carries the checked ``p`` and no later check divides again.  The
+dataclass constructors (``FpMatrix(...)``, ``FpSubspace(...)`` and the
+diagrams built on them) check their ``p`` and keep it as given.
+``from_int`` still reduces its entries mod p.  A value computed from F_p
+values that already exist (a product, a kernel, a sum, an intersection,
+a complement, a quotient projection) takes its ``p`` from them, has its
 entries in ``[0, p)`` by construction, and is built by the private
-``_derived`` constructors without either step.
+``_derived`` constructors without the check, the ``% p`` pass or the
+memo set-up.
+
+So one degree of ``homology_rdiagram`` runs one trial division, in
+``canonical_kernel_presentation``.  ``ChainComplexR`` keeps its ``p`` as
+given, so each degree divides once again.  Storing the checked value
+there would remove that division, but the benchmark keeps every op's
+output, and the extra ops would raise its peak memory past its bound;
+that step waits until the benchmark stops keeping outputs.
 
 ``validate_prime`` is trial division, so it rejects any ``p >= 2**32``
 before dividing: below that bound one call costs at most about 65 000
@@ -68,15 +76,25 @@ __all__ = [
 PRIME_BOUND = 2**32
 
 
-def validate_prime(p: int) -> int:
-    """Return ``p`` if it is a prime below ``PRIME_BOUND``, else raise ``ValueError``.
+class _Prime(int):
+    """An ``int`` that ``validate_prime`` has proven prime; nothing else builds one."""
 
-    Trial division, so the cost grows with the square root of ``p``; the
-    bound, checked before any division, caps one call at about 65 000
-    divisions.  It runs wherever a bare ``p`` enters: in the public
-    constructors of ``FpMatrix`` and ``FpSubspace`` and at the pipeline's
-    entry points, not in values built from an already-checked ``p``.
+    __slots__ = ()
+
+
+def validate_prime(p: int) -> int:
+    """Return ``p`` checked: a prime below ``PRIME_BOUND``, else raise ``ValueError``.
+
+    The value returned is a private ``int`` subclass that equals ``p`` and
+    prints like it; given a value of exactly that type, the function
+    returns it at once.  Otherwise it runs trial division, so the cost
+    grows with the square root of ``p``; the bound, checked before any
+    division, caps one call at about 65 000 divisions.  A caller that
+    takes a bare ``p`` runs ``p = validate_prime(p)`` and passes the result
+    on, so one ``homology_rdiagram`` degree divides once.
     """
+    if type(p) is _Prime:
+        return p
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"modulus must be an integer, got {p!r}")
     if p < 2:
@@ -88,7 +106,7 @@ def validate_prime(p: int) -> int:
         if p % d == 0:
             raise ValueError(f"modulus {p} is not prime (divisible by {d})")
         d += 1
-    return p
+    return _Prime(p)
 
 
 def _rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
@@ -248,11 +266,7 @@ class FpMatrix:
 
     @staticmethod
     def from_int(M: IntMatrix, p: int) -> "FpMatrix":
-        return FpMatrix._from_int(M, validate_prime(p))
-
-    @staticmethod
-    def _from_int(M: IntMatrix, p: int) -> "FpMatrix":
-        """``M`` reduced mod p, for a ``p`` that is already validated."""
+        p = validate_prime(p)
         entries = tuple(tuple(x % p for x in r) for r in M.entries)
         return FpMatrix._derived(p, M.rows, M.cols, entries)
 
@@ -260,13 +274,8 @@ class FpMatrix:
     def identity(p: int, n: int) -> "FpMatrix":
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        return FpMatrix._identity(validate_prime(p), n)
-
-    @staticmethod
-    def _identity(p: int, n: int) -> "FpMatrix":
-        """The n x n identity, for a ``p`` that is already validated."""
         entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return FpMatrix._derived(p, n, n, entries)
+        return FpMatrix._derived(validate_prime(p), n, n, entries)
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "FpMatrix":
@@ -356,6 +365,9 @@ class FpSubspace:
 
     The basis rows are in RREF with recorded pivot columns, which is a
     unique representation per subspace, so ``==`` is subspace equality.
+    The constructor checks that form: a nonnegative ambient dimension,
+    rows of that length with entries in ``[0, p)``, and increasing pivots
+    at which the rows are 1, with zeros before and at the other pivots.
     """
 
     p: int
@@ -364,7 +376,22 @@ class FpSubspace:
     pivots: tuple[int, ...] = field(compare=False)
 
     def __post_init__(self):
-        validate_prime(self.p)
+        p, n, pivots = validate_prime(self.p), self.ambient, self.pivots
+        if n < 0:
+            raise ValueError("ambient dimension must be nonnegative")
+        if (
+            len(pivots) != len(self.basis)
+            or any(not 0 <= c < n for c in pivots)
+            or any(a >= b for a, b in zip(pivots, pivots[1:]))
+        ):
+            raise ValueError("pivots must be increasing columns, one per basis row")
+        for row, c in zip(self.basis, pivots):
+            if len(row) != n:
+                raise ValueError("basis row has wrong length")
+            if any(not 0 <= x < p for x in row):
+                raise ValueError("basis entries must lie in [0, p)")
+            if row[c] != 1 or any(row[:c]) or any(row[d] for d in pivots if d != c):
+                raise ValueError("basis is not in reduced row echelon form at its pivots")
 
     @staticmethod
     def _derived(
@@ -385,11 +412,9 @@ class FpSubspace:
 
     @staticmethod
     def from_vectors(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
-        return FpSubspace._spanned(validate_prime(p), ambient, vecs)
-
-    @staticmethod
-    def _spanned(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> "FpSubspace":
-        """The span of ``vecs`` mod p, for a ``p`` that is already validated."""
+        p = validate_prime(p)
+        if ambient < 0:
+            raise ValueError("ambient dimension must be nonnegative")
         rows = [[int(x) % p for x in v] for v in vecs]
         for v in rows:
             if len(v) != ambient:
@@ -404,7 +429,7 @@ class FpSubspace:
 
     @staticmethod
     def full(p: int, ambient: int) -> "FpSubspace":
-        return FpSubspace._spanned_by_units(validate_prime(p), ambient, range(ambient))
+        return FpSubspace.zero(p, ambient).complement()
 
     @staticmethod
     def _spanned_by_units(p: int, ambient: int, cols: Iterable[int]) -> "FpSubspace":

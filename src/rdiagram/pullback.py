@@ -120,10 +120,12 @@ class PullbackDiagram:
     """A triple (M_1, Mbar, M_2) with maps p_i: M_i -> Mbar = F_p^d.
 
     The middle object is always a literal coordinate space over F_p; ``p1``
-    and ``p2`` are matrices on generators.  Construction verifies that both
-    maps kill the relation lattices mod p (well-definedness).  The public
-    constructor also checks that ``p`` is prime; ``_derived`` skips only
-    that test, for a ``p`` read off an object that was already checked.
+    and ``p2`` are matrices on generators.  Construction checks ``p`` and
+    keeps it as given; for a ``p`` that ``validate_prime`` returned, as on
+    every diagram the pipeline builds, the check returns at once.  It also
+    verifies the maps' moduli and shapes, and that both maps kill the
+    relation lattices mod p (well-definedness); a side that is the same
+    objects as side 1 (``p2 is p1`` and ``M2 is M1``) is checked once.
     """
 
     p: int
@@ -138,38 +140,6 @@ class PullbackDiagram:
 
     def __post_init__(self):
         validate_prime(self.p)
-        self._check_maps()
-
-    @staticmethod
-    def _derived(
-        p: int,
-        M1: ZModulePresentation,
-        M2: ZModulePresentation,
-        mbar_dim: int,
-        p1: FpMatrix,
-        p2: FpMatrix,
-    ) -> "PullbackDiagram":
-        """A diagram over an already-validated ``p``, built without the primality test.
-
-        Every other check of the public constructor still runs.
-        """
-        D = object.__new__(PullbackDiagram)
-        object.__setattr__(D, "p", p)
-        object.__setattr__(D, "M1", M1)
-        object.__setattr__(D, "M2", M2)
-        object.__setattr__(D, "mbar_dim", mbar_dim)
-        object.__setattr__(D, "p1", p1)
-        object.__setattr__(D, "p2", p2)
-        object.__setattr__(D, "_sep_cache", None)
-        D._check_maps()
-        return D
-
-    def _check_maps(self) -> None:
-        """Moduli, shapes and well-definedness of the structure maps.
-
-        A side that is the same objects as side 1 (``p2 is p1`` and
-        ``M2 is M1``) is checked once.
-        """
         sides = [("p1", self.p1, self.M1)]
         if not (self.p2 is self.p1 and self.M2 is self.M1):
             sides.append(("p2", self.p2, self.M2))
@@ -395,7 +365,7 @@ def separate_presented(
     canonical basis of the module lattice when omitted); a custom family
     must still generate both side quotients — verified, not assumed.
     """
-    validate_prime(p)
+    p = validate_prime(p)
     ambient = a + b
     if module_lattice.ambient != ambient or relations.ambient != ambient:
         raise ValueError("module and relation lattices must live in Z^(a+b)")
@@ -427,11 +397,11 @@ def separate_presented(
     relbar = preimage_lattice(G, p1s.sum(p2s))
     if not relbar.contains_lattice(Lattice.scaled_full(k, p)):
         raise AssertionError("M/(P1M+P2M) failed to be p-elementary")
-    W = FpSubspace._spanned(p, k, [col for col in relbar.basis])
+    W = FpSubspace.from_vectors(p, k, [col for col in relbar.basis])
     proj, section = quotient_projection(W)
     M1 = ZModulePresentation(k, rel1)
     M2 = ZModulePresentation(k, rel2)
-    diagram = PullbackDiagram._derived(p, M1, M2, proj.rows, proj, proj)
+    diagram = PullbackDiagram(p, M1, M2, proj.rows, proj, proj)
     report = is_separated(diagram)
     if not report.separated:
         raise AssertionError(f"separation produced a non-separated diagram: {report}")
@@ -540,7 +510,7 @@ class DiagramMorphism:
             D,
             ModuleMap.identity(D.M1),
             ModuleMap.identity(D.M2),
-            FpMatrix._identity(D.p, D.mbar_dim),
+            FpMatrix.identity(D.p, D.mbar_dim),
         )
 
     def __repr__(self) -> str:
@@ -591,8 +561,8 @@ def separate_morphism(
         src.diagram.M2, tgt.diagram.M2, IntMatrix.from_cols(cols2, rows=kt)
     )
     p = src.p
-    fbar = tgt.proj @ FpMatrix._from_int(f1.matrix, p) @ src.section
-    fbar_via_2 = tgt.proj @ FpMatrix._from_int(f2.matrix, p) @ src.section
+    fbar = tgt.proj @ FpMatrix.from_int(f1.matrix, p) @ src.section
+    fbar_via_2 = tgt.proj @ FpMatrix.from_int(f2.matrix, p) @ src.section
     if fbar != fbar_via_2:
         raise AssertionError("the two components induce different maps on Sbar")
     # lift-independence: nudge the first expressible column by a relation
@@ -656,7 +626,7 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
         crows = tuple(tuple(ccols[j][r] for j in range(n)) for r in range(dims))
         cmaps.append(FpMatrix._derived(p, dims, n, crows))
     c1, c2 = cmaps
-    diagram = PullbackDiagram._derived(p, presentations[0], presentations[1], dims, c1, c2)
+    diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, c1, c2)
     return KernelDiagram(diagram, includes[0], includes[1], kerfbar, c1, c2)
 
 

@@ -140,25 +140,21 @@ class SubDiagram:
 
 def free_diagram(p: int, rank: int) -> PullbackDiagram:
     """The separated diagram (Z^rank, F_p^rank, Z^rank) of the free module."""
-    return _free_diagram(validate_prime(p), rank)
-
-
-def _free_diagram(p: int, rank: int) -> PullbackDiagram:
-    """``free_diagram`` for a ``p`` that is already validated."""
+    p = validate_prime(p)
     free = ZModulePresentation.free(rank)
-    eye = FpMatrix._identity(p, rank)
-    return PullbackDiagram._derived(p, free, free, rank, eye, eye)
+    eye = FpMatrix.identity(p, rank)
+    return PullbackDiagram(p, free, free, rank, eye, eye)
 
 
 def _elementary_diagram(p: int, dim: int) -> PullbackDiagram:
     """The diagram ((Z/p)^dim, F_p^dim, (Z/p)^dim; id, id)."""
     E = ZModulePresentation.fp_elementary(p, dim)
-    eye = FpMatrix._identity(p, dim)
-    return PullbackDiagram._derived(p, E, E, dim, eye, eye)
+    eye = FpMatrix.identity(p, dim)
+    return PullbackDiagram(p, E, E, dim, eye, eye)
 
 
 def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
-    return FpSubspace._spanned(q.p, q.rows, [q.mul_vec(v) for v in L.basis])
+    return FpSubspace.from_vectors(q.p, q.rows, [q.mul_vec(v) for v in L.basis])
 
 
 def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
@@ -218,19 +214,19 @@ def _apply_quotient(
     else:
         newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
     projK, sectionK = quotient_projection(L.Lbar)
-    newK = PullbackDiagram._derived(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
+    newK = PullbackDiagram(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
 
     newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
     if quotient_target_right:
         newS2 = S.M2.quotient_by(pres.f2.matrix.mul_vec(v) for v in L.L2.basis)
-        fbarLbar = FpSubspace._spanned(
+        fbarLbar = FpSubspace.from_vectors(
             p, S.mbar_dim, [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
         )
     else:
         newS2 = S.M2
         fbarLbar = FpSubspace._derived(p, S.mbar_dim, (), ())
     projS, _ = quotient_projection(fbarLbar)
-    newS = PullbackDiagram._derived(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
+    newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)
     newf2 = ModuleMap(newK2, newS2, pres.f2.matrix)
@@ -342,7 +338,7 @@ def _swap(pres: SeparatedPresentation) -> SeparatedPresentation:
     """
 
     def flip(D: PullbackDiagram) -> PullbackDiagram:
-        E = PullbackDiagram._derived(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+        E = PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
         if D._sep_cache is not None:
             # separation is decided side by side, so D's report carries over
             object.__setattr__(E, "_sep_cache", D._sep_cache.swapped())
@@ -417,9 +413,9 @@ class RDiagram:
 
     ``q1``/``q2`` are integer matrices sending the standard basis of K to
     generator coordinates of the S components.  Construction checks the
-    prime and the shapes only; ``_derived`` skips only the primality
-    test, for a ``p`` read off an object that was already checked.
-    ``validate_rdiagram`` decides the semantic conditions, once per
+    prime and keeps it as given (the pipeline passes the value
+    ``validate_prime`` returned, so the check returns at once), and checks
+    the shapes only.  ``validate_rdiagram`` decides the semantic conditions, once per
     diagram: the report is kept on the diagram, and when every check
     passes it is one shared object.
     """
@@ -433,27 +429,6 @@ class RDiagram:
 
     def __post_init__(self):
         validate_prime(self.p)
-        self._check_shapes()
-
-    @staticmethod
-    def _derived(
-        p: int, kdim: int, S: PullbackDiagram, q1: IntMatrix, q2: IntMatrix
-    ) -> "RDiagram":
-        """An R-diagram over an already-validated ``p``, built without the primality test.
-
-        The shape checks of the public constructor still run.
-        """
-        rd = object.__new__(RDiagram)
-        object.__setattr__(rd, "p", p)
-        object.__setattr__(rd, "kdim", kdim)
-        object.__setattr__(rd, "S", S)
-        object.__setattr__(rd, "q1", q1)
-        object.__setattr__(rd, "q2", q2)
-        object.__setattr__(rd, "_report", None)
-        rd._check_shapes()
-        return rd
-
-    def _check_shapes(self) -> None:
         if self.S.p != self.p:
             raise ValueError("S has a different p")
         if (self.q1.rows, self.q1.cols) != (self.S.M1.gens, self.kdim):
@@ -550,7 +525,7 @@ def _rdiagram_checks(rd: RDiagram) -> tuple:
         if not mono:
             witness = next(col for col in ker.basis if not full_k.contains(col))
         checks.append((mono_name, mono, witness))
-        composite = rd.S.structure_map(i) @ FpMatrix._from_int(q, rd.p)
+        composite = rd.S.structure_map(i) @ FpMatrix.from_int(q, rd.p)
         checks.append((zero_name, composite.is_zero(), None))
     sep = is_separated(rd.S)
     checks.append(("s-separated", sep.separated, sep.witnesses or None))
@@ -562,9 +537,7 @@ def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
     if not pres.fbar.is_zero():
         raise AssertionError("fbar must vanish before extracting an R-diagram")
     std = _standardize_K(pres)
-    rd = RDiagram._derived(
-        std.p, std.K.mbar_dim, std.S, std.f1.matrix, std.f2.matrix
-    )
+    rd = RDiagram(std.p, std.K.mbar_dim, std.S, std.f1.matrix, std.f2.matrix)
     report = validate_rdiagram(rd)
     if not report.ok:
         raise AssertionError(f"reduction produced an invalid R-diagram: {report}")

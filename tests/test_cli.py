@@ -179,6 +179,48 @@ class TestInputCaps:
         assert main(["rdiagram", write(tmp_path, past), "--all"]) == 2
         assert message in capsys.readouterr().err
 
+    @staticmethod
+    def _source(text, how, tmp_path, monkeypatch):
+        """The argument that makes ``main`` read ``text`` from a file or stdin."""
+        if how == "file":
+            path = tmp_path / "input.json"
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return "-"
+
+    @pytest.mark.parametrize("how", ["file", "stdin"])
+    def test_a_document_past_the_length_cap_is_not_parsed(self, how, tmp_path, monkeypatch, capsys):
+        text = json.dumps(WORKED)
+        text += " " * (cli.MAX_DOCUMENT_CHARS + 1 - len(text))
+        parsed = []
+        monkeypatch.setattr(cli.json, "loads", lambda *a, **k: parsed.append(a))
+        assert main(["validate", self._source(text, how, tmp_path, monkeypatch)]) == 2
+        assert parsed == []
+        assert f"cap of {cli.MAX_DOCUMENT_CHARS} characters" in capsys.readouterr().err
+        # a longer document is read only as far as the cap needs
+        source = self._source(text * 2, how, tmp_path, monkeypatch)
+        assert len(cli._read_input(source)) == cli.MAX_DOCUMENT_CHARS + 1
+
+    @pytest.mark.parametrize("how", ["file", "stdin"])
+    def test_the_largest_document_at_every_cap_loads(self, how, tmp_path, monkeypatch):
+        entry = str(-(2**cli.MAX_ENTRY_BITS - 1))
+        matrix = [[entry] * cli.MAX_RANK for _ in range(cli.MAX_RANK)]
+        doc = {
+            "p": 4294967291,
+            "differentials": [{"d1": matrix, "d2": matrix}] * (cli.MAX_TERMS - 1),
+            "ranks": [cli.MAX_RANK] * cli.MAX_TERMS,
+            "labels": [f"H{k}" for k in range(cli.MAX_TERMS)],
+        }
+        text = json.dumps(doc, indent=2)
+        C, labels = load_document(cli._read_input(self._source(text, how, tmp_path, monkeypatch)))
+        assert C.terms == cli.MAX_TERMS and labels == doc["labels"]
+        # padded to the cap with whitespace, it still loads
+        text += " " * (cli.MAX_DOCUMENT_CHARS - len(text))
+        C, _ = load_document(cli._read_input(self._source(text, how, tmp_path, monkeypatch)))
+        assert C.ranks == (cli.MAX_RANK,) * cli.MAX_TERMS
+
     def test_a_large_zero_complex_fails_fast(self, monkeypatch, capsys):
         # rank 200 ran `rdiagram --all` for seconds and printed over a megabyte
         doc = '{"p": 2, "ranks": [200], "differentials": []}'

@@ -1,6 +1,9 @@
 """Tests for linear algebra over F_p."""
 
+import ast
 import dataclasses
+import json
+import pathlib
 import random
 import re
 
@@ -19,11 +22,22 @@ from rdiagram.fplinalg import (
     relative_complement,
     validate_prime,
 )
-from rdiagram import homology, pullback, reduction
-from rdiagram.homology import ChainComplexR, generator_sets, homology_rdiagram
+from rdiagram import cli, homology, pullback, reduction
+from rdiagram.homology import (
+    ChainComplexR,
+    canonical_kernel_presentation,
+    generator_sets,
+    homology_rdiagram,
+)
 from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
-from rdiagram.pullback import DiagramMorphism, PullbackDiagram, separate_presented
+from rdiagram.pullback import (
+    DiagramMorphism,
+    LatticeRModule,
+    PullbackDiagram,
+    quotient_ring_check,
+    separate_presented,
+)
 from rdiagram.randomgen import random_complex_differentials
 from rdiagram.reduction import RDiagram, free_diagram
 
@@ -118,6 +132,53 @@ def test_complement_of_diagonal_mod2():
     assert U.basis == ((0, 1),)
     assert W.sum(U) == FpSubspace.full(2, 2)
     assert W.intersect(U).dim == 0
+
+
+@pytest.mark.parametrize(
+    "basis, pivots, message",
+    [
+        (((3, 1),), (0,), "reduced row echelon"),
+        (((2, 0),), (0,), "reduced row echelon"),
+        (((0, 1),), (0,), "reduced row echelon"),
+        (((1, 1), (0, 1)), (0, 1), "reduced row echelon"),
+        (((1, 7),), (0,), r"\[0, p\)"),
+        (((1, 0, 0),), (0,), "wrong length"),
+        (((1, 0), (0, 1)), (1, 0), "pivots"),
+        (((1, 0),), (), "pivots"),
+        (((1, 0),), (2,), "pivots"),
+    ],
+    ids=[
+        "3 at the pivot",
+        "2 at the pivot",
+        "0 at the pivot",
+        "not zero above a pivot",
+        "entry past p",
+        "row longer than ambient",
+        "pivots decreasing",
+        "pivot missing",
+        "pivot past ambient",
+    ],
+)
+def test_a_basis_not_in_reduced_echelon_form_is_refused(basis, pivots, message):
+    # contains() and == rely on the RREF: with the basis (3, 1) the span
+    # would not contain (1, 2), and (2, 0) would differ from (1, 0)
+    with pytest.raises(ValueError, match=message):
+        FpSubspace(5, 2, basis, pivots)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FpSubspace(5, -1, (), ()),
+        lambda: FpSubspace.zero(5, -1),
+        lambda: FpSubspace.full(5, -1),
+        lambda: FpSubspace.from_vectors(5, -1, []),
+    ],
+    ids=["FpSubspace", "zero", "full", "from_vectors"],
+)
+def test_a_negative_ambient_dimension_is_refused(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()
 
 
 def test_solve_small():
@@ -515,21 +576,24 @@ def residues(p):
 
 
 @given(eq_case(), st.data())
-def test_private_bodies_equal_the_validating_constructors(case, data):
-    # the references reduce mod p in FpMatrix.__post_init__, not in the bodies
+def test_constructors_given_a_checked_prime_equal_the_bare_ones(case, data):
+    # given a checked p, a constructor skips only the primality test: the
+    # references reduce mod p in FpMatrix.__post_init__, and from_int still
+    # reduces its entries itself
     p, n = case
+    checked = validate_prime(p)
     m = data.draw(st.integers(0, 6))
     M = IntMatrix.from_rows([[data.draw(residues(p)) for _ in range(n)] for _ in range(m)], cols=n)
     reduced = FpMatrix(p, m, n, M.entries)
     for got, ref in (
-        (FpMatrix._from_int(M, p), reduced),
-        (FpMatrix._identity(p, n), FpMatrix(p, n, n, IntMatrix.identity(n).entries)),
+        (FpMatrix.from_int(M, checked), reduced),
+        (FpMatrix.identity(checked, n), FpMatrix(p, n, n, IntMatrix.identity(n).entries)),
     ):
         assert type(got) is FpMatrix
         assert got == ref  # the same p, shape and entries
         assert got._rank is None and got._kernel is None
     assert FpMatrix.from_int(M, p) == reduced
-    W = FpSubspace._spanned(p, n, M.entries)
+    W = FpSubspace.from_vectors(checked, n, M.entries)
     assert type(W) is FpSubspace
     assert_same_subspace(W, FpSubspace.from_vectors(p, n, reduced.entries))
     assert all(W.contains(v) for v in reduced.entries) and W.dim == reduced.rank()
@@ -537,20 +601,34 @@ def test_private_bodies_equal_the_validating_constructors(case, data):
 
 @pytest.fixture
 def prime_checks(monkeypatch):
-    """Count ``validate_prime`` calls under every name the package binds it to."""
+    """Record the trial divisions: ``validate_prime`` calls on a value not yet checked.
+
+    The real function runs under every name the package binds it to; a
+    call given a checked value returns at once and is not recorded.
+    """
     calls = []
+    real = fplinalg.validate_prime
 
-    def counting(p):
-        calls.append(p)
-        return p
+    def recording(p):
+        if type(p) is not fplinalg._Prime:
+            calls.append(p)
+        return real(p)
 
-    for mod in (fplinalg, pullback, reduction, homology):
-        monkeypatch.setattr(mod, "validate_prime", counting)
+    for mod in (fplinalg, pullback, reduction, homology, cli):
+        monkeypatch.setattr(mod, "validate_prime", recording)
     return calls
 
 
+def test_the_checked_value_is_the_prime():
+    p = validate_prime(7)
+    assert type(p) is fplinalg._Prime and p == 7 and hash(p) == hash(7)
+    assert validate_prime(p) is p
+    assert (str(p), repr(p), json.dumps({"p": p})) == ("7", "7", '{"p": 7}')
+    assert type(p + 0) is int and type(FpMatrix.identity(p, 1).p) is fplinalg._Prime
+
+
 def test_derived_values_do_not_recheck_the_prime(prime_checks):
-    p = 1_000_000_007
+    p = validate_prime(1_000_000_007)
     A = FpMatrix.from_rows(p, [[1, 2, 3], [2, 4, 6]])
     B = FpMatrix.from_rows(p, [[1, 0], [0, p - 1], [5, 7]])
     V = FpSubspace.from_vectors(p, 3, [[1, 2, 3]])
@@ -567,8 +645,8 @@ def test_derived_values_do_not_recheck_the_prime(prime_checks):
     relative_complement(V, V.sum(W))
     zero.sum(V), V.intersect(zero)
     DiagramMorphism(D, D, f, f, eye)
-    PullbackDiagram._derived(p, D.M1, D.M2, 2, eye, eye)
-    RDiagram._derived(p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
+    PullbackDiagram(D.p, D.M1, D.M2, 2, eye, eye)
+    RDiagram(D.p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
     assert prime_checks == []
 
 
@@ -591,6 +669,7 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
         lambda: FpSubspace.from_vectors(p, 2, [[2, 3]]),
         lambda: FpSubspace.zero(p, 2),
         lambda: FpSubspace.full(p, 2),
+        lambda: free_diagram(p, 2),
     ]
     for build in constructions:
         prime_checks.clear()
@@ -599,44 +678,79 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
 
 
 def test_homology_rdiagram_validates_only_at_the_boundary(prime_checks):
-    # per degree: generator_sets and separate_presented, the public functions
-    # that take a bare p; the free source comes from _free_diagram with the
-    # separation's p, and every other diagram the pipeline builds (by
-    # PullbackDiagram._derived and RDiagram._derived) and every F_p value
-    # reads its p off one of these
+    # per degree: canonical_kernel_presentation checks the complex's bare p
+    # and passes the checked value on, so generator_sets, separate_presented,
+    # free_diagram and every diagram and F_p value after them get it
     p = 1_000_000_007
     C = ChainComplexR(p, random_complex_differentials(random.Random(0), p, [2, 3, 2]))
     for n in range(C.terms):
         prime_checks.clear()
         homology_rdiagram(C, n)
-        assert prime_checks == [p] * 2
+        assert prime_checks == [p] * 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 1_000_000_007])
 @pytest.mark.parametrize("rank", [0, 1, 3])
 def test_free_diagram_body_equals_the_validating_function(p, rank):
-    body, reference = reduction._free_diagram(p, rank), free_diagram(p, rank)
+    # given a checked p, free_diagram runs only its body
+    body, reference = free_diagram(validate_prime(p), rank), free_diagram(p, rank)
     for f in dataclasses.fields(PullbackDiagram):
         assert getattr(body, f.name) == getattr(reference, f.name), f.name
     assert body.p2 is body.p1
 
 
+class _FakePrime(fplinalg._Prime):
+    """A subclass is not the checked type, so its value is tested again."""
+
+
 def test_pipeline_entry_points_reject_a_composite_modulus():
-    p, q = 3, 15
+    p = 3
     D = free_diagram(p, 1)
     Z = IntMatrix.zeros(1, 1)
+    M = IntMatrix.from_rows([[1]])
     free = ZModulePresentation.free(1)
     entries = [
-        lambda: PullbackDiagram(q, free, free, 1, D.p1, D.p2),
-        lambda: RDiagram(q, 0, D, IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 0)),
-        lambda: ChainComplexR(q, [(Z, Z)]),
-        lambda: generator_sets(Z, Z, q, (kernel_basis(Z), kernel_basis(Z))),
-        lambda: free_diagram(q, 1),
-        lambda: separate_presented(q, 1, 1, Lattice.full(2), Lattice.zero(2)),
+        lambda q: PullbackDiagram(q, free, free, 1, D.p1, D.p2),
+        lambda q: RDiagram(q, 0, D, IntMatrix.zeros(1, 0), IntMatrix.zeros(1, 0)),
+        lambda q: ChainComplexR(q, [(Z, Z)]),
+        lambda q: LatticeRModule(q, 1, 1, Lattice.full(2)),
+        lambda q: quotient_ring_check(q),
+        lambda q: generator_sets(Z, Z, q, (kernel_basis(Z), kernel_basis(Z))),
+        lambda q: canonical_kernel_presentation(Z, Z, q),
+        lambda q: free_diagram(q, 1),
+        lambda q: separate_presented(q, 1, 1, Lattice.full(2), Lattice.zero(2)),
+        lambda q: FpMatrix(q, 1, 1, ((1,),)),
+        lambda q: FpMatrix.from_rows(q, [[1]]),
+        lambda q: FpMatrix.from_int(M, q),
+        lambda q: FpMatrix.identity(q, 1),
+        lambda q: FpMatrix.zeros(q, 1, 1),
+        lambda q: FpSubspace(q, 1, (), ()),
+        lambda q: FpSubspace.from_vectors(q, 1, [[1]]),
+        lambda q: FpSubspace.zero(q, 1),
+        lambda q: FpSubspace.full(q, 1),
     ]
-    for build in entries:
-        with pytest.raises(ValueError, match="not prime"):
-            build()
+    for q in (0, 1, -7, True, 15, 2**32, _FakePrime(4)):
+        for build in entries:
+            with pytest.raises(ValueError, match="modulus"):
+                build(q)
+
+
+def test_only_validate_prime_builds_a_checked_prime():
+    def builds(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "_Prime" in (
+            getattr(func, "id", None), getattr(func, "attr", None)
+        )
+
+    calls, inside = set(), set()
+    for path in sorted(pathlib.Path(fplinalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= {(path.name, node.lineno) for node in ast.walk(tree) if builds(node)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "validate_prime":
+                inside |= {(path.name, node.lineno) for node in ast.walk(fn) if builds(node)}
+    assert calls and calls == inside
+    assert {name for name, _ in calls} == {"fplinalg.py"}
 
 
 def _bad_diagram_arguments():
@@ -653,7 +767,15 @@ def _bad_diagram_arguments():
     ]
 
 
-@pytest.mark.parametrize("build", [PullbackDiagram, PullbackDiagram._derived])
+def _given_a_checked_prime(cls):
+    """``cls`` built from the checked value of its first argument, the prime."""
+    return lambda p, *rest: cls(validate_prime(p), *rest)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [PullbackDiagram, pytest.param(_given_a_checked_prime(PullbackDiagram), id="checked_p")],
+)
 def test_derived_diagrams_run_every_check_but_the_primality_test(build):
     for message, args in _bad_diagram_arguments():
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -669,7 +791,9 @@ def _bad_rdiagram_arguments():
     ]
 
 
-@pytest.mark.parametrize("build", [RDiagram, RDiagram._derived])
+@pytest.mark.parametrize(
+    "build", [RDiagram, pytest.param(_given_a_checked_prime(RDiagram), id="checked_p")]
+)
 def test_derived_rdiagrams_run_every_check_but_the_primality_test(build):
     for message, args in _bad_rdiagram_arguments():
         with pytest.raises(ValueError, match=re.escape(message)):

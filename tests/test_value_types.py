@@ -168,5 +168,9 @@ def test_memo_fields_do_not_affect_equality_or_hash():
 
 
 def test_fp_subspace_equality_ignores_pivots():
+    # the constructor checks that the pivots are those of the RREF basis,
+    # so == compares the basis alone and a mismatched pivot list is refused
     W = FpSubspace.full(3, 2)
-    assert dataclasses.replace(W, pivots=()) == W
+    assert [f.name for f in dataclasses.fields(W) if f.compare] == ["p", "ambient", "basis"]
+    with pytest.raises(ValueError, match="pivots"):
+        dataclasses.replace(W, pivots=())
