@@ -56,7 +56,6 @@ from .reduction import (
     HypothesisViolation,
     RDiagram,
     _extract_rdiagram,
-    rdiagram_as_presentation,
     reduce_K,
     reduce_barf,
     reduce_combined,
@@ -263,23 +262,12 @@ def rdiagram_from_payload(p: int, payload: dict) -> RDiagram:
     return RDiagram(p, k, S, q1, q2)
 
 
-def _presentation_summary(pres) -> dict:
+def _diagram_summary(D) -> dict:
     def side(P):
         r, f = P.normal_form()
         return _group_json(r, f)
 
-    return {
-        "source": {
-            "M1": side(pres.K.M1),
-            "M2": side(pres.K.M2),
-            "Mbar_dim": pres.K.mbar_dim,
-        },
-        "target": {
-            "M1": side(pres.S.M1),
-            "M2": side(pres.S.M2),
-            "Mbar_dim": pres.S.mbar_dim,
-        },
-    }
+    return {"M1": side(D.M1), "M2": side(D.M2), "Mbar_dim": D.mbar_dim}
 
 
 def _rdiagram_payload(n: int, pres, labels, trace: bool) -> dict:
@@ -306,10 +294,17 @@ def _rdiagram_payload(n: int, pres, labels, trace: bool) -> dict:
     if n < len(labels):
         payload["label"] = labels[n]
     if trace:
-        # the presentation this run reduced and the R-diagram it produced
-        stages = [("presentation", pres), ("reduce_combined", rdiagram_as_presentation(rd))]
+        # the presentation this run reduced, and the R-diagram it produced
+        # read as one from K = (Z/p)^K_dim, with Kbar = F_p^K_dim, into S
+        K = _group_json(0, [rd.p] * rd.kdim)
+        reduced = {"M1": K, "M2": K, "Mbar_dim": rd.kdim}
         payload["trace"] = [
-            dict(stage=name, **_presentation_summary(st)) for name, st in stages
+            {
+                "stage": "presentation",
+                "source": _diagram_summary(pres.K),
+                "target": _diagram_summary(pres.S),
+            },
+            {"stage": "reduce_combined", "source": reduced, "target": _diagram_summary(rd.S)},
         ]
     return payload
 

@@ -256,14 +256,14 @@ class CanonicalKernel:
 
     ``plain_form`` records whether the plain five-set generators already
     span the kernel (no mixed classes were needed); the embedded pullback
-    equals the brute-force kernel lattice either way.  ``kernels`` are
-    ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
+    equals the brute-force kernel lattice, ``separation.module_lattice``,
+    either way.  ``kernels`` are ``kernel_basis(d1)`` and
+    ``kernel_basis(d2)``.
     """
 
     separation: Separation
     sets: GeneratorSets
     mixed: tuple
-    kernel_lattice: Lattice
     kernels: tuple[Lattice, Lattice]
 
     def __post_init__(self):
@@ -319,7 +319,7 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     sep = separate_presented(p, m, m, lat, Lattice.zero(2 * m), generators=gens)
     if sep.embedded_pullback_lattice() != lat:
         raise AssertionError("embedded pullback differs from the kernel lattice")
-    return CanonicalKernel(sep, gs, mixed, lat, kernels)
+    return CanonicalKernel(sep, gs, mixed, kernels)
 
 
 def rewrite_differential(

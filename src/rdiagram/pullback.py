@@ -275,27 +275,35 @@ class Separation:
     """A separated diagram of a concrete R-module, plus pull-back data.
 
     The module is ``module_lattice / relations`` inside Z^a + Z^b (a plain
-    lattice module when ``relations`` is zero).  ``generators`` are module
-    elements whose classes generate all three quotients M/P_2M, M/P_1M,
-    M/(P_1M + P_2M); the component presentations live on these generators,
-    so both structure maps are the same projection matrix (the identity on
-    generator classes).  ``p1s``/``p2s`` are the lattices representing
-    P_1M and P_2M; keeping them and the generator matrix around lets later
-    stages express quotient classes back in the ambient coordinates.
+    lattice module when ``relations`` is zero).  The columns of
+    ``gen_matrix`` are the ``generators``: module elements whose classes
+    generate all three quotients M/P_2M, M/P_1M, M/(P_1M + P_2M).  The
+    component presentations live on these generators, so both structure
+    maps of ``diagram`` are the same projection matrix (the identity on
+    generator classes), and ``section`` lifts Mbar back to generator
+    coordinates.  ``p1s``/``p2s`` are the lattices representing P_1M and
+    P_2M; keeping them and the generator matrix around lets later stages
+    express quotient classes back in the ambient coordinates.  ``p`` is
+    the diagram's.
     """
 
-    p: int
     a: int
     b: int
     module_lattice: Lattice
     relations: Lattice
-    generators: tuple[tuple[int, ...], ...]
     gen_matrix: IntMatrix
     diagram: PullbackDiagram
     p1s: Lattice
     p2s: Lattice
-    proj: FpMatrix
     section: FpMatrix
+
+    @property
+    def p(self) -> int:
+        return self.diagram.p
+
+    @property
+    def generators(self) -> list[tuple[int, ...]]:
+        return self.gen_matrix.columns()
 
     def embed_pair(self, c1: Sequence[int], c2: Sequence[int]) -> tuple[int, ...]:
         """The module element represented by matching classes (c1, c2).
@@ -313,7 +321,7 @@ class Separation:
     def embedded_pullback_lattice(self) -> Lattice:
         """Image in Z^a + Z^b of the matching-pairs lattice of the diagram."""
         match = _matching_lattice(self.diagram.p1, self.diagram.p2)
-        k = len(self.generators)
+        k = self.gen_matrix.cols
         gens = [self.embed_pair(col[:k], col[k:]) for col in match.basis]
         return Lattice.from_generators(self.a + self.b, gens)
 
@@ -331,7 +339,7 @@ class Separation:
         """
         other = self.p2s if side == 1 else self.p1s
         combined = self.gen_matrix.hstack(other.basis_matrix())
-        k = len(self.generators)
+        k = self.gen_matrix.cols
         coords = []
         for j, (v, sol) in enumerate(zip(vectors, solve_many(combined, vectors))):
             if sol is None:
@@ -405,9 +413,7 @@ def separate_presented(
     report = is_separated(diagram)
     if not report.separated:
         raise AssertionError(f"separation produced a non-separated diagram: {report}")
-    return Separation(
-        p, a, b, module_lattice, relations, tuple(gens), G, diagram, p1s, p2s, proj, section
-    )
+    return Separation(a, b, module_lattice, relations, G, diagram, p1s, p2s, section)
 
 
 def separate(S: LatticeRModule, generators: Iterable[Sequence[int]] | None = None) -> Separation:
@@ -429,13 +435,23 @@ class PullbackModule:
     ``matching`` is the lattice {(m1, m2) : p1 m1 = p2 m2 mod p} inside the
     combined generator space, ``relations`` the copy of Rel(M_1) + Rel(M_2)
     inside it, and ``presentation`` the quotient on the matching basis.
-    Built by ``pullback_group``.
+    Built by ``pullback_group``; the diagram itself is not kept.
     """
 
-    diagram: PullbackDiagram
     matching: Lattice
     relations: Lattice
     presentation: ZModulePresentation
+
+
+def _coordinates(L: Lattice, vectors: Iterable[Sequence[int]], failure: str) -> list:
+    """Each vector's coordinates in ``L``'s basis; ``AssertionError(failure)`` if one is outside."""
+    coords = []
+    for v in vectors:
+        c = L.solve(v)
+        if c is None:
+            raise AssertionError(failure)
+        coords.append(c)
+    return coords
 
 
 def _matching_lattice(a: FpMatrix, b: FpMatrix) -> Lattice:
@@ -449,16 +465,13 @@ def pullback_group(D: PullbackDiagram) -> PullbackModule:
     """Matching pairs of D; see ``PullbackModule``."""
     matching = _matching_lattice(D.p1, D.p2)
     relations = D.M1.relations.direct_sum(D.M2.relations)
-    rel_coords = []
-    for r in relations.basis:
-        c = matching.solve(r)
-        if c is None:
-            raise AssertionError("component relations escaped the matching lattice")
-        rel_coords.append(c)
+    rel_coords = _coordinates(
+        matching, relations.basis, "component relations escaped the matching lattice"
+    )
     pres = ZModulePresentation(
         matching.rank, Lattice.from_generators(matching.rank, rel_coords)
     )
-    return PullbackModule(D, matching, relations, pres)
+    return PullbackModule(matching, relations, pres)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -553,7 +566,7 @@ def separate_morphism(
 
     cols1 = tgt.class_coordinates(images, side=1)
     cols2 = tgt.class_coordinates(images, side=2)
-    kt = len(tgt.generators)
+    kt = tgt.gen_matrix.cols
     f1 = ModuleMap(
         src.diagram.M1, tgt.diagram.M1, IntMatrix.from_cols(cols1, rows=kt)
     )
@@ -561,8 +574,9 @@ def separate_morphism(
         src.diagram.M2, tgt.diagram.M2, IntMatrix.from_cols(cols2, rows=kt)
     )
     p = src.p
-    fbar = tgt.proj @ FpMatrix.from_int(f1.matrix, p) @ src.section
-    fbar_via_2 = tgt.proj @ FpMatrix.from_int(f2.matrix, p) @ src.section
+    proj = tgt.diagram.p1
+    fbar = proj @ FpMatrix.from_int(f1.matrix, p) @ src.section
+    fbar_via_2 = proj @ FpMatrix.from_int(f2.matrix, p) @ src.section
     if fbar != fbar_via_2:
         raise AssertionError("the two components induce different maps on Sbar")
     # lift-independence: nudge the first expressible column by a relation
@@ -580,18 +594,13 @@ class KernelDiagram:
     """The componentwise kernel (ker f_1, ker fbar, ker f_2) of a morphism.
 
     ``diagram`` presents each ker f_i on the basis of its kernel lattice,
-    with structure maps c_i landing in ker fbar realized on its echelon
-    basis.  ``include1``/``include2`` re-embed the kernels into the source
-    components.  This is in general only a pullback diagram of ker f, not
-    a separated one (the c_i need not be onto).
+    with structure maps c_i (``diagram.p1``/``p2``) landing in ``kerfbar``
+    realized on its echelon basis.  This is in general only a pullback
+    diagram of ker f, not a separated one (the c_i need not be onto).
     """
 
     diagram: PullbackDiagram
-    include1: ModuleMap
-    include2: ModuleMap
     kerfbar: FpSubspace
-    c1: FpMatrix
-    c2: FpMatrix
 
 
 def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
@@ -599,23 +608,15 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
     kerfbar = m.fbar.kernel()
     dims = kerfbar.dim
     presentations = []
-    includes = []
     cmaps = []
     for i in (1, 2):
-        f = m.component(i)
-        L = f.kernel_lattice()
+        L = m.component(i).kernel_lattice()
         n = L.rank
-        rel_coords = []
-        for r in m.source.component(i).relations.basis:
-            c = L.solve(r)
-            if c is None:
-                raise AssertionError("source relations escaped the kernel lattice")
-            rel_coords.append(c)
-        K = ZModulePresentation(n, Lattice.from_generators(n, rel_coords))
-        presentations.append(K)
-        includes.append(
-            ModuleMap(K, m.source.component(i), L.basis_matrix())
+        rel_coords = _coordinates(
+            L, m.source.component(i).relations.basis,
+            "source relations escaped the kernel lattice",
         )
+        presentations.append(ZModulePresentation(n, Lattice.from_generators(n, rel_coords)))
         ccols = []
         for col in L.basis:
             bar = m.source.structure_map(i).mul_vec(col)
@@ -625,9 +626,8 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
             ccols.append(coords)
         crows = tuple(tuple(ccols[j][r] for j in range(n)) for r in range(dims))
         cmaps.append(FpMatrix._derived(p, dims, n, crows))
-    c1, c2 = cmaps
-    diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, c1, c2)
-    return KernelDiagram(diagram, includes[0], includes[1], kerfbar, c1, c2)
+    diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, cmaps[0], cmaps[1])
+    return KernelDiagram(diagram, kerfbar)
 
 
 def is_mono(m: DiagramMorphism) -> bool:
@@ -647,22 +647,18 @@ def is_mono(m: DiagramMorphism) -> bool:
     return rels.contains_lattice(Z)
 
 
-def induced_pullback_map(
-    m: DiagramMorphism,
-    src_group: PullbackModule | None = None,
-    tgt_group: PullbackModule | None = None,
-) -> ModuleMap:
+def induced_pullback_map(m: DiagramMorphism) -> ModuleMap:
     """The map the morphism induces on the modules of matching pairs."""
-    src_group = src_group or pullback_group(m.source)
-    tgt_group = tgt_group or pullback_group(m.target)
+    src_group = pullback_group(m.source)
+    tgt_group = pullback_group(m.target)
     g1 = m.source.M1.gens
-    cols = []
-    for col in src_group.matching.basis:
-        image = tuple(m.f1.matrix.mul_vec(col[:g1])) + tuple(m.f2.matrix.mul_vec(col[g1:]))
-        c = tgt_group.matching.solve(image)
-        if c is None:
-            raise AssertionError("image of a matching pair fails to match")
-        cols.append(c)
+    images = (
+        tuple(m.f1.matrix.mul_vec(col[:g1])) + tuple(m.f2.matrix.mul_vec(col[g1:]))
+        for col in src_group.matching.basis
+    )
+    cols = _coordinates(
+        tgt_group.matching, images, "image of a matching pair fails to match"
+    )
     W = IntMatrix.from_cols(cols, rows=tgt_group.matching.rank)
     return ModuleMap(src_group.presentation, tgt_group.presentation, W)
 
@@ -696,24 +692,13 @@ def _mixed_pullback_map(m: DiagramMorphism, side: int) -> ModuleMap:
     Nside = m.target.component(side)
     match = _matching_lattice(m.fbar, q)
     rels = Lattice.scaled_full(dm, p).direct_sum(Nside.relations)
-    rel_coords = []
-    for r in rels.basis:
-        c = match.solve(r)
-        if c is None:
-            raise AssertionError("mixed pullback lost its relations")
-        rel_coords.append(c)
+    rel_coords = _coordinates(match, rels.basis, "mixed pullback lost its relations")
     P = ZModulePresentation(match.rank, Lattice.from_generators(match.rank, rel_coords))
     Mside = m.source.component(side)
     psrc = m.source.structure_map(side)
     fside = m.component(side)
-    cols = []
-    for j in range(Mside.gens):
-        e = [int(t == j) for t in range(Mside.gens)]
-        vec = tuple(psrc.mul_vec(e)) + tuple(fside.matrix.mul_vec(e))
-        c = match.solve(vec)
-        if c is None:
-            raise AssertionError("canonical map misses the mixed pullback")
-        cols.append(c)
+    images = (psrc.column(j) + fside.matrix.column(j) for j in range(Mside.gens))
+    cols = _coordinates(match, images, "canonical map misses the mixed pullback")
     return ModuleMap(Mside, P, IntMatrix.from_cols(cols, rows=match.rank))
 
 
@@ -730,8 +715,8 @@ def epi_conditions(m: DiagramMorphism) -> EpiReport:
     f2_epi = m.f2.is_surjective()
     kd = kernel_diagram(m)
     kerdim = kd.kerfbar.dim
-    c1_epi = kd.c1.rank() == kerdim
-    c2_epi = kd.c2.rank() == kerdim
+    c1_epi = kd.diagram.p1.rank() == kerdim
+    c2_epi = kd.diagram.p2.rank() == kerdim
     cond1 = f1_epi and f2_epi and (c1_epi or c2_epi)
     cond2 = f1_epi and _mixed_pullback_map(m, 2).is_surjective()
     cond3 = f2_epi and _mixed_pullback_map(m, 1).is_surjective()

@@ -146,13 +146,6 @@ def free_diagram(p: int, rank: int) -> PullbackDiagram:
     return PullbackDiagram(p, free, free, rank, eye, eye)
 
 
-def _elementary_diagram(p: int, dim: int) -> PullbackDiagram:
-    """The diagram ((Z/p)^dim, F_p^dim, (Z/p)^dim; id, id)."""
-    E = ZModulePresentation.fp_elementary(p, dim)
-    eye = FpMatrix.identity(p, dim)
-    return PullbackDiagram(p, E, E, dim, eye, eye)
-
-
 def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
     return FpSubspace.from_vectors(q.p, q.rows, [q.mul_vec(v) for v in L.basis])
 
@@ -270,20 +263,18 @@ def quotient_presentation(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _standardize_K(pres: SeparatedPresentation) -> SeparatedPresentation:
-    """Re-coordinatize the K side onto Kbar.
+def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
+    """The maps f_i, rewritten through Kbar: standard basis of Kbar -> S_i.
 
     Requires each structure map q_i to be an isomorphism of modules
     K_i -> Kbar (which holds after the K-side kernels have been
-    quotiented away); the result has K literally of the form
-    ((Z/p)^d, F_p^d, (Z/p)^d; id, id), with the f_i rewritten through
-    integer lifts of the inverse isomorphisms.
+    quotiented away); the columns are f_i of integer lifts of the inverse
+    isomorphisms.
     """
     p = pres.p
     K = pres.K
     d = K.mbar_dim
-    newK = _elementary_diagram(p, d)
-    newmaps = []
+    maps = []
     for i in (1, 2):
         q = K.structure_map(i)
         mod = K.component(i)
@@ -299,26 +290,34 @@ def _standardize_K(pres: SeparatedPresentation) -> SeparatedPresentation:
             if w is None:
                 raise AssertionError(f"structure map {i} of K is not surjective")
             cols.append(f.matrix.mul_vec(w))
-        target = pres.S.component(i)
-        newmaps.append(
-            ModuleMap(
-                newK.component(i), target, IntMatrix.from_cols(cols, rows=target.gens)
-            )
-        )
-    morphism = DiagramMorphism(newK, pres.S, newmaps[0], newmaps[1], pres.fbar)
-    return SeparatedPresentation(morphism)
+        maps.append(IntMatrix.from_cols(cols, rows=pres.S.component(i).gens))
+    return tuple(maps)
+
+
+def _from_elementary(
+    S: PullbackDiagram, q1: IntMatrix, q2: IntMatrix, fbar: FpMatrix
+) -> SeparatedPresentation:
+    """The presentation ((Z/p)^d, F_p^d, (Z/p)^d; id, id) -> S by (q1, fbar, q2), d = fbar.cols."""
+    p, d = S.p, fbar.cols
+    E = ZModulePresentation.fp_elementary(p, d)
+    eye = FpMatrix.identity(p, d)
+    K = PullbackDiagram(p, E, E, d, eye, eye)
+    f1 = ModuleMap(E, S.M1, q1)
+    f2 = ModuleMap(E, S.M2, q2)
+    return SeparatedPresentation(DiagramMorphism(K, S, f1, f2, fbar))
 
 
 def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     """Kill the kernels of K's structure maps.
 
     Quotients by the sub-diagram (ker q_1, 0, ker q_2) and then rewrites
-    K in Kbar coordinates, so all three K components become F_p^d with
-    identity structure maps.
+    K in Kbar coordinates, so K becomes literally ((Z/p)^d, F_p^d,
+    (Z/p)^d; id, id).
     """
     zero_bar = FpSubspace._derived(pres.p, pres.K.mbar_dim, (), ())
     L = _preimage_subdiagram(pres.K, zero_bar)
-    return _standardize_K(quotient_presentation(pres, L, mode="full"))
+    out = quotient_presentation(pres, L, mode="full")
+    return _from_elementary(out.S, *_maps_from_Kbar(out), out.fbar)
 
 
 def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
@@ -533,11 +532,15 @@ def _rdiagram_checks(rd: RDiagram) -> tuple:
 
 
 def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
-    """Read an R-diagram off a fully reduced presentation."""
+    """Read an R-diagram off a fully reduced presentation.
+
+    fbar must vanish; the q_i are f_i rewritten through Kbar, and
+    ``validate_rdiagram`` decides every condition of the result, among
+    them the torsion of the q_i images and p_i q_i = 0.
+    """
     if not pres.fbar.is_zero():
         raise AssertionError("fbar must vanish before extracting an R-diagram")
-    std = _standardize_K(pres)
-    rd = RDiagram(std.p, std.K.mbar_dim, std.S, std.f1.matrix, std.f2.matrix)
+    rd = RDiagram(pres.p, pres.K.mbar_dim, pres.S, *_maps_from_Kbar(pres))
     report = validate_rdiagram(rd)
     if not report.ok:
         raise AssertionError(f"reduction produced an invalid R-diagram: {report}")
@@ -546,9 +549,6 @@ def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
 
 def rdiagram_as_presentation(rd: RDiagram) -> SeparatedPresentation:
     """Re-wrap an R-diagram as a separated presentation (K elementary)."""
-    K = _elementary_diagram(rd.p, rd.kdim)
-    f1 = ModuleMap(K.M1, rd.S.M1, rd.q1)
-    f2 = ModuleMap(K.M2, rd.S.M2, rd.q2)
     zero_rows = ((0,) * rd.kdim,) * rd.S.mbar_dim
     fbar = FpMatrix._derived(rd.p, rd.S.mbar_dim, rd.kdim, zero_rows)
-    return SeparatedPresentation(DiagramMorphism(K, rd.S, f1, f2, fbar))
+    return _from_elementary(rd.S, rd.q1, rd.q2, fbar)

@@ -14,6 +14,8 @@ import pytest
 
 import rdiagram.cli as cli
 import rdiagram.homology as homology
+import rdiagram.presentations as presentations
+import rdiagram.pullback as pullback
 import rdiagram.reduction as reduction
 from rdiagram.cli import load_document, main, rdiagram_from_payload, DocumentError
 from rdiagram.randomgen import random_complex_differentials
@@ -463,6 +465,63 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     per_run = {name: k * C.terms for name, k in PER_DEGREE.items()}
     per_run.update(validate_complex=1, kernel_basis=6 * C.terms - 2 * (C.terms - 1))
     assert build_counts == per_run
+
+
+# objects built per degree: the free source's presentation and the reduced
+# one, each with its morphism and two component maps; separation is decided
+# for the canonical kernel diagram, the free source and the reduced K and S.
+# The R-diagram is read off the reduced presentation without building another.
+OBJECTS_PER_DEGREE = {
+    "SeparatedPresentation": 2,
+    "DiagramMorphism": 2,
+    "ModuleMap": 4,
+    "_separation_report": 4,
+}
+
+
+@pytest.fixture
+def object_counts(monkeypatch):
+    """Count the presentations, morphisms and maps built, and the separation reports."""
+    counts = dict.fromkeys(OBJECTS_PER_DEGREE, 0)
+    for cls in (reduction.SeparatedPresentation, pullback.DiagramMorphism, presentations.ModuleMap):
+        original = cls.__post_init__
+
+        def shim(self, _name=cls.__name__, _original=original):
+            counts[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", shim)
+    report = pullback._separation_report
+
+    def counted_report(D):
+        counts["_separation_report"] += 1
+        return report(D)
+
+    monkeypatch.setattr(pullback, "_separation_report", counted_report)
+    return counts
+
+
+def test_each_degree_builds_each_object_once(object_counts, tmp_path, capsys):
+    diffs = random_complex_differentials(random.Random(7), 3, [2, 3, 2], bound=2)
+    C = homology.ChainComplexR(3, diffs)
+    for n in range(C.terms):
+        object_counts.update(dict.fromkeys(object_counts, 0))
+        homology.homology_rdiagram(C, n)
+        assert object_counts == OBJECTS_PER_DEGREE
+    doc = {
+        "p": 3,
+        "differentials": [
+            {"d1": [list(r) for r in d1.entries], "d2": [list(r) for r in d2.entries]}
+            for d1, d2 in diffs
+        ],
+    }
+    per_run = {name: k * C.terms for name, k in OBJECTS_PER_DEGREE.items()}
+    # the trace summarises the R-diagram it emits without re-wrapping it
+    for flags in (["--all"], ["--all", "--trace"]):
+        object_counts.update(dict.fromkeys(object_counts, 0))
+        assert main(["rdiagram", write(tmp_path, doc), *flags]) == 0
+        assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
+        assert object_counts == per_run
 
 
 def test_each_rdiagram_is_checked_once(monkeypatch, tmp_path, capsys):

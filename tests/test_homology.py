@@ -171,7 +171,7 @@ class TestCanonicalKernel:
         assert canon.diagram.M2.normal_form() == (1, (2,))
         assert canon.diagram.mbar_dim == 2
         expected = Lattice.from_generators(4, [(0, 2, 0, 0), (0, 0, 2, 0)])
-        assert canon.kernel_lattice == expected
+        assert canon.separation.module_lattice == expected
         assert canon.separation.embedded_pullback_lattice() == expected
         assert canon.plain_form
 
@@ -194,8 +194,8 @@ class TestCanonicalKernel:
         plain += [tuple(2 * x for x in v) + (0, 0) for v in canon.sets.v1]
         plain += [(0, 0) + tuple(2 * x for x in v) for v in canon.sets.v2]
         span = Lattice.from_generators(4, plain)
-        assert span != canon.kernel_lattice
-        assert canon.kernel_lattice.contains_lattice(span)
+        assert span != canon.separation.module_lattice
+        assert canon.separation.module_lattice.contains_lattice(span)
 
     def test_separatedness_is_established(self):
         rng = random.Random(11)
