@@ -12,7 +12,7 @@ shares the memoised ``kernel_lattice``, Lbar, ``lift_span`` and
 The requested degrees of a complex are built in one validated pass.
 
 The canonical presentation here is strictly more general than building
-Q from the five generator sets alone: the span of those generators can
+Q from the diagonal and one-sided generator families alone: their span can
 be a proper submodule of ker d (mixed kernel classes appear whenever the
 reductions of ker d1 and ker d2 intersect beyond the reduction of their
 integer intersection).  The extra generators repair this, and the
@@ -36,7 +36,6 @@ from .fplinalg import (
     FpMatrix,
     FpSubspace,
     lift_span,
-    quotient_projection,
     relative_complement,
     validate_prime,
 )
@@ -207,19 +206,16 @@ def kernel_split(f: IntMatrix, g: IntMatrix, ker_f: Lattice) -> tuple[list, list
 
 @dataclass(frozen=True, slots=True, eq=False)
 class GeneratorSets:
-    """The five generator families attached to a congruent pair.
+    """The integer generator families attached to a congruent pair.
 
     ``v12`` spans ker d1 ∩ ker d2; ``v1``/``v2`` complete it to bases of
-    the respective kernels; ``vbar`` completes the reductions of both
-    kernels to a basis of ker dbar; ``vbarc`` completes ker dbar to the
-    whole mod-p space.
+    the respective kernels.  These are the families the canonical kernel
+    presentation and the divisibility check read.
     """
 
     v12: tuple[tuple[int, ...], ...]
     v1: tuple[tuple[int, ...], ...]
     v2: tuple[tuple[int, ...], ...]
-    vbar: tuple[tuple[int, ...], ...]
-    vbarc: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for f in fields(self):
@@ -232,29 +228,32 @@ def generator_sets(
     p: int,
     kernels: tuple[Lattice, Lattice],
 ) -> GeneratorSets:
-    """Compute all five generator families for a congruent pair.
+    """Compute the generator families of a congruent pair.
 
-    ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
+    Raises ``ValueError`` unless d1 and d2 share their shape and agree
+    mod p.  ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
     """
     p = validate_prime(p)
+    if (d1.rows, d1.cols) != (d2.rows, d2.cols):
+        raise ValueError("the pair must share shapes")
+    for i, (r1, r2) in enumerate(zip(d1.entries, d2.entries)):
+        for j, (x, y) in enumerate(zip(r1, r2)):
+            if (x - y) % p:
+                raise ValueError(f"the pair is not congruent mod {p} at entry ({i}, {j})")
     m = d1.cols
     ker1, ker2 = kernels
     v12, v1 = kernel_split(d1, d2, ker1)
     v12b, v2 = kernel_split(d2, d1, ker2)
     if Lattice.from_generators(m, v12) != Lattice.from_generators(m, v12b):
         raise AssertionError("the two kernel splits disagree on the intersection")
-    kerbar = FpMatrix.from_int(d1, p).kernel()
-    reduced = FpSubspace.from_vectors(p, m, list(v12) + list(v1) + list(v2))
-    vbar = relative_complement(reduced, kerbar)
-    vbarc = list(kerbar.complement().basis)
-    return GeneratorSets(v12, v1, v2, vbar, vbarc)
+    return GeneratorSets(v12, v1, v2)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CanonicalKernel:
     """Separated diagram of ker d together with its construction data.
 
-    ``plain_form`` records whether the plain five-set generators already
+    ``plain_form`` records whether the plain generator families already
     span the kernel (no mixed classes were needed); the embedded pullback
     equals the brute-force kernel lattice, ``separation.module_lattice``,
     either way.  ``kernels`` are ``kernel_basis(d1)`` and
@@ -391,15 +390,17 @@ def homology_presentation(C: ChainComplexR, n: int) -> SeparatedPresentation:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ClosedFormComponents:
-    """Reduced components evaluated directly, bypassing diagram quotients."""
+    """Reduced components evaluated directly, bypassing diagram quotients.
 
-    p: int
+    These are the values ``reduce_homology`` compares with the reduced
+    diagram: the dimensions of K and Sbar and the presentations of S_1
+    and S_2.
+    """
+
     kdim: int
     sbar_dim: int
     s1: ZModulePresentation
     s2: ZModulePresentation
-    q1: IntMatrix
-    q2: IntMatrix
 
 
 def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
@@ -456,17 +457,15 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     s1 = f1.target.quotient_by(f1.matrix.mul_vec(v) for v in L.basis)
     s2 = f2.target.quotient_by(f2.matrix.mul_vec(v) for v in L.basis)
 
-    _, section = quotient_projection(Lbar)
-    lifts = [section.column(j) for j in range(kdim)]
-    q1 = IntMatrix.from_cols([f1.matrix.mul_vec(w) for w in lifts], rows=s1.gens)
-    q2 = IntMatrix.from_cols([f2.matrix.mul_vec(w) for w in lifts], rows=s2.gens)
-    if lifts and Lbar.dim:
-        shifted = [a + b for a, b in zip(lifts[0], Lbar.basis[0])]
-        if not s1.elements_equal(q1.column(0), f1.matrix.mul_vec(shifted)):
-            raise AssertionError("component map depends on the choice of lift")
-        if not s2.elements_equal(q2.column(0), f2.matrix.mul_vec(shifted)):
-            raise AssertionError("component map depends on the choice of lift")
-    return ClosedFormComponents(p, kdim, sbar_dim, s1, s2, q1, q2)
+    # lift-independence of the component maps K -> S_i, on the first basis
+    # vector of K: its lift in Lbar's complement, shifted by an element of Lbar
+    if kdim and Lbar.dim:
+        lift = Lbar.complement().basis[0]
+        shifted = [a + b for a, b in zip(lift, Lbar.basis[0])]
+        for f, s in ((f1, s1), (f2, s2)):
+            if not s.elements_equal(f.matrix.mul_vec(lift), f.matrix.mul_vec(shifted)):
+                raise AssertionError("component map depends on the choice of lift")
+    return ClosedFormComponents(kdim, sbar_dim, s1, s2)
 
 
 def _divisibility_check(

@@ -183,29 +183,12 @@ class SeparationReport:
     separated: bool
     witnesses: tuple
 
-    def swapped(self) -> "SeparationReport":
-        """The report of the same diagram with its two sides exchanged.
-
-        Every condition is decided side by side, so exchanging the sides
-        only renumbers the witnesses: side i becomes side 3 - i, listed in
-        the order ``is_separated`` produces them.
-        """
-        if not self.witnesses:
-            return self
-        renumbered = sorted(
-            ((kind, 3 - i, v) for kind, i, v in self.witnesses),
-            key=lambda w: (_WITNESS_KINDS.index(w[0]), w[1]),
-        )
-        return SeparationReport(self.preseparated, self.separated, tuple(renumbered))
-
     def __repr__(self) -> str:
         return (
             f"SeparationReport(preseparated={self.preseparated}, "
             f"separated={self.separated}, witnesses={list(self.witnesses)})"
         )
 
-
-_WITNESS_KINDS = ("not-surjective", "kernel-mismatch")
 
 # a separated diagram's report has no witnesses, so every one shares this
 _SEPARATED = SeparationReport(True, True, ())
@@ -416,16 +399,14 @@ def separate_presented(
     return Separation(a, b, module_lattice, relations, G, diagram, p1s, p2s, section)
 
 
-def separate(S: LatticeRModule, generators: Iterable[Sequence[int]] | None = None) -> Separation:
+def separate(S: LatticeRModule) -> Separation:
     """The separated diagram (S/P_2S, S/(P_1S+P_2S), S/P_1S) of a lattice module.
 
-    All three quotients are presented on the classes of ``generators``
-    (the canonical lattice basis of S when omitted), so the structure maps
-    are induced by the identity on generators.
+    All three quotients are presented on the classes of the canonical
+    lattice basis of S, so the structure maps are induced by the identity
+    on generators.
     """
-    return separate_presented(
-        S.p, S.a, S.b, S.lattice, Lattice.zero(S.a + S.b), generators
-    )
+    return separate_presented(S.p, S.a, S.b, S.lattice, Lattice.zero(S.a + S.b))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -625,7 +606,7 @@ def kernel_diagram(m: DiagramMorphism) -> KernelDiagram:
                 raise AssertionError("structure map failed to land in ker fbar")
             ccols.append(coords)
         crows = tuple(tuple(ccols[j][r] for j in range(n)) for r in range(dims))
-        cmaps.append(FpMatrix._derived(p, dims, n, crows))
+        cmaps.append(FpMatrix(p, dims, n, crows))
     diagram = PullbackDiagram(p, presentations[0], presentations[1], dims, cmaps[0], cmaps[1])
     return KernelDiagram(diagram, kerfbar)
 

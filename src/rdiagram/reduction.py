@@ -10,7 +10,9 @@ sub-diagram L = (L_1, Lbar, L_2) and S by f(L).  Three elementary
 reductions (kill the kernels of K's structure maps; kill a complement of
 ker fbar; kill the kernels of f_1, f_2) compose to the same result as a
 single combined quotient, and both routes are implemented so they can be
-checked against each other.
+checked against each other.  The third reduction is two mirror-image
+one-sided quotients, one per side; both run the same code with the side
+given as an index.
 
 Every reduction validates the hypotheses it relies on and re-verifies
 separatedness of its output; the theory guarantees these hold, so a
@@ -183,15 +185,16 @@ def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatri
 
 
 def _apply_quotient(
-    pres: SeparatedPresentation, L: SubDiagram, *, quotient_target_right: bool
+    pres: SeparatedPresentation, L: SubDiagram, sides: tuple[int, ...] = (1, 2)
 ) -> SeparatedPresentation:
-    """Quotient K by L and S by f(L), componentwise.
+    """Quotient K by L, and S_i by f_i(L_i) for each i in ``sides``.
 
-    With ``quotient_target_right`` the whole of S is quotiented (Sbar by
-    fbar(Lbar) and S_2 by f_2(L_2)); without it only S_1 changes, which is
-    the one-sided form and requires fbar(Lbar) = 0 and f_2(L_2) = 0 to
-    remain well-defined — enforced structurally by the commuting-square
-    and well-definedness checks of the rebuilt morphism.
+    With both sides the whole of S is quotiented, Sbar by fbar(Lbar) too.
+    With one side only that component of S changes: Sbar and both
+    structure maps of S are kept as they are.  That is the one-sided form,
+    well-defined only when fbar(Lbar) = 0 and f_j(L_j) = 0 on the other
+    side j; the rebuilt morphism's commuting-square and well-definedness
+    checks enforce both.
 
     A structure map that both sides of K or S share (``p2 is p1``, as in
     every diagram the pipeline builds) is multiplied by the projection
@@ -209,21 +212,27 @@ def _apply_quotient(
     projK, sectionK = quotient_projection(L.Lbar)
     newK = PullbackDiagram(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
 
-    newS1 = S.M1.quotient_by(pres.f1.matrix.mul_vec(v) for v in L.L1.basis)
-    if quotient_target_right:
-        newS2 = S.M2.quotient_by(pres.f2.matrix.mul_vec(v) for v in L.L2.basis)
+    newS1, newS2 = (
+        S.component(i).quotient_by(
+            pres.morphism.component(i).matrix.mul_vec(v) for v in L.side(i).basis
+        )
+        if i in sides
+        else S.component(i)
+        for i in (1, 2)
+    )
+    newfbar = pres.fbar @ sectionK
+    if len(sides) == 2:
         fbarLbar = FpSubspace.from_vectors(
             p, S.mbar_dim, [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
         )
+        projS, _ = quotient_projection(fbarLbar)
+        newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
+        newfbar = projS @ newfbar
     else:
-        newS2 = S.M2
-        fbarLbar = FpSubspace._derived(p, S.mbar_dim, (), ())
-    projS, _ = quotient_projection(fbarLbar)
-    newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
+        newS = PullbackDiagram(p, newS1, newS2, S.mbar_dim, S.p1, S.p2)
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)
     newf2 = ModuleMap(newK2, newS2, pres.f2.matrix)
-    newfbar = projS @ pres.fbar @ sectionK
     return SeparatedPresentation(DiagramMorphism(newK, newS, newf1, newf2, newfbar))
 
 
@@ -233,10 +242,11 @@ def quotient_presentation(
     """Quotient a presentation by a sub-diagram of K, checking hypotheses.
 
     ``mode="full"`` requires each u_i: L_i -> Lbar surjective and fbar
-    injective on Lbar, and quotients all six components.  In
-    ``mode="target-only"`` only u_2 must be surjective, with f_2(L_2) = 0
-    and fbar(Lbar) = 0; then S_1 alone is quotiented by f_1(L_1).
-    Violations raise ``HypothesisViolation`` naming the failed condition.
+    injective on Lbar, and quotients all six components.
+    ``mode="target-only"`` is the one-sided quotient that kills L_2: only
+    u_2 must be surjective, with f_2(L_2) = 0 and fbar(Lbar) = 0; then S_1
+    alone is quotiented by f_1(L_1).  Violations raise
+    ``HypothesisViolation`` naming the failed condition.
     """
     K = pres.K
     if mode == "full":
@@ -249,18 +259,31 @@ def quotient_presentation(
             raise HypothesisViolation(
                 "fbar-not-injective-on-Lbar", "ker fbar meets Lbar"
             )
-        return _apply_quotient(pres, L, quotient_target_right=True)
+        return _apply_quotient(pres, L)
     if mode == "target-only":
-        if _image_subspace(K.p2, L.L2) != L.Lbar:
-            raise HypothesisViolation("u2-not-surjective", "L2 does not map onto Lbar")
-        for v in L.L2.basis:
-            if not pres.S.M2.relations.contains(pres.f2.matrix.mul_vec(v)):
-                raise HypothesisViolation("f2-nonzero-on-L2", f"f2({v}) != 0")
-        for l in L.Lbar.basis:
-            if any(pres.fbar.mul_vec(l)):
-                raise HypothesisViolation("fbar-nonzero-on-Lbar", f"fbar({l}) != 0")
-        return _apply_quotient(pres, L, quotient_target_right=False)
+        return _one_sided_quotient(pres, L, 2)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _one_sided_quotient(
+    pres: SeparatedPresentation, L: SubDiagram, j: int
+) -> SeparatedPresentation:
+    """Quotient K by L and S_{3-j} alone by f_{3-j}(L_{3-j}), killing L_j.
+
+    Requires u_j: L_j -> Lbar surjective, f_j(L_j) = 0 and fbar(Lbar) = 0;
+    violations raise ``HypothesisViolation`` naming the condition and side.
+    """
+    f, q = pres.morphism.component(j), pres.K.structure_map(j)
+    if _image_subspace(q, L.side(j)) != L.Lbar:
+        raise HypothesisViolation(f"u{j}-not-surjective", f"L{j} does not map onto Lbar")
+    relations = pres.S.component(j).relations
+    for v in L.side(j).basis:
+        if not relations.contains(f.matrix.mul_vec(v)):
+            raise HypothesisViolation(f"f{j}-nonzero-on-L{j}", f"f{j}({v}) != 0")
+    for l in L.Lbar.basis:
+        if any(pres.fbar.mul_vec(l)):
+            raise HypothesisViolation("fbar-nonzero-on-Lbar", f"fbar({l}) != 0")
+    return _apply_quotient(pres, L, (3 - j,))
 
 
 def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
@@ -269,7 +292,8 @@ def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
     Requires each structure map q_i to be an isomorphism of modules
     K_i -> Kbar (which holds after the K-side kernels have been
     quotiented away); the columns are f_i of integer lifts of the inverse
-    isomorphisms.
+    isomorphisms.  A side that is the same objects as side 1 (``q is
+    K.p1`` and ``mod is K.M1``) reuses side 1's check and lifts.
     """
     p = pres.p
     K = pres.K
@@ -278,18 +302,18 @@ def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
     for i in (1, 2):
         q = K.structure_map(i)
         mod = K.component(i)
-        ker_lat = lift_kernel(p, q.entries, q.cols)
-        if not mod.relations.contains_lattice(ker_lat):
-            raise AssertionError(
-                f"structure map {i} of K is not injective; quotient the kernels first"
-            )
-        f = pres.morphism.component(i)
-        units = [[int(t == r) for t in range(d)] for r in range(d)]
-        cols = []
-        for w in q.solve_many(units):
-            if w is None:
+        if i == 1 or not (q is K.p1 and mod is K.M1):
+            ker_lat = lift_kernel(p, q.entries, q.cols)
+            if not mod.relations.contains_lattice(ker_lat):
+                raise AssertionError(
+                    f"structure map {i} of K is not injective; quotient the kernels first"
+                )
+            units = [[int(t == r) for t in range(d)] for r in range(d)]
+            lifts = q.solve_many(units)
+            if None in lifts:
                 raise AssertionError(f"structure map {i} of K is not surjective")
-            cols.append(f.matrix.mul_vec(w))
+        f = pres.morphism.component(i)
+        cols = [f.matrix.mul_vec(w) for w in lifts]
         maps.append(IntMatrix.from_cols(cols, rows=pres.S.component(i).gens))
     return tuple(maps)
 
@@ -314,7 +338,7 @@ def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     K in Kbar coordinates, so K becomes literally ((Z/p)^d, F_p^d,
     (Z/p)^d; id, id).
     """
-    zero_bar = FpSubspace._derived(pres.p, pres.K.mbar_dim, (), ())
+    zero_bar = FpSubspace.zero(pres.p, pres.K.mbar_dim)
     L = _preimage_subdiagram(pres.K, zero_bar)
     out = quotient_presentation(pres, L, mode="full")
     return _from_elementary(out.S, *_maps_from_Kbar(out), out.fbar)
@@ -329,34 +353,17 @@ def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
     return out
 
 
-def _swap(pres: SeparatedPresentation) -> SeparatedPresentation:
-    """Exchange the two sides of both diagrams.
+def _mono_step(pres: SeparatedPresentation, j: int) -> SeparatedPresentation:
+    """One-sided quotient making f_j injective (requires fbar = 0).
 
-    A flipped diagram keeps its source's separation report with the sides
-    renumbered, so the rebuilt presentation does not re-run ``is_separated``.
+    Kills L_j = ker f_j, with Lbar = q_j(L_j) and L_{3-j} = q_{3-j}^{-1}(Lbar).
     """
-
-    def flip(D: PullbackDiagram) -> PullbackDiagram:
-        E = PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
-        if D._sep_cache is not None:
-            # separation is decided side by side, so D's report carries over
-            object.__setattr__(E, "_sep_cache", D._sep_cache.swapped())
-        return E
-
-    m = DiagramMorphism(
-        flip(pres.K), flip(pres.S), pres.f2, pres.f1, pres.fbar
-    )
-    return SeparatedPresentation(m)
-
-
-def _mono_step(pres: SeparatedPresentation) -> SeparatedPresentation:
-    """One-sided quotient making f_2 injective (requires fbar = 0)."""
     K = pres.K
-    L2 = pres.f2.kernel_lattice()
-    Lbar = _image_subspace(K.p2, L2)
-    L1 = _subspace_preimage(K.p1, Lbar)
-    L = SubDiagram(K, L1, Lbar, L2)
-    return quotient_presentation(pres, L, mode="target-only")
+    Lj = pres.morphism.component(j).kernel_lattice()
+    Lbar = _image_subspace(K.structure_map(j), Lj)
+    other = _subspace_preimage(K.structure_map(3 - j), Lbar)
+    L1, L2 = (Lj, other) if j == 1 else (other, Lj)
+    return _one_sided_quotient(pres, SubDiagram(K, L1, Lbar, L2), j)
 
 
 def reduce_monos(pres: SeparatedPresentation) -> SeparatedPresentation:
@@ -368,8 +375,7 @@ def reduce_monos(pres: SeparatedPresentation) -> SeparatedPresentation:
     """
     if not pres.fbar.is_zero():
         raise HypothesisViolation("fbar-not-zero", "run the fbar reduction first")
-    out = _mono_step(pres)
-    out = _swap(_mono_step(_swap(out)))
+    out = _mono_step(_mono_step(pres, 2), 1)
     for i in (1, 2):
         if not out.morphism.component(i).is_injective():
             raise AssertionError(f"f{i} failed to become injective")
@@ -400,7 +406,7 @@ def reduce_combined(pres: SeparatedPresentation) -> "RDiagram":
     Tbar1 = _image_subspace(K.p1, pres.f1.kernel_lattice())
     Tbar2 = _image_subspace(K.p2, pres.f2.kernel_lattice())
     Lbar = pres.fbar.kernel().complement().sum(Tbar1).sum(Tbar2)
-    out = _apply_quotient(pres, _preimage_subdiagram(K, Lbar), quotient_target_right=True)
+    out = _apply_quotient(pres, _preimage_subdiagram(K, Lbar))
     if not out.fbar.is_zero():
         raise AssertionError("combined reduction failed to annihilate fbar")
     return _extract_rdiagram(out)
@@ -549,6 +555,5 @@ def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
 
 def rdiagram_as_presentation(rd: RDiagram) -> SeparatedPresentation:
     """Re-wrap an R-diagram as a separated presentation (K elementary)."""
-    zero_rows = ((0,) * rd.kdim,) * rd.S.mbar_dim
-    fbar = FpMatrix._derived(rd.p, rd.S.mbar_dim, rd.kdim, zero_rows)
+    fbar = FpMatrix.zeros(rd.p, rd.S.mbar_dim, rd.kdim)
     return _from_elementary(rd.S, rd.q1, rd.q2, fbar)

@@ -134,7 +134,7 @@ class TestGeneratorSets:
         z = rows([[0, 0]])
         gs = generator_sets(z, z, 3, (kernel_basis(z), kernel_basis(z)))
         assert gs.v12 == ((1, 0), (0, 1))
-        assert gs.v1 == () and gs.v2 == () and gs.vbar == () and gs.vbarc == ()
+        assert gs.v1 == () and gs.v2 == ()
 
     def test_running_example(self):
         d1, d2 = two_by_two(2)
@@ -142,14 +142,11 @@ class TestGeneratorSets:
         assert gs.v12 == ()
         assert gs.v1 == ((0, 1),)
         assert gs.v2 == ((1, 0),)
-        assert gs.vbar == () and gs.vbarc == ()
 
     def test_identity_differential_kills_all_sets(self):
         eye = IntMatrix.identity(2)
         gs = generator_sets(eye, eye, 5, (kernel_basis(eye), kernel_basis(eye)))
         assert gs.v12 == () and gs.v1 == () and gs.v2 == ()
-        assert gs.vbar == ()
-        assert len(gs.vbarc) == 2
 
 
 class TestCanonicalKernel:
@@ -197,6 +194,19 @@ class TestCanonicalKernel:
         assert span != canon.separation.module_lattice
         assert canon.separation.module_lattice.contains_lattice(span)
 
+    def test_non_congruent_pairs_are_rejected(self):
+        rng = random.Random(5)
+        for trial in range(150):
+            p = (2, 3, 5)[trial % 3]
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            d1, d2 = random_int_matrix(rng, r, c), random_int_matrix(rng, r, c)
+            if all((x - y) % p == 0 for a, b in zip(d1.entries, d2.entries) for x, y in zip(a, b)):
+                d2 = d2 + rows([[int(i == j == 0) for j in range(c)] for i in range(r)])
+            with pytest.raises(ValueError, match="not congruent"):
+                canonical_kernel_presentation(d1, d2, p)
+        with pytest.raises(ValueError, match="share shapes"):
+            canonical_kernel_presentation(rows([[1, 0]]), rows([[1], [0]]), 2)
+
     def test_separatedness_is_established(self):
         rng = random.Random(11)
         for p in (2, 3):
@@ -216,19 +226,19 @@ class TestDivisibilityCheck:
         # v2 = (1,) has d1-image (2,): divisible by p, but no kernel generator spans it
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
         with pytest.raises(ArithmeticError, match="outside the kernel"):
-            check_divisibility(C, 1, GeneratorSets([], [], [], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [], []))
 
     def test_non_divisible_one_sided_coordinate_is_fatal(self):
         # the same image (2,) on the one-sided generator (2,) has coordinate 1
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            check_divisibility(C, 1, GeneratorSets([], [(2,)], [], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [(2,)], []))
 
     def test_mirror_side_non_divisible_coordinate_is_fatal(self):
         # swapped sides: the d2-image (2,) of a side-1 generator on v2 = (2,)
         C = ChainComplexR(2, [(rows([[0]]), rows([[2]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            check_divisibility(C, 1, GeneratorSets([], [], [(2,)], [], []))
+            check_divisibility(C, 1, GeneratorSets([], [], [(2,)]))
 
 
 def test_divisibility_check_reuses_the_outgoing_kernels(monkeypatch):

@@ -183,27 +183,6 @@ class TestIsSeparated:
     def _fields(report):
         return report.preseparated, report.separated, report.witnesses
 
-    def test_a_swapped_report_is_the_flipped_diagrams_report(self):
-        free1, free2 = ZModulePresentation.free(1), ZModulePresentation.free(2)
-        eye, rows = FpMatrix.identity(2, 1), FpMatrix.from_rows
-        diagrams = [
-            # not surjective on side 1 only
-            PullbackDiagram(2, free1, free1, 1, FpMatrix.zeros(2, 1, 1), eye),
-            # not surjective on either side
-            PullbackDiagram(2, free1, free1, 2, rows(2, [[0], [1]]), rows(2, [[1], [0]])),
-            # a kernel mismatch on side 1 only
-            PullbackDiagram(2, free2, free1, 1, rows(2, [[1, 0]]), eye),
-            # a kernel mismatch on each side, with different witnesses
-            self._shared_map_diagram(p2_copy=False),
-        ]
-        for D in diagrams:
-            report = is_separated(D)
-            assert report.witnesses
-            flipped = PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
-            assert self._fields(report.swapped()) == self._fields(is_separated(flipped))
-        passing = is_separated(_free_diagram(3, 2))
-        assert passing.swapped() is passing
-
 
 class TestSeparateMorphism:
     def test_identity_blocks_give_identity_triple(self):

@@ -282,9 +282,7 @@ class TestSharedStructureMaps:
         for pres in (shared, copied):
             maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
             products.clear()
-            out = reduction._apply_quotient(
-                pres, _stepwise_subdiagram(pres), quotient_target_right=True
-            )
+            out = reduction._apply_quotient(pres, _stepwise_subdiagram(pres))
             outputs.append(out)
             # products with a structure map, apart from fbar's two factors
             structure_products = sum(any(b is q for q in maps) for b in products)
@@ -296,7 +294,7 @@ class TestSharedStructureMaps:
             assert one.S.structure_map(i) == two.S.structure_map(i)
         assert one.fbar == two.fbar
 
-    def test_swap_carries_the_separation_report(self, monkeypatch):
+    def test_reduce_monos_evaluates_separation_once_per_rebuilt_diagram(self, monkeypatch):
         stage2 = reduce_barf(reduce_K(mult_by_element_presentation(2, (2, 0))))
         evaluations = []
         evaluate = pullback._separation_report
@@ -306,13 +304,8 @@ class TestSharedStructureMaps:
             return evaluate(D)
 
         monkeypatch.setattr(pullback, "_separation_report", counting)
-        swapped = reduction._swap(stage2)
-        assert evaluations == []
-        assert swapped.K._sep_cache is pullback._SEPARATED
-        assert swapped.S._sep_cache is pullback._SEPARATED
         out = reduce_monos(stage2)
-        # one evaluation for each of K and S per one-sided quotient; the two
-        # swaps rebuild four diagrams and evaluate none of them
+        # one evaluation for each of K and S per one-sided quotient
         assert len(evaluations) == 4
         assert out.morphism.f1.is_injective() and out.morphism.f2.is_injective()
 
@@ -351,12 +344,78 @@ class TestSharedSides:
                 other.kdim, other.S.M1, other.S.M2, other.q1, other.q2
             )
 
+    def test_reduce_combined_inverts_a_shared_structure_map_once(self, monkeypatch):
+        solves = []
+        solve_many = FpMatrix.solve_many
+        monkeypatch.setattr(
+            FpMatrix, "solve_many", lambda q, rhs: solves.append(q) or solve_many(q, rhs)
+        )
+        for pres in self._free_source_presentations():
+            solves.clear()
+            rd = reduce_combined(pres)
+            # K's reduced sides are the same objects, so one injectivity
+            # check and one set of inverse lifts serve both
+            assert len(solves) == 1
+            m = pres.morphism
+            K = _with_copied_p2(m.source)
+            copied = SeparatedPresentation(DiagramMorphism(K, m.target, m.f1, m.f2, m.fbar))
+            solves.clear()
+            other = reduce_combined(copied)
+            assert len(solves) == 2
+            assert (rd.q1, rd.q2) == (other.q1, other.q2)
+
     def test_a_shared_side_is_quotiented_once(self):
         for pres in self._free_source_presentations():
             L = reduction._preimage_subdiagram(pres.K, pres.fbar.kernel().complement())
             assert L.L2 is L.L1 and pres.K.M2 is pres.K.M1
-            out = reduction._apply_quotient(pres, L, quotient_target_right=True)
+            out = reduction._apply_quotient(pres, L)
             assert out.K.M2 is out.K.M1
+
+
+def _flip(pres):
+    """``pres`` with the two sides of both diagrams and of the morphism exchanged."""
+
+    def flip(D):
+        return PullbackDiagram(D.p, D.M2, D.M1, D.mbar_dim, D.p2, D.p1)
+
+    m = pres.morphism
+    return SeparatedPresentation(
+        DiagramMorphism(flip(m.source), flip(m.target), m.f2, m.f1, m.fbar)
+    )
+
+
+def _components(pres):
+    K, S = pres.K, pres.S
+    return (
+        K.M1, K.M2, K.mbar_dim, K.p1, K.p2,
+        S.M1, S.M2, S.mbar_dim, S.p1, S.p2,
+        pres.f1.matrix, pres.f2.matrix, pres.fbar,
+    )
+
+
+class TestOneSidedQuotient:
+    def test_side_one_rejects_nonvanishing_f1(self):
+        pres = identity_presentation(2, 1)
+        L = SubDiagram(
+            pres.K, Lattice.full(1), FpSubspace.full(2, 1), Lattice.full(1)
+        )
+        with pytest.raises(HypothesisViolation) as exc:
+            reduction._one_sided_quotient(pres, L, 1)
+        assert exc.value.condition == "f1-nonzero-on-L1"
+
+    def test_side_one_mirrors_side_two(self):
+        # killing ker f_1 is the side-2 step on the side-exchanged
+        # presentation, exchanged back
+        nontrivial = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            pres = reduce_barf(reduce_K(random_presentation(rng, (2, 3, 5)[seed % 3])))
+            one = reduction._mono_step(pres, 1)
+            mirrored = _flip(reduction._mono_step(_flip(pres), 2))
+            assert _components(one) == _components(mirrored)
+            assert one.f1.is_injective()
+            nontrivial += not pres.f1.is_injective()
+        assert nontrivial >= 10
 
 
 class TestValidateRDiagram:
