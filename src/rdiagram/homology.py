@@ -30,11 +30,11 @@ from .intlinalg import (
     Lattice,
     _snf_in_place,
     kernel_basis,
-    lattice_intersection,
 )
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    lift_kernel,
     lift_span,
     relative_complement,
     validate_prime,
@@ -73,14 +73,22 @@ def congruent_kernel_lattice(
 
     This is the brute-force model of ker d inside Z^m + Z^m, used as the
     reference the canonical presentation is checked against.  ``kernels``
-    are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
+    are ``kernel_basis(d1)`` and ``kernel_basis(d2)``, with basis matrices
+    K1 and K2.  Every pair is (K1 x, K2 y) for integer x, y, and it is
+    congruent exactly when [K1 | -K2] (x, y) = 0 mod p; so the lattice is
+    the image under K1 + K2 of that F_p kernel, lifted, which one echelon
+    form over F_p and one small normal form give.  ``p`` must already be a
+    validated prime.
     """
     if d1.cols != d2.cols or d1.rows != d2.rows:
         raise ValueError("the pair must share shapes")
     m = d1.cols
-    ker1, ker2 = kernels
-    diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
-    return lattice_intersection(ker1.direct_sum(ker2), lift_span(p, 2 * m, diagonal))
+    K1, K2 = (ker.basis_matrix() for ker in kernels)
+    rows = [r1 + tuple(-x for x in r2) for r1, r2 in zip(K1.entries, K2.entries)]
+    r1 = K1.cols
+    pairs = lift_kernel(p, rows, r1 + K2.cols)
+    images = (K1.mul_vec(x[:r1]) + K2.mul_vec(x[r1:]) for x in pairs.basis)
+    return Lattice.from_generators(2 * m, images)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -327,12 +335,12 @@ def rewrite_differential(
     """Express an incoming differential in the kernel diagram's generators.
 
     Each standard generator e_j of the free source is sent to the class
-    of the pair (d1 e_j, d2 e_j).  Coordinates are found by presented-
-    module membership solving, all columns of one side against one
-    factorisation; failure to solve means the image is not in the kernel
-    (an invalid complex) and raises with the offending column.  The bar
-    component is computed along both structure-map routes, which must
-    agree.
+    of the pair (d1 e_j, d2 e_j).  Coordinates are found by back-
+    substitution through the factorisation of each side that the
+    separation keeps, so no normal form runs here; failure to solve means
+    the image is not in the kernel (an invalid complex) and raises with
+    the offending column.  The bar component is computed along both
+    structure-map routes, which must agree.
     """
     d1p, d2p = d_prev
     sep = canon.separation

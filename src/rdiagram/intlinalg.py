@@ -20,7 +20,7 @@ Conventions the rest of the package relies on:
   (nearest-integer quotients), which keeps intermediate entries small, then
   normalises the pivot as above, so the canonical form is unchanged.
   Every caller passes columns in and reads columns out, and the kernel
-  never carries a transform: ``hnf``, ``solve_many`` and
+  never carries a transform: ``hnf``, ``factor_modulo`` and
   ``preimage_lattice`` stack the identity below the matrix and read the
   transform off that block.  ``kernel_basis``, ``lattice_intersection``
   and ``preimage_lattice`` keep only the columns with no pivot in a
@@ -33,9 +33,12 @@ Conventions the rest of the package relies on:
   non-pivot columns already are its canonical form (pivots 1 or p,
   entries beside them in ``[0, p)``), so ``==`` and every normal form
   agree with the integer route.
-* ``solve_many`` factors a matrix once, as ``hnf`` does, and solves every
-  right-hand side by ``Lattice.solve`` on the triangular top block, so
-  solving many vectors against one matrix costs one normal form.
+* ``factor_modulo(A, L)`` factors ``[A | L]`` once, steered by its top
+  rows only, and keeps the result as a ``Factorisation``: the span
+  ``A Z^k + L``, the kernel ``{x : Ax in L}``, and the transform rows that
+  turn a ``Lattice.solve`` on the triangular span basis into coefficients
+  on ``A``.  Solving many vectors modulo one lattice costs one normal
+  form, plus one small one for the kernel.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
   nonnegative, each diagonal entry dividing the next.  Its in-place
   kernel carries any of ``U``, ``V`` and ``U^-1`` that the caller asks
@@ -64,8 +67,8 @@ __all__ = [
     "column_span",
     "lattice_intersection",
     "preimage_lattice",
-    "solve_many",
-    "solve_in_span",
+    "Factorisation",
+    "factor_modulo",
 ]
 
 
@@ -639,38 +642,47 @@ def preimage_lattice(M: IntMatrix, L: Lattice) -> Lattice:
     return _lower_lattice(cols, M.rows, n)
 
 
-def solve_many(
-    M: IntMatrix, rhs: Sequence[Sequence[int]]
-) -> list[tuple[int, ...] | None]:
-    """Solve ``Mx = b`` for each ``b`` in ``rhs`` with one factorisation.
+@dataclass(frozen=True, slots=True, eq=False)
+class Factorisation:
+    """A matrix ``A`` modulo a lattice ``L``, from one canonical form of ``[A | L]``.
 
-    Brings ``M`` stacked over the identity to canonical form once, then
-    solves each right-hand side by ``Lattice.solve`` on the triangular top
-    block and maps the coordinates back through the bottom block, which is
-    ``U`` in ``H = M @ U``.  Returns one integer solution per vector, or
-    ``None`` where ``b`` is outside the column span.  No factorisation runs
-    for an empty ``rhs``.
+    Built by ``factor_modulo``.  ``span`` is ``A Z^k + L`` and ``kernel`` is
+    ``{x in Z^k : Ax in L}``, both canonical, so they equal
+    ``Lattice.from_generators`` on the columns of ``A`` and the basis of
+    ``L``, and ``preimage_lattice(A, L)``.  ``solve`` finds an ``x`` with
+    ``v - Ax`` in ``L`` by back-substitution, with no further normal form.
     """
-    m = M.rows
-    for b in rhs:
-        if len(b) != m:
-            raise ValueError("right-hand side has wrong length")
-    if not rhs:
-        return []
-    cols = _stacked_over_identity(M)
-    basis = cols[: _hnf_in_place(cols, m)]
-    span = Lattice(m, tuple(tuple(c[:m]) for c in basis))
-    out = []
-    for b in rhs:
-        coords = span.solve(b)
-        if coords is not None:
-            coords = tuple(
-                sum(c * col[t] for c, col in zip(coords, basis)) for t in range(m, m + M.cols)
-            )
-        out.append(coords)
-    return out
+
+    span: Lattice
+    kernel: Lattice
+    # row t: entry t of the transform column behind each basis column of ``span``
+    _transform: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
+        """Some ``x`` with ``v - Ax`` in ``L``, or ``None`` if ``v`` is outside ``span``."""
+        coords = self.span.solve(v)
+        if coords is None:
+            return None
+        return tuple(sum(map(mul, coords, row)) for row in self._transform)
 
 
-def solve_in_span(M: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Some integer solution ``x`` of ``Mx = b``, or ``None`` if there is none."""
-    return solve_many(M, [b])[0]
+def factor_modulo(A: IntMatrix, L: Lattice) -> Factorisation:
+    """Factor ``A`` modulo ``L`` once; see ``Factorisation``.
+
+    The columns ``(A e_j, e_j)`` and ``(l, 0)`` for ``l`` in the basis of
+    ``L`` are brought to canonical form in their top ``A.rows`` rows only.
+    The nonzero tops are the canonical basis of the span, and the bottoms
+    below them map coordinates in that basis back to coefficients on ``A``.
+    The columns with a zero top record combinations ``Ax + Lt = 0``; their
+    bottoms generate the kernel, which one small normal form makes
+    canonical.
+    """
+    if L.ambient != A.rows:
+        raise ValueError("lattice ambient rank must match matrix row count")
+    m, k = A.rows, A.cols
+    cols = _stacked_over_identity(A) + [list(l) + [0] * k for l in L.basis]
+    rank = _hnf_in_place(cols, m)
+    span = Lattice(m, tuple(tuple(c[:m]) for c in cols[:rank]))
+    kernel = Lattice.from_generators(k, (c[m:] for c in cols[rank:]))
+    transform = tuple(tuple(c[t] for c in cols[:rank]) for t in range(m, m + k))
+    return Factorisation(span, kernel, transform)

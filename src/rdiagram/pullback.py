@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intlinalg import (
+    Factorisation,
     IntMatrix,
     Lattice,
+    factor_modulo,
     lattice_intersection,
     preimage_lattice,
-    solve_many,
 )
 from .fplinalg import (
     FpMatrix,
@@ -264,10 +265,10 @@ class Separation:
     component presentations live on these generators, so both structure
     maps of ``diagram`` are the same projection matrix (the identity on
     generator classes), and ``section`` lifts Mbar back to generator
-    coordinates.  ``p1s``/``p2s`` are the lattices representing P_1M and
-    P_2M; keeping them and the generator matrix around lets later stages
-    express quotient classes back in the ambient coordinates.  ``p`` is
-    the diagram's.
+    coordinates.  ``sides[i - 1]`` is the generator matrix factored modulo
+    P_{3-i}M, once per separation: its kernel is the relation lattice of
+    M_i, and it expresses module elements back in the generators of M_i.
+    ``p`` is the diagram's.
     """
 
     a: int
@@ -276,8 +277,7 @@ class Separation:
     relations: Lattice
     gen_matrix: IntMatrix
     diagram: PullbackDiagram
-    p1s: Lattice
-    p2s: Lattice
+    sides: tuple[Factorisation, Factorisation]
     section: FpMatrix
 
     @property
@@ -293,13 +293,13 @@ class Separation:
 
         Only available for lattice modules: the element of M whose first
         block agrees with the c1 combination and second block with the c2
-        combination.
+        combination.  Only those two blocks are computed, and zero
+        coefficients are skipped.
         """
         if self.relations.rank:
             raise ValueError("embedding is only defined for lattice modules")
-        v1 = self.gen_matrix.mul_vec(c1)
-        v2 = self.gen_matrix.mul_vec(c2)
-        return tuple(v1[: self.a]) + tuple(v2[self.a :])
+        rows = self.gen_matrix.entries
+        return _combine(rows[: self.a], c1) + _combine(rows[self.a :], c2)
 
     def embedded_pullback_lattice(self) -> Lattice:
         """Image in Z^a + Z^b of the matching-pairs lattice of the diagram."""
@@ -314,21 +314,25 @@ class Separation:
         """Express module elements in the generators of M_1 or M_2.
 
         Solves v = (generators) c + (P_{3-side} M) t for each v and returns
-        the c's in order.  The matrix ``generators | P_{3-side} M`` is built
-        and factored once per call, so pass every vector of one side
-        together.  Raises, naming the first failing column index, if a
-        vector does not represent an element (the generator classes do
-        span).
+        the c's in order, by back-substitution through the side's
+        factorisation, which was computed once when the separation was
+        built.  Raises, naming the first failing column index, if a vector
+        does not represent an element (the generator classes do span).
         """
-        other = self.p2s if side == 1 else self.p1s
-        combined = self.gen_matrix.hstack(other.basis_matrix())
-        k = self.gen_matrix.cols
+        factored = self.sides[side - 1]
         coords = []
-        for j, (v, sol) in enumerate(zip(vectors, solve_many(combined, vectors))):
-            if sol is None:
+        for j, v in enumerate(vectors):
+            c = factored.solve(v)
+            if c is None:
                 raise ValueError(f"column {j}, {tuple(v)}, is not an element of the module")
-            coords.append(sol[:k])
+            coords.append(c)
         return coords
+
+
+def _combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """``rows @ coeffs``, reading only the columns with a nonzero coefficient."""
+    terms = [(j, c) for j, c in enumerate(coeffs) if c]
+    return tuple(sum(row[j] * c for j, c in terms) for row in rows)
 
 
 def _check_rclosed(p: int, a: int, b: int, lat: Lattice, label: str) -> None:
@@ -377,26 +381,25 @@ def separate_presented(
     scaled2 = [(0,) * a + tuple(p * t for t in col[a:]) for col in module_lattice.basis]
     p1s = Lattice.from_generators(ambient, scaled1 + list(relations.basis))
     p2s = Lattice.from_generators(ambient, scaled2 + list(relations.basis))
-    for other, label in ((p2s, "M/P2M"), (p1s, "M/P1M")):
-        if not Lattice.from_generators(ambient, gens + list(other.basis)).contains_lattice(
-            module_lattice
-        ):
+    # one factorisation per side serves its generation check, its relations
+    # and, later, every class_coordinates call on that side
+    sides = (factor_modulo(G, p2s), factor_modulo(G, p1s))
+    for factored, label in zip(sides, ("M/P2M", "M/P1M")):
+        if not factored.span.contains_lattice(module_lattice):
             raise ValueError(f"generator classes do not generate {label}")
 
-    rel1 = preimage_lattice(G, p2s)
-    rel2 = preimage_lattice(G, p1s)
     relbar = preimage_lattice(G, p1s.sum(p2s))
     if not relbar.contains_lattice(Lattice.scaled_full(k, p)):
         raise AssertionError("M/(P1M+P2M) failed to be p-elementary")
     W = FpSubspace.from_vectors(p, k, [col for col in relbar.basis])
     proj, section = quotient_projection(W)
-    M1 = ZModulePresentation(k, rel1)
-    M2 = ZModulePresentation(k, rel2)
+    M1 = ZModulePresentation(k, sides[0].kernel)
+    M2 = ZModulePresentation(k, sides[1].kernel)
     diagram = PullbackDiagram(p, M1, M2, proj.rows, proj, proj)
     report = is_separated(diagram)
     if not report.separated:
         raise AssertionError(f"separation produced a non-separated diagram: {report}")
-    return Separation(a, b, module_lattice, relations, G, diagram, p1s, p2s, section)
+    return Separation(a, b, module_lattice, relations, G, diagram, sides, section)
 
 
 def separate(S: LatticeRModule) -> Separation:

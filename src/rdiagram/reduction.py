@@ -189,7 +189,9 @@ def _apply_quotient(
 ) -> SeparatedPresentation:
     """Quotient K by L, and S_i by f_i(L_i) for each i in ``sides``.
 
-    With both sides the whole of S is quotiented, Sbar by fbar(Lbar) too.
+    With both sides the whole of S is quotiented, Sbar by fbar(Lbar) too;
+    when fbar(Lbar) = 0 that projection would be the identity, so it is
+    not built and Sbar and S's structure maps are kept as they are.
     With one side only that component of S changes: Sbar and both
     structure maps of S are kept as they are.  That is the one-sided form,
     well-defined only when fbar(Lbar) = 0 and f_j(L_j) = 0 on the other
@@ -221,14 +223,13 @@ def _apply_quotient(
         for i in (1, 2)
     )
     newfbar = pres.fbar @ sectionK
-    if len(sides) == 2:
-        fbarLbar = FpSubspace.from_vectors(
-            p, S.mbar_dim, [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
-        )
-        projS, _ = quotient_projection(fbarLbar)
+    images = [pres.fbar.mul_vec(l) for l in L.Lbar.basis] if len(sides) == 2 else []
+    if any(map(any, images)):
+        projS, _ = quotient_projection(FpSubspace.from_vectors(p, S.mbar_dim, images))
         newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
         newfbar = projS @ newfbar
     else:
+        # fbar(Lbar) = 0, so the projection of Sbar would be the identity
         newS = PullbackDiagram(p, newS1, newS2, S.mbar_dim, S.p1, S.p2)
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)

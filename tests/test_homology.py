@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import rdiagram.homology as homology
 import rdiagram.intlinalg as intlinalg
-from rdiagram.fplinalg import FpMatrix
+import rdiagram.pullback as pullback
+from rdiagram.fplinalg import FpMatrix, lift_span
 from rdiagram.homology import (
     ChainComplexR,
     GeneratorSets,
@@ -315,18 +316,35 @@ class TestRewriteDifferential:
             rewrite_differential((din, din), canon)
 
     def test_one_transform_hnf_per_side(self, monkeypatch):
-        # all columns of one side are solved against one factorisation of
-        # generators | P M, so the count does not grow with the source rank
+        # separate_presented factors generators | P M once per side and keeps
+        # the factorisation, so rewriting a differential, whatever the source
+        # rank, runs no normal form at all
         degrees = random_complex_differentials(random.Random(5), 3, [4, 5, 2], bound=2)
         C = ChainComplexR(3, degrees)
-        canon = canonical_kernel_presentation(*C.pair(1), 3)
+        factored = []
+        factor = pullback.factor_modulo
+        monkeypatch.setattr(
+            pullback, "factor_modulo", lambda A, L: factored.append(A) or factor(A, L)
+        )
         calls = []
         real = intlinalg._hnf_in_place
-        monkeypatch.setattr(intlinalg, "_hnf_in_place", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(
+            intlinalg,
+            "_hnf_in_place",
+            lambda cols, *a, **kw: calls.append([c[:] for c in cols]) or real(cols, *a, **kw),
+        )
+        canon = canonical_kernel_presentation(*C.pair(1), 3)
+        G = canon.separation.gen_matrix
+        assert factored == [G, G]
+        # the normal forms that start from the generators' columns: the two
+        # factorisations and the p-elementary check's preimage
+        gens = [list(c) for c in G.columns()]
+        on_gens = [cols for cols in calls if [c[: G.rows] for c in cols[: G.cols]] == gens]
+        assert len(on_gens) == 3
+        calls.clear()
         m = rewrite_differential(C.pair(0), canon)
         assert m.f1.matrix.cols == 4
-        # solve_many factors each side's matrix once, stacked over the identity
-        assert len(calls) == 2
+        assert calls == []
 
 
 class TestHomologyPresentation:
@@ -543,6 +561,27 @@ def test_kernel_split_is_an_exact_direct_sum(p, seed):
     assert ksp.sum(usp) == kernel_basis(f)
     assert lattice_intersection(ksp, usp).rank == 0
     assert ksp == lattice_intersection(kernel_basis(f), kernel_basis(g))
+
+
+@given(p=ps, seed=seeds)
+@settings(max_examples=80, deadline=None)
+def test_congruent_kernel_lattice_is_the_intersection_with_the_congruence(p, seed):
+    # the F_p kernel route against the intersection it replaced, on the
+    # kernels of a pair and on arbitrary lattices in their place
+    rng = random.Random(seed)
+    m = rng.randint(0, 4)
+    d1, d2 = random_congruent_pair(rng, p, rng.randint(0, 3), m)
+    diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
+    congruent = lift_span(p, 2 * m, diagonal)
+    arbitrary = tuple(
+        Lattice.from_generators(
+            m, [[rng.randint(-5, 5) for _ in range(m)] for _ in range(rng.randint(0, m))]
+        )
+        for _ in "12"
+    )
+    for ker1, ker2 in ((kernel_basis(d1), kernel_basis(d2)), arbitrary):
+        reference = lattice_intersection(ker1.direct_sum(ker2), congruent)
+        assert congruent_kernel_lattice(p, d1, d2, (ker1, ker2)) == reference
 
 
 @given(p=ps, seed=seeds)

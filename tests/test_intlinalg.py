@@ -19,14 +19,13 @@ from rdiagram.intlinalg import (
     Lattice,
     column_span,
     det,
+    factor_modulo,
     hnf,
     is_unimodular,
     kernel_basis,
     lattice_intersection,
     preimage_lattice,
     snf,
-    solve_in_span,
-    solve_many,
 )
 from rdiagram.randomgen import random_unimodular
 
@@ -174,6 +173,11 @@ def test_preimage_sum_map_even_targets():
     # x + y even <=> x = y mod 2: generated by (1,1) and (0,2).
     L = preimage_lattice(mat([[1, 1]]), Lattice.from_generators(1, [(2,)]))
     assert L.basis == ((1, 1), (0, 2))
+
+
+def solve_in_span(M, b):
+    """Some x with Mx = b, or None: ``M`` factored modulo the zero lattice."""
+    return factor_modulo(M, Lattice.zero(M.rows)).solve(b)
 
 
 def test_solve_in_span_cases():
@@ -350,31 +354,62 @@ def test_solve_in_span_sound_on_arbitrary_rhs(data):
         assert not column_span(M).contains(b)
 
 
+def full_transform_solutions(M, rhs):
+    """Solutions of Mx = b read off ``hnf(M)``'s full transform ``U``."""
+    m = M.rows
+    H, U = hnf(M)
+    span = Lattice(m, tuple(c for c in H.columns() if any(c)))
+    out = []
+    for b in rhs:
+        coords = span.solve(b)
+        if coords is not None:
+            coords = U.mul_vec(list(coords) + [0] * (M.cols - len(coords)))
+        out.append(coords)
+    return out
+
+
 @given(st.data())
-def test_solve_many_solves_exactly_the_vectors_in_the_span(data):
-    M = data.draw(matrices(max_dim=4, max_entry=15))
-    span = column_span(M)
+def test_factor_modulo_matches_the_separate_constructions(data):
+    # span, kernel and solutions of one factorisation against from_generators,
+    # preimage_lattice and the full-transform solve of [A | L]
+    A = data.draw(matrices(max_dim=4, max_entry=15))
+    L = data.draw(lattices(ambient=A.rows, max_entry=15))
+    f = factor_modulo(A, L)
+    k = A.cols
+    assert f.span == Lattice.from_generators(A.rows, A.columns() + list(L.basis))
+    assert f.kernel == preimage_lattice(A, L)
+    combined = A.hstack(L.basis_matrix())
     rhs = []
     for _ in range(data.draw(st.integers(0, 4))):
         if data.draw(st.booleans()):
-            rhs.append(M.mul_vec([data.draw(st.integers(-10, 10)) for _ in range(M.cols)]))
+            x = [data.draw(st.integers(-10, 10)) for _ in range(combined.cols)]
+            rhs.append(combined.mul_vec(x))
         else:
-            rhs.append(tuple(data.draw(st.integers(-20, 20)) for _ in range(M.rows)))
-    sols = solve_many(M, rhs)
-    assert len(sols) == len(rhs)
-    for b, x in zip(rhs, sols):
-        assert (x is None) == (not span.contains(b))
+            rhs.append(tuple(data.draw(st.integers(-20, 20)) for _ in range(A.rows)))
+    for b, ref in zip(rhs, full_transform_solutions(combined, rhs)):
+        x = f.solve(b)
+        assert (x is None) == (ref is None) == (not f.span.contains(b))
         if x is not None:
-            assert len(x) == M.cols and M.mul_vec(x) == b
+            assert x == ref[:k]
+            assert L.contains([u - w for u, w in zip(b, A.mul_vec(x))])
 
 
-def test_solve_many_edge_cases():
+def test_factor_modulo_edge_cases():
     M = mat([[2, 0], [0, 3]])
-    assert solve_many(M, []) == []
-    empty = IntMatrix.zeros(2, 0)
-    assert solve_many(empty, [(0, 0), (1, 0)]) == [(), None]
+    f = factor_modulo(M, Lattice.zero(2))
+    assert f.kernel == Lattice.zero(2)
+    empty = factor_modulo(IntMatrix.zeros(2, 0), Lattice.zero(2))
+    assert [empty.solve(b) for b in [(0, 0), (1, 0)]] == [(), None]
     with pytest.raises(ValueError, match="wrong length"):
-        solve_many(M, [(4, 9), (1,)])
+        f.solve((1,))
+    with pytest.raises(ValueError, match="ambient"):
+        factor_modulo(M, Lattice.zero(3))
+    # modulo a lattice, a solution is any x with v - Mx in it
+    f = factor_modulo(M, Lattice.from_generators(2, [(2, 0)]))
+    assert f.span == Lattice.from_generators(2, [(2, 0), (0, 3)])
+    assert f.kernel == Lattice.from_generators(2, [(1, 0)])
+    assert f.solve((4, 9)) == (2, 3)
+    assert f.solve((1, 0)) is None
 
 
 @given(st.data())
@@ -446,6 +481,6 @@ def test_lattice_kernels_match_hnf_of_the_stacked_columns(M, data):
 
 
 def test_hnf_in_place_takes_no_transform():
-    # hnf and solve_many read U off identity rows stacked below the matrix
+    # hnf and factor_modulo read U off identity rows stacked below the matrix
     params = list(inspect.signature(_hnf_in_place).parameters)
     assert params == ["cols", "height", "top"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rdiagram import pullback
 from rdiagram.fplinalg import FpMatrix
-from rdiagram.intlinalg import IntMatrix, Lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
@@ -87,7 +87,9 @@ class TestSeparate:
         assert sep.diagram.M1.normal_form() == (1, ())
         assert sep.diagram.M2.normal_form() == (0, (2,))
         assert sep.diagram.mbar_dim == 1
-        assert sep.p1s == Lattice.from_generators(2, [(4, 0)])
+        # P_1S = {(4a, 0)}: (4, 0) has class 2 on the generator (2, 0) of S/P_1S = Z/2
+        assert sep.class_coordinates([(4, 0)], side=2) == [(2,)]
+        assert sep.diagram.M2.elements_equal((2,), (0,))
         assert sep.embedded_pullback_lattice() == S.lattice
         assert pullback_group(sep.diagram).presentation.normal_form() == (1, ())
 
@@ -339,6 +341,46 @@ def test_separate_recovers_module(p, seed, a, b):
     S = random_rmodule(random.Random(seed), p, a, b)
     sep = separate(S)
     assert sep.embedded_pullback_lattice() == S.lattice
+
+
+def _ideal_multiples(p, a, b, lattice):
+    """P_1M and P_2M of a lattice module, from its basis."""
+    b1 = [tuple(p * t for t in col[:a]) + (0,) * b for col in lattice.basis]
+    b2 = [(0,) * a + tuple(p * t for t in col[a:]) for col in lattice.basis]
+    return Lattice.from_generators(a + b, b1), Lattice.from_generators(a + b, b2)
+
+
+@given(p=ps, seed=seeds, a=st.integers(1, 3), b=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_each_side_is_factored_as_the_separate_constructions_give(p, seed, a, b):
+    # a side's factorisation against from_generators and preimage_lattice
+    # on generators | P M, and its solutions against their definition
+    rng = random.Random(seed)
+    S = random_rmodule(rng, p, a, b)
+    sep = separate(S)
+    G, k = sep.gen_matrix, sep.gen_matrix.cols
+    p1s, p2s = _ideal_multiples(p, a, b, S.lattice)
+    elements = [
+        G.mul_vec([rng.randint(-4, 4) for _ in range(k)]) for _ in range(3)
+    ]
+    for side, other in ((1, p2s), (2, p1s)):
+        factored = sep.sides[side - 1]
+        assert factored.span == Lattice.from_generators(a + b, G.columns() + list(other.basis))
+        assert factored.kernel == preimage_lattice(G, other)
+        assert sep.diagram.component(side).relations == factored.kernel
+        for v, c in zip(elements, sep.class_coordinates(elements, side)):
+            assert other.contains([x - y for x, y in zip(v, G.mul_vec(c))])
+
+
+@given(p=ps, seed=seeds, a=st.integers(1, 3), b=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_embed_pair_is_the_full_product_formula(p, seed, a, b):
+    rng = random.Random(seed)
+    sep = separate(random_rmodule(rng, p, a, b))
+    G, k = sep.gen_matrix, sep.gen_matrix.cols
+    for _ in range(4):
+        c1, c2 = ([rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(k)] for _ in "12")
+        assert sep.embed_pair(c1, c2) == G.mul_vec(c1)[:a] + G.mul_vec(c2)[a:]
 
 
 @given(p=ps, seed=seeds, a=st.integers(1, 3), b=st.integers(1, 3))

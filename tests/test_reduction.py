@@ -266,10 +266,6 @@ class TestSharedStructureMaps:
                 assert rd.S.p1 is rd.S.p2
 
     def test_a_shared_map_is_projected_once(self, monkeypatch):
-        shared = mult_by_element_presentation(3, (3, 0))
-        m = shared.morphism
-        K, S = _with_copied_p2(m.source), _with_copied_p2(m.target)
-        copied = SeparatedPresentation(DiagramMorphism(K, S, m.f1, m.f2, m.fbar))
         products = []
         matmul = FpMatrix.__matmul__
 
@@ -278,21 +274,55 @@ class TestSharedStructureMaps:
             return matmul(a, b)
 
         monkeypatch.setattr(FpMatrix, "__matmul__", counting)
-        outputs = []
-        for pres in (shared, copied):
-            maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
-            products.clear()
-            out = reduction._apply_quotient(pres, _stepwise_subdiagram(pres))
-            outputs.append(out)
-            # products with a structure map, apart from fbar's two factors
-            structure_products = sum(any(b is q for q in maps) for b in products)
-            assert structure_products == (2 if pres is shared else 4)
-        one, two = outputs
-        assert one.K.p2 is one.K.p1 and one.S.p2 is one.S.p1
-        for i in (1, 2):
-            assert one.K.structure_map(i) == two.K.structure_map(i)
-            assert one.S.structure_map(i) == two.S.structure_map(i)
-        assert one.fbar == two.fbar
+        # fbar = 0 on (3, 0), so only K is projected; fbar is a unit on (4, 1)
+        for element, projected in (((3, 0), 1), ((4, 1), 2)):
+            shared = mult_by_element_presentation(3, element)
+            m = shared.morphism
+            K, S = _with_copied_p2(m.source), _with_copied_p2(m.target)
+            copied = SeparatedPresentation(DiagramMorphism(K, S, m.f1, m.f2, m.fbar))
+            outputs = []
+            for pres in (shared, copied):
+                maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
+                products.clear()
+                out = reduction._apply_quotient(pres, _stepwise_subdiagram(pres))
+                outputs.append(out)
+                # products with a structure map, apart from fbar's two factors
+                structure_products = sum(any(b is q for q in maps) for b in products)
+                assert structure_products == (projected if pres is shared else 2 * projected)
+            one, two = outputs
+            assert one.K.p2 is one.K.p1 and one.S.p2 is one.S.p1
+            for i in (1, 2):
+                assert one.K.structure_map(i) == two.K.structure_map(i)
+                assert one.S.structure_map(i) == two.S.structure_map(i)
+            assert one.fbar == two.fbar
+
+    def test_a_zero_image_of_lbar_builds_no_projection_of_sbar(self, monkeypatch):
+        # over the selftest generator, reduce_K's sub-diagram always has
+        # fbar(Lbar) = 0, and reduce_barf's has it whenever fbar is zero
+        projected = []
+        project = reduction.quotient_projection
+        monkeypatch.setattr(
+            reduction, "quotient_projection", lambda W: projected.append(W) or project(W)
+        )
+        seen = {True: 0, False: 0}
+        for seed in range(30):
+            pres = random_presentation(random.Random(seed), (2, 3, 5)[seed % 3])
+            zero = FpSubspace.zero(pres.p, pres.K.mbar_dim)
+            for L in (reduction._preimage_subdiagram(pres.K, zero), _stepwise_subdiagram(pres)):
+                projected.clear()
+                out = reduction._apply_quotient(pres, L)
+                vanishes = not any(any(pres.fbar.mul_vec(l)) for l in L.Lbar.basis)
+                seen[vanishes] += 1
+                if not vanishes:
+                    assert len(projected) == 2
+                    continue
+                # only K is projected; the identity projection of Sbar would
+                # have given the same Sbar, structure maps and fbar
+                assert len(projected) == 1 and projected[0] is L.Lbar
+                assert out.S.mbar_dim == pres.S.mbar_dim
+                assert out.S.p1 is pres.S.p1 and out.S.p2 is pres.S.p2
+                assert out.fbar == pres.fbar @ project(L.Lbar)[1]
+        assert seen[True] and seen[False]
 
     def test_reduce_monos_evaluates_separation_once_per_rebuilt_diagram(self, monkeypatch):
         stage2 = reduce_barf(reduce_K(mult_by_element_presentation(2, (2, 0))))
