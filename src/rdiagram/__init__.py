@@ -6,11 +6,12 @@ m = n mod p, in particular for homology of chain complexes of free modules.
 
 The layers, bottom up: ``intlinalg`` (integer matrices, lattices, HNF/SNF),
 ``fplinalg`` (F_p matrices and subspaces), ``presentations`` (Z-module
-presentations and maps), ``pullback`` (diagrams, separation, morphism
-criteria), ``reduction`` (presentation-to-R-diagram calculus), ``homology``
+presentations and maps), ``pullback`` (diagrams, separation, diagram
+morphisms), ``reduction`` (presentation-to-R-diagram calculus), ``homology``
 (chain complexes and the kernel presentation pipeline), ``oracle``
 (brute-force underlying-group invariants), ``cli`` (command line),
 ``randomgen`` (seeded random inputs for tests and the self-test).
+``morphisms`` (mono/epi criteria) is outside the pipeline and not loaded here.
 """
 
 from .intlinalg import IntMatrix, Lattice
@@ -20,12 +21,8 @@ from .pullback import (
     DiagramMorphism,
     LatticeRModule,
     PullbackDiagram,
-    PullbackModule,
     Separation,
-    epi_conditions,
-    is_mono,
     is_separated,
-    pullback_group,
     separate,
     separate_presented,
 )
@@ -79,12 +76,8 @@ __all__ = [
     "DiagramMorphism",
     "LatticeRModule",
     "PullbackDiagram",
-    "PullbackModule",
     "Separation",
-    "epi_conditions",
-    "is_mono",
     "is_separated",
-    "pullback_group",
     "separate",
     "separate_presented",
     "RDiagram",

@@ -64,7 +64,6 @@ __all__ = [
     "det",
     "is_unimodular",
     "kernel_basis",
-    "column_span",
     "lattice_intersection",
     "preimage_lattice",
     "Factorisation",
@@ -116,13 +115,11 @@ class IntMatrix:
     @staticmethod
     def from_cols(cols: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         data = [tuple(map(int, col)) for col in cols]
-        if data:
-            height = len(data[0])
-            if rows is not None and rows != height:
-                raise ValueError("explicit row count disagrees with column length")
-            rows = height
-        elif rows is None:
-            rows = 0
+        if rows is None:
+            rows = len(data[0]) if data else 0
+        for j, col in enumerate(data):
+            if len(col) != rows:
+                raise ValueError(f"column {j} has {len(col)} entries, expected {rows}")
         entries = tuple(zip(*data)) if data else ((),) * rows
         return IntMatrix(rows, len(data), entries)
 
@@ -612,10 +609,6 @@ def kernel_basis(M: IntMatrix) -> Lattice:
     combinations of the original columns that cancel.
     """
     return preimage_lattice(M, Lattice.zero(M.rows))
-
-
-def column_span(M: IntMatrix) -> Lattice:
-    return Lattice.from_generators(M.rows, M.columns())
 
 
 def lattice_intersection(A: Lattice, B: Lattice) -> Lattice:

@@ -33,7 +33,6 @@ __all__ = [
     "ZModulePresentation",
     "ModuleMap",
     "check_map",
-    "quotient",
 ]
 
 
@@ -159,17 +158,4 @@ def check_map(f: ModuleMap) -> bool:
         f.target.relations.contains(f.matrix.mul_vec(col))
         for col in f.source.relations.basis
     )
-
-
-def quotient(
-    M: ZModulePresentation, sub: Iterable[Sequence[int]]
-) -> tuple[ZModulePresentation, ModuleMap]:
-    """Quotient of ``M`` by the submodule generated by ``sub``.
-
-    Returns the quotient presentation (same generators, enlarged relations)
-    and the projection map, which is the identity on generators.
-    """
-    result = M.quotient_by(sub)
-    projection = ModuleMap(M, result, IntMatrix.identity(M.gens))
-    return result, projection
 

@@ -15,14 +15,7 @@ from typing import Sequence
 from .intlinalg import IntMatrix, Lattice, kernel_basis
 from .presentations import ModuleMap
 from .fplinalg import FpMatrix
-from .pullback import (
-    DiagramMorphism,
-    LatticeRModule,
-    Separation,
-    pullback_group,
-    separate,
-    separate_morphism,
-)
+from .pullback import DiagramMorphism, LatticeRModule, _matching_lattice, separate
 from .reduction import SeparatedPresentation, free_diagram
 from .homology import congruent_kernel_lattice
 
@@ -31,7 +24,6 @@ __all__ = [
     "random_unimodular",
     "rclose",
     "random_rmodule",
-    "random_block_morphism",
     "random_congruent_pair",
     "random_complex_differentials",
     "random_presentation",
@@ -89,37 +81,6 @@ def random_rmodule(
     return LatticeRModule(p, a, b, lat)
 
 
-def random_block_morphism(
-    rng: random.Random,
-    src: LatticeRModule,
-    ta: int,
-    tb: int,
-    extra_target_gens: int = 1,
-    bound: int = 2,
-) -> tuple[DiagramMorphism, Separation, Separation]:
-    """A random blockwise map out of ``src`` into a module built around its image.
-
-    The target is the R-closure of the image plus a few extra random
-    elements, so the map always lands inside it; with no extras the map is
-    onto by construction.
-    """
-    A = random_int_matrix(rng, ta, src.a, bound)
-    B = random_int_matrix(rng, tb, src.b, bound)
-    images = [
-        tuple(A.mul_vec(col[: src.a])) + tuple(B.mul_vec(col[src.a :]))
-        for col in src.lattice.basis
-    ]
-    extras = [
-        tuple(rng.randint(-bound, bound) for _ in range(ta + tb))
-        for _ in range(rng.randint(0, extra_target_gens))
-    ]
-    tgt_lat = rclose(src.p, ta, tb, Lattice.from_generators(ta + tb, images + extras))
-    tgt = LatticeRModule(src.p, ta, tb, tgt_lat)
-    ssep = separate(src)
-    tsep = separate(tgt)
-    return separate_morphism(A, B, ssep, tsep), ssep, tsep
-
-
 def random_presentation(
     rng: random.Random,
     p: int,
@@ -137,7 +98,7 @@ def random_presentation(
     """
     sep = separate(random_rmodule(rng, p, a, b, max_gens=max_gens))
     D = sep.diagram
-    matching = pullback_group(D).matching
+    matching = _matching_lattice(D.p1, D.p2)
     ell = rng.randint(0, max_rank)
     g1, g2 = D.M1.gens, D.M2.gens
     cols1, cols2 = [], []

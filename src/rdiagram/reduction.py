@@ -238,32 +238,26 @@ def _apply_quotient(
 
 
 def quotient_presentation(
-    pres: SeparatedPresentation, L: SubDiagram, mode: str
+    pres: SeparatedPresentation, L: SubDiagram
 ) -> SeparatedPresentation:
-    """Quotient a presentation by a sub-diagram of K, checking hypotheses.
+    """Quotient a presentation, all six components, by a sub-diagram of K.
 
-    ``mode="full"`` requires each u_i: L_i -> Lbar surjective and fbar
-    injective on Lbar, and quotients all six components.
-    ``mode="target-only"`` is the one-sided quotient that kills L_2: only
-    u_2 must be surjective, with f_2(L_2) = 0 and fbar(Lbar) = 0; then S_1
-    alone is quotiented by f_1(L_1).  Violations raise
-    ``HypothesisViolation`` naming the failed condition.
+    Requires each u_i: L_i -> Lbar surjective and fbar injective on Lbar;
+    violations raise ``HypothesisViolation`` naming the failed condition.
+    The one-sided quotient that kills a single side is
+    ``_one_sided_quotient``.
     """
     K = pres.K
-    if mode == "full":
-        for i in (1, 2):
-            if _image_subspace(K.structure_map(i), L.side(i)) != L.Lbar:
-                raise HypothesisViolation(
-                    f"u{i}-not-surjective", "L{} does not map onto Lbar".format(i)
-                )
-        if pres.fbar.kernel().intersect(L.Lbar).dim:
+    for i in (1, 2):
+        if _image_subspace(K.structure_map(i), L.side(i)) != L.Lbar:
             raise HypothesisViolation(
-                "fbar-not-injective-on-Lbar", "ker fbar meets Lbar"
+                f"u{i}-not-surjective", "L{} does not map onto Lbar".format(i)
             )
-        return _apply_quotient(pres, L)
-    if mode == "target-only":
-        return _one_sided_quotient(pres, L, 2)
-    raise ValueError(f"unknown mode {mode!r}")
+    if pres.fbar.kernel().intersect(L.Lbar).dim:
+        raise HypothesisViolation(
+            "fbar-not-injective-on-Lbar", "ker fbar meets Lbar"
+        )
+    return _apply_quotient(pres, L)
 
 
 def _one_sided_quotient(
@@ -341,14 +335,14 @@ def reduce_K(pres: SeparatedPresentation) -> SeparatedPresentation:
     """
     zero_bar = FpSubspace.zero(pres.p, pres.K.mbar_dim)
     L = _preimage_subdiagram(pres.K, zero_bar)
-    out = quotient_presentation(pres, L, mode="full")
+    out = quotient_presentation(pres, L)
     return _from_elementary(out.S, *_maps_from_Kbar(out), out.fbar)
 
 
 def reduce_barf(pres: SeparatedPresentation) -> SeparatedPresentation:
     """Kill a complement of ker fbar, so the reduced fbar is exactly zero."""
     L = _preimage_subdiagram(pres.K, pres.fbar.kernel().complement())
-    out = quotient_presentation(pres, L, mode="full")
+    out = quotient_presentation(pres, L)
     if not out.fbar.is_zero():
         raise AssertionError("reduction failed to annihilate fbar")
     return out

@@ -28,16 +28,15 @@ from rdiagram.oracle import (
     underlying_invariants_of_presentation,
     underlying_invariants_of_rdiagram,
 )
-from rdiagram.pullback import (
-    LatticeRModule,
+from rdiagram.morphisms import (
     epi_conditions,
     is_mono,
     is_mono_direct,
-    separate,
+    random_block_morphism,
 )
+from rdiagram.pullback import LatticeRModule, separate
 from rdiagram.intlinalg import Lattice
 from rdiagram.randomgen import (
-    random_block_morphism,
     random_complex_differentials,
     random_congruent_pair,
     random_int_matrix,

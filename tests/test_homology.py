@@ -35,7 +35,8 @@ from rdiagram.oracle import (
     underlying_invariants_of_presentation,
     underlying_invariants_of_rdiagram,
 )
-from rdiagram.pullback import induced_pullback_map, is_separated
+from rdiagram.morphisms import induced_pullback_map
+from rdiagram.pullback import is_separated
 from rdiagram.randomgen import (
     random_complex_differentials,
     random_congruent_pair,

@@ -17,7 +17,6 @@ from rdiagram.intlinalg import (
     IntMatrix,
     _hnf_in_place,
     Lattice,
-    column_span,
     det,
     factor_modulo,
     hnf,
@@ -203,6 +202,27 @@ def test_matrix_shape_errors():
         mat([[1]]) @ mat([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize(
+    "cols, rows",
+    [
+        ([(1,), (2, 3)], None),  # a longer column after the first
+        ([(1, 2), (3,)], None),  # a shorter column after the first
+        ([(1,), (2, 3)], 1),
+        ([(1, 2), (3,)], 2),
+    ],
+)
+def test_from_cols_names_a_ragged_column(cols, rows):
+    with pytest.raises(ValueError, match="column 1 has"):
+        IntMatrix.from_cols(cols, rows=rows)
+
+
+def test_from_cols_checks_the_explicit_height():
+    with pytest.raises(ValueError, match="column 0 has 2 entries, expected 3"):
+        IntMatrix.from_cols([(1, 2), (3, 4)], rows=3)
+    assert IntMatrix.from_cols([(1, 2), (3, 4)]) == mat([[1, 3], [2, 4]])
+    assert IntMatrix.from_cols([], rows=2) == IntMatrix.zeros(2, 0)
+
+
 def test_lattice_rejects_bad_vectors():
     with pytest.raises(ValueError):
         Lattice.from_generators(2, [(1, 2, 3)])
@@ -221,7 +241,9 @@ def test_hnf_reconstruction_and_canonicity(M):
     assert M @ U == H
     assert is_unimodular(U)
     assert_canonical_column_hnf(H)
-    assert column_span(H) == column_span(M)
+    assert Lattice.from_generators(H.rows, H.columns()) == Lattice.from_generators(
+        M.rows, M.columns()
+    )
     # canonical forms are fixed points
     H2, _ = hnf(H)
     assert H2 == H
@@ -351,7 +373,7 @@ def test_solve_in_span_sound_on_arbitrary_rhs(data):
     if sol is not None:
         assert M.mul_vec(sol) == tuple(b)
     else:
-        assert not column_span(M).contains(b)
+        assert not Lattice.from_generators(M.rows, M.columns()).contains(b)
 
 
 def full_transform_solutions(M, rhs):

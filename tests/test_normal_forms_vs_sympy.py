@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from rdiagram.intlinalg import IntMatrix, column_span, snf
+from rdiagram.intlinalg import IntMatrix, Lattice, snf
 from rdiagram.presentations import ZModulePresentation
 
 sympy = pytest.importorskip("sympy")
@@ -52,4 +52,5 @@ def test_normal_form_agrees_with_sympy(seed):
     for M in seeded_matrices(seed):
         factors = sympy_factors(M)
         want = (M.rows - len(factors), tuple(d for d in factors if d > 1))
-        assert ZModulePresentation(M.rows, column_span(M)).normal_form() == want, M
+        span = Lattice.from_generators(M.rows, M.columns())
+        assert ZModulePresentation(M.rows, span).normal_form() == want, M

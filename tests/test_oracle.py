@@ -17,7 +17,8 @@ from rdiagram.oracle import (
     underlying_invariants_of_rdiagram,
 )
 from rdiagram.presentations import ModuleMap
-from rdiagram.pullback import DiagramMorphism, induced_pullback_map
+from rdiagram.morphisms import induced_pullback_map
+from rdiagram.pullback import DiagramMorphism
 from rdiagram.randomgen import random_complex_differentials, random_presentation
 from rdiagram.reduction import (
     RDiagram,

@@ -9,7 +9,6 @@ from rdiagram.presentations import (
     ModuleMap,
     ZModulePresentation,
     check_map,
-    quotient,
 )
 
 
@@ -87,18 +86,16 @@ def test_check_map_rejects_z2_into_z():
 
 def test_quotient_by_nothing():
     P = pres(2, [(2, 0)])
-    Q, proj = quotient(P, [])
-    assert Q == P
-    assert proj.matrix == IntMatrix.identity(2)
+    assert P.quotient_by([]) == P
 
 
 def test_quotient_z_by_2():
-    Q, _ = quotient(ZModulePresentation.free(1), [(2,)])
+    Q = ZModulePresentation.free(1).quotient_by([(2,)])
     assert Q.normal_form() == (0, (2,))
 
 
 def test_quotient_z2_by_diag():
-    Q, _ = quotient(ZModulePresentation.free(2), [(2, 0), (0, 4)])
+    Q = ZModulePresentation.free(2).quotient_by([(2, 0), (0, 4)])
     assert Q.normal_form() == (0, (2, 4))
 
 
@@ -184,10 +181,7 @@ def test_iterated_quotient_is_quotient_by_sum(data):
         [data.draw(st.integers(-5, 5)) for _ in range(P.gens)]
         for _ in range(data.draw(st.integers(0, 2)))
     ]
-    Q1, _ = quotient(P, a)
-    Q2, _ = quotient(Q1, b)
-    Q12, _ = quotient(P, a + b)
-    assert Q2 == Q12
+    assert P.quotient_by(a).quotient_by(b) == P.quotient_by(a + b)
 
 
 @given(st.data())

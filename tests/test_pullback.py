@@ -6,30 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiagram import pullback
+from rdiagram import morphisms, pullback
 from rdiagram.fplinalg import FpMatrix
 from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
+from rdiagram.morphisms import (
+    epi_conditions,
+    is_mono,
+    is_mono_direct,
+    kernel_diagram,
+    pullback_group,
+    random_block_morphism,
+    separate_morphism,
+)
 from rdiagram.pullback import (
     DiagramMorphism,
     LatticeRModule,
     PullbackDiagram,
-    epi_conditions,
-    is_mono,
-    is_mono_direct,
     is_separated,
-    kernel_diagram,
-    pullback_group,
     quotient_ring_check,
     separate,
-    separate_morphism,
     separate_presented,
 )
-from rdiagram.randomgen import (
-    random_block_morphism,
-    random_rmodule,
-    rclose,
-)
+from rdiagram.randomgen import random_rmodule, rclose
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -318,6 +317,31 @@ class TestEpi:
         report = epi_conditions(m)
         assert not (report.cond1 or report.cond2 or report.cond3 or report.cond4)
         assert not report.direct
+
+    def test_each_mixed_pullback_is_built_at_most_once_per_call(self, monkeypatch):
+        built = []
+        build = morphisms._mixed_pullback_map
+        monkeypatch.setattr(
+            morphisms, "_mixed_pullback_map", lambda m, side: built.append(side) or build(m, side)
+        )
+        # every condition of the identity reaches both sides, and none of the
+        # zero map's reaches either: f_1, f_2 and fbar are not onto
+        sep = separate(LatticeRModule.free(2, 1))
+        z = IntMatrix.zeros(1, 1)
+        for m, sides in (
+            (DiagramMorphism.identity(_free_diagram(2, 2)), [2, 1]),
+            (separate_morphism(z, z, sep, sep), []),
+        ):
+            built.clear()
+            epi_conditions(m)
+            assert built == sides
+        rng = random.Random(7)
+        for i in range(60):
+            src = random_rmodule(rng, (2, 3, 5)[i % 3], rng.randint(1, 2), rng.randint(1, 2))
+            m, _, _ = random_block_morphism(rng, src, rng.randint(1, 2), rng.randint(1, 2))
+            built.clear()
+            epi_conditions(m)
+            assert len(built) == len(set(built)), (i, built)
 
     def test_kernel_diagram_of_identity_is_zero(self):
         m = DiagramMorphism.identity(_free_diagram(3, 2))

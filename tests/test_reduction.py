@@ -10,12 +10,12 @@ from rdiagram import pullback, reduction
 from rdiagram.fplinalg import FpMatrix, FpSubspace
 from rdiagram.homology import ChainComplexR, homology_presentations, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice
+from rdiagram.morphisms import induced_pullback_map, pullback_group
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
     LatticeRModule,
     PullbackDiagram,
-    induced_pullback_map,
     is_separated,
     separate,
 )
@@ -81,8 +81,6 @@ class TestFreeDiagram:
 
     def test_rank_one_presents_the_ring(self):
         D = free_diagram(2, 1)
-        from rdiagram.pullback import pullback_group
-
         assert pullback_group(D).presentation.normal_form() == (2, ())
         assert is_separated(D).separated
 
@@ -99,7 +97,7 @@ class TestQuotientPresentation:
             FpSubspace.zero(3, 2),
             Lattice.zero(2),
         )
-        out = quotient_presentation(pres, L, mode="full")
+        out = quotient_presentation(pres, L)
         assert out.K.M1 == pres.K.M1 and out.K.M2 == pres.K.M2
         assert out.S.M1 == pres.S.M1 and out.S.M2 == pres.S.M2
         assert out.K.mbar_dim == pres.K.mbar_dim
@@ -115,7 +113,7 @@ class TestQuotientPresentation:
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
-            quotient_presentation(pres, L, mode="full")
+            quotient_presentation(pres, L)
         assert exc.value.condition == "u1-not-surjective"
 
     def test_fbar_injectivity_on_Lbar_is_checked(self):
@@ -128,7 +126,7 @@ class TestQuotientPresentation:
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
-            quotient_presentation(pres, L, mode="full")
+            quotient_presentation(pres, L)
         assert exc.value.condition == "fbar-not-injective-on-Lbar"
 
     def test_target_only_rejects_nonvanishing_f2(self):
@@ -140,16 +138,8 @@ class TestQuotientPresentation:
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
-            quotient_presentation(pres, L, mode="target-only")
+            reduction._one_sided_quotient(pres, L, 2)
         assert exc.value.condition == "f2-nonzero-on-L2"
-
-    def test_unknown_mode_rejected(self):
-        pres = identity_presentation(2, 1)
-        L = SubDiagram(
-            pres.K, Lattice.zero(1), FpSubspace.zero(2, 1), Lattice.zero(1)
-        )
-        with pytest.raises(ValueError, match="mode"):
-            quotient_presentation(pres, L, mode="both")
 
     def test_subdiagram_must_map_into_Lbar(self):
         pres = identity_presentation(2, 1)

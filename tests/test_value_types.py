@@ -23,15 +23,8 @@ from rdiagram.homology import (
 from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis
 from rdiagram.oracle import underlying_invariants_of_rdiagram
 from rdiagram.presentations import ModuleMap, ZModulePresentation
-from rdiagram.pullback import (
-    DiagramMorphism,
-    LatticeRModule,
-    epi_conditions,
-    is_separated,
-    kernel_diagram,
-    pullback_group,
-    separate,
-)
+from rdiagram.morphisms import epi_conditions, kernel_diagram, pullback_group
+from rdiagram.pullback import DiagramMorphism, LatticeRModule, is_separated, separate
 from rdiagram.reduction import SubDiagram, free_diagram, validate_rdiagram
 
 VALUE_EQUALITY = {
