@@ -21,8 +21,9 @@ entries of at most ``MAX_ENTRY_BITS`` bits; past a cap it is rejected
 
 Exit codes: 0 success, 1 invalid input mathematics (bad complex),
 2 unreadable input or a usage error (bad degree, bad option value),
-3 internal consistency failure (pipeline/oracle disagreement — a bug,
-reported with a reproducer).
+3 internal consistency failure (pipeline/oracle disagreement, or any
+other failure on a complex that passed validation — a bug, reported
+with a reproducer).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .oracle import (
 )
 from .pullback import quotient_ring_check
 from .reduction import (
-    HypothesisViolation,
     RDiagram,
     _extract_rdiagram,
     reduce_K,
@@ -88,6 +88,10 @@ MAX_DOCUMENT_CHARS = 2 * MAX_TERMS * MAX_RANK**2 * 64
 
 class DocumentError(Exception):
     """The input document cannot be turned into a complex."""
+
+
+class InvalidComplex(Exception):
+    """The document is a complex, but fails the congruence or composition checks."""
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -350,15 +354,25 @@ def _render_text(p: int, payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _degree_list(C: ChainComplexR, args) -> list[int]:
-    """The requested degrees; a missing or out-of-range one is a usage error."""
+def _load_complex(args) -> tuple[ChainComplexR, list, list[int]]:
+    """The document's complex, its labels and the requested degrees.
+
+    A bad degree is a usage error and an invalid complex is bad input, so
+    any failure once the pipeline runs on them is a bug.
+    """
+    C, labels = load_document(_read_input(args.input))
     if args.all:
-        return list(range(C.terms))
-    if args.degree is None:
+        degrees = list(range(C.terms))
+    elif args.degree is None:
         raise DocumentError("one of --degree or --all is required")
-    if not 0 <= args.degree < C.terms:
+    elif not 0 <= args.degree < C.terms:
         raise DocumentError(f"degree {args.degree} outside the complex (0..{C.terms - 1})")
-    return [args.degree]
+    else:
+        degrees = [args.degree]
+    report = validate_complex(C)
+    if not report.ok:
+        raise InvalidComplex(f"invalid complex: {report}")
+    return C, labels, degrees
 
 
 def _non_negative_int(text: str) -> int:
@@ -394,8 +408,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_rdiagram(args) -> int:
-    C, labels = load_document(_read_input(args.input))
-    degrees = _degree_list(C, args)
+    C, labels, degrees = _load_complex(args)
     presentations = homology_presentations(C, degrees)
     payloads = [_rdiagram_payload(n, pres, labels, args.trace) for n, pres in zip(degrees, presentations)]
     if args.format == "json":
@@ -409,8 +422,7 @@ def cmd_rdiagram(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    C, labels = load_document(_read_input(args.input))
-    degrees = _degree_list(C, args)
+    C, labels, degrees = _load_complex(args)
     rows = []
     agree_all = True
     for n, pres in zip(degrees, homology_presentations(C, degrees)):
@@ -529,15 +541,15 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (HypothesisViolation, AssertionError, ArithmeticError) as exc:
-        # HypothesisViolation is a ValueError, but its message names a failed
-        # reduction hypothesis: a bug, not bad input
+    except InvalidComplex as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, AssertionError, ArithmeticError) as exc:
+        # the input was checked before the pipeline ran, so any other failure,
+        # a failed reduction hypothesis included, is a bug
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         print("reproducer: rerun with the same input document", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

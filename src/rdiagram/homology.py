@@ -9,7 +9,9 @@ R-diagram.  A closed-form evaluation of the reduced components from the
 same presentation, without diagram quotients, checks the reduction; it
 shares the memoised ``kernel_lattice``, Lbar, ``lift_span`` and
 ``quotient_by`` with ``reduce_combined``, so it is not independent of it.
-The requested degrees of a complex are built in one validated pass.
+The complex's validation report and each matrix's kernel basis are kept
+on the objects, so a complex is validated once and each differential's
+kernels are taken once, however many degrees or calls read them.
 
 The canonical presentation here is strictly more general than building
 Q from the diagonal and one-sided generator families alone: their span can
@@ -22,7 +24,7 @@ kernel lattice on every construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .intlinalg import (
@@ -63,27 +65,22 @@ __all__ = [
 ]
 
 
-def congruent_kernel_lattice(
-    p: int,
-    d1: IntMatrix,
-    d2: IntMatrix,
-    kernels: tuple[Lattice, Lattice],
-) -> Lattice:
+def congruent_kernel_lattice(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
     """The lattice {(u, v) : d1 u = 0, d2 v = 0, u = v mod p}.
 
     This is the brute-force model of ker d inside Z^m + Z^m, used as the
-    reference the canonical presentation is checked against.  ``kernels``
-    are ``kernel_basis(d1)`` and ``kernel_basis(d2)``, with basis matrices
-    K1 and K2.  Every pair is (K1 x, K2 y) for integer x, y, and it is
-    congruent exactly when [K1 | -K2] (x, y) = 0 mod p; so the lattice is
-    the image under K1 + K2 of that F_p kernel, lifted, which one echelon
-    form over F_p and one small normal form give.  ``p`` must already be a
-    validated prime.
+    reference the canonical presentation is checked against.  With K1 and
+    K2 the basis matrices of ``kernel_basis(d1)`` and ``kernel_basis(d2)``,
+    every pair is (K1 x, K2 y) for integer x, y, and it is congruent
+    exactly when [K1 | -K2] (x, y) = 0 mod p; so the lattice is the image
+    under K1 + K2 of that F_p kernel, lifted, which one echelon form over
+    F_p and one small normal form give.  ``p`` must already be a validated
+    prime.
     """
     if d1.cols != d2.cols or d1.rows != d2.rows:
         raise ValueError("the pair must share shapes")
     m = d1.cols
-    K1, K2 = (ker.basis_matrix() for ker in kernels)
+    K1, K2 = (kernel_basis(d).basis_matrix() for d in (d1, d2))
     rows = [r1 + tuple(-x for x in r2) for r1, r2 in zip(K1.entries, K2.entries)]
     r1 = K1.cols
     pairs = lift_kernel(p, rows, r1 + K2.cols)
@@ -105,6 +102,7 @@ class ChainComplexR:
     p: int
     degrees: Sequence[tuple[IntMatrix, IntMatrix]]
     ranks: Sequence[int] | None = None
+    _report: ComplexReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_prime(self.p)
@@ -163,7 +161,9 @@ class ComplexReport:
 
 
 def validate_complex(C: ChainComplexR) -> ComplexReport:
-    """Check the mod-p congruence and d after d = 0, per degree and entry."""
+    """Check the mod-p congruence and d after d = 0, per degree and entry, once per complex."""
+    if C._report is not None:
+        return C._report
     failures = []
     for k, (d1, d2) in enumerate(C.degrees):
         for i in range(d1.rows):
@@ -177,37 +177,34 @@ def validate_complex(C: ChainComplexR) -> ComplexReport:
                 for j in range(comp.cols):
                     if comp.entries[i][j]:
                         failures.append((label, k, (i, j)))
-    return ComplexReport(tuple(failures))
+    object.__setattr__(C, "_report", ComplexReport(tuple(failures)))
+    return C._report
 
 
-def kernel_split(f: IntMatrix, g: IntMatrix, ker_f: Lattice) -> tuple[list, list]:
-    """Split ker f = K + U with K = ker f ∩ ker g, both parts free.
+def kernel_split(ker: Lattice, inner: Lattice) -> tuple[list, list]:
+    """Split ``ker = K + U`` along the coordinate lattice ``inner``, both parts free.
 
-    The coordinates of K inside ker f form a saturated sublattice, so a
-    Smith transform of its basis yields a unimodular change of basis of
-    the coordinate space whose leading columns span K and whose trailing
-    columns span a genuine integral complement: the columns of ``U^-1``
-    for ``D = U @ M @ V``, which the Smith kernel carries along.  Both the
-    sum equality and the zero intersection are verified before returning;
+    ``inner`` is a saturated sublattice of Z^r, r the rank of ``ker``: the
+    coordinates of K in ``ker``'s basis.  A Smith transform of its basis
+    yields a unimodular change of basis of the coordinate space whose
+    leading columns span ``inner`` and whose trailing columns span a
+    genuine integral complement: the columns of ``U^-1`` for
+    ``D = U @ M @ V``, which the Smith kernel carries along.  Both the sum
+    equality and the zero intersection are verified before returning;
     given the sum, the intersection is zero exactly when the ranks add up,
-    as ranks of subgroups of Z^n add like dimensions over Q.  ``ker_f`` is
-    ``kernel_basis(f)``.
+    as ranks of subgroups of Z^n add like dimensions over Q.
     """
-    if f.cols != g.cols:
-        raise ValueError("the two maps must share their domain")
-    r = ker_f.rank
-    Bmat = ker_f.basis_matrix()
-    inner = kernel_basis(g @ Bmat)
+    r = ker.rank
+    Bmat = ker.basis_matrix()
     s = inner.rank
     uinv = [[int(i == j) for j in range(r)] for i in range(r)]
     _snf_in_place([list(row) for row in inner.basis_matrix().entries], s, uinv=uinv)
     cols = list(zip(*uinv))
     K = [tuple(Bmat.mul_vec(c)) for c in cols[:s]]
     Ub = [tuple(Bmat.mul_vec(c)) for c in cols[s:]]
-    ambient = f.cols
-    ksp = Lattice.from_generators(ambient, K)
-    usp = Lattice.from_generators(ambient, Ub)
-    if ksp.sum(usp) != ker_f or ksp.rank + usp.rank != ker_f.rank:
+    ksp = Lattice.from_generators(ker.ambient, K)
+    usp = Lattice.from_generators(ker.ambient, Ub)
+    if ksp.sum(usp) != ker or ksp.rank + usp.rank != r:
         raise AssertionError("kernel splitting failed to be a direct sum")
     return K, Ub
 
@@ -230,16 +227,14 @@ class GeneratorSets:
             object.__setattr__(self, f.name, tuple(map(tuple, getattr(self, f.name))))
 
 
-def generator_sets(
-    d1: IntMatrix,
-    d2: IntMatrix,
-    p: int,
-    kernels: tuple[Lattice, Lattice],
-) -> GeneratorSets:
+def generator_sets(d1: IntMatrix, d2: IntMatrix, p: int) -> GeneratorSets:
     """Compute the generator families of a congruent pair.
 
     Raises ``ValueError`` unless d1 and d2 share their shape and agree
-    mod p.  ``kernels`` are ``kernel_basis(d1)`` and ``kernel_basis(d2)``.
+    mod p.  v12 and v1 split ker d1 along the kernel of d2 on ker d1's
+    basis, the one kernel of a product.  ker d2 is split along v12's
+    coordinates in its basis, read by back-substitution; being canonical,
+    that lattice equals the kernel of d1 on ker d2's basis.
     """
     p = validate_prime(p)
     if (d1.rows, d1.cols) != (d2.rows, d2.cols):
@@ -248,12 +243,12 @@ def generator_sets(
         for j, (x, y) in enumerate(zip(r1, r2)):
             if (x - y) % p:
                 raise ValueError(f"the pair is not congruent mod {p} at entry ({i}, {j})")
-    m = d1.cols
-    ker1, ker2 = kernels
-    v12, v1 = kernel_split(d1, d2, ker1)
-    v12b, v2 = kernel_split(d2, d1, ker2)
-    if Lattice.from_generators(m, v12) != Lattice.from_generators(m, v12b):
-        raise AssertionError("the two kernel splits disagree on the intersection")
+    ker1, ker2 = kernel_basis(d1), kernel_basis(d2)
+    v12, v1 = kernel_split(ker1, kernel_basis(d2 @ ker1.basis_matrix()))
+    coords = [ker2.solve(v) for v in v12]
+    if None in coords:
+        raise AssertionError("the kernel intersection is not inside ker d2")
+    _, v2 = kernel_split(ker2, Lattice.from_generators(ker2.rank, coords))
     return GeneratorSets(v12, v1, v2)
 
 
@@ -261,28 +256,18 @@ def generator_sets(
 class CanonicalKernel:
     """Separated diagram of ker d together with its construction data.
 
-    ``plain_form`` records whether the plain generator families already
-    span the kernel (no mixed classes were needed); the embedded pullback
-    equals the brute-force kernel lattice, ``separation.module_lattice``,
-    either way.  ``kernels`` are ``kernel_basis(d1)`` and
-    ``kernel_basis(d2)``.
+    ``mixed`` is empty when the plain generator families already span the
+    kernel; the embedded pullback equals the brute-force kernel lattice,
+    ``separation.module_lattice``, either way.
     """
 
     separation: Separation
     sets: GeneratorSets
     mixed: tuple
-    kernels: tuple[Lattice, Lattice]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mixed", tuple(self.mixed))
 
     @property
     def diagram(self) -> PullbackDiagram:
         return self.separation.diagram
-
-    @property
-    def plain_form(self) -> bool:
-        return not self.mixed
 
 
 def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> CanonicalKernel:
@@ -292,12 +277,12 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
     mixed classes (one per dimension by which the reduced kernels meet
     beyond the reduced intersection), then p-scaled one-sided classes.
     The pullback of the resulting diagram, embedded back into Z^m + Z^m,
-    is asserted to equal the kernel lattice exactly.  The kernels of d1 and
-    d2 are computed once here, for the generator sets and the kernel lattice.
+    is asserted to equal the kernel lattice exactly.  The generator sets and
+    the kernel lattice read the same kernels of d1 and d2, kept on the
+    matrices.
     """
     p = validate_prime(p)
-    kernels = (kernel_basis(d1), kernel_basis(d2))
-    gs = generator_sets(d1, d2, p, kernels)
+    gs = generator_sets(d1, d2, p)
     m = d1.cols
     v1full = list(gs.v12) + list(gs.v1)
     v2full = list(gs.v12) + list(gs.v2)
@@ -322,11 +307,11 @@ def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> Canon
         + [tuple(p * x for x in v) + (0,) * m for v in gs.v1]
         + [(0,) * m + tuple(p * x for x in v) for v in gs.v2]
     )
-    lat = congruent_kernel_lattice(p, d1, d2, kernels)
+    lat = congruent_kernel_lattice(p, d1, d2)
     sep = separate_presented(p, m, m, lat, Lattice.zero(2 * m), generators=gens)
     if sep.embedded_pullback_lattice() != lat:
         raise AssertionError("embedded pullback differs from the kernel lattice")
-    return CanonicalKernel(sep, gs, mixed, kernels)
+    return CanonicalKernel(sep, gs, tuple(mixed))
 
 
 def rewrite_differential(
@@ -339,8 +324,8 @@ def rewrite_differential(
     substitution through the factorisation of each side that the
     separation keeps, so no normal form runs here; failure to solve means
     the image is not in the kernel (an invalid complex) and raises with
-    the offending column.  The bar component is computed along both
-    structure-map routes, which must agree.
+    the offending column.  The bar component is read along side 1; the
+    morphism's own square-2 check compares it with side 2's route.
     """
     d1p, d2p = d_prev
     sep = canon.separation
@@ -358,9 +343,6 @@ def rewrite_differential(
     m1 = IntMatrix.from_cols(cols1, rows=D.M1.gens)
     m2 = IntMatrix.from_cols(cols2, rows=D.M2.gens)
     fbar = D.p1 @ FpMatrix.from_int(m1, p)
-    other = D.p2 @ FpMatrix.from_int(m2, p)
-    if fbar != other:
-        raise AssertionError("the two routes to the bar component disagree")
     f1 = ModuleMap(K.M1, D.M1, m1)
     f2 = ModuleMap(K.M2, D.M2, m2)
     return DiagramMorphism(K, D, f1, f2, fbar)
@@ -369,10 +351,9 @@ def rewrite_differential(
 def homology_presentations(C: ChainComplexR, degrees: Sequence[int]) -> list[SeparatedPresentation]:
     """Separated presentations of H^n, free source of rank C^{n-1} onto ker d, per degree.
 
-    The one place degrees are built: the complex is validated once, each
-    degree's canonical kernel and divisibility check run once, and degree
-    n reads its incoming pair's kernel bases off degree n-1's canonical
-    kernel when both are built in this pass.
+    The one place degrees are built: each degree's canonical kernel and
+    divisibility check run once, and the complex's report and its
+    matrices' kernel bases are read from the objects once computed.
     """
     for n in degrees:
         if not 0 <= n < C.terms:
@@ -380,14 +361,12 @@ def homology_presentations(C: ChainComplexR, degrees: Sequence[int]) -> list[Sep
     report = validate_complex(C)
     if not report.ok:
         raise ValueError(f"invalid complex: {report}")
-    kernels = {}  # degree -> kernel_basis of each matrix of its outgoing pair
     presentations = []
     for n in degrees:
-        canon = canonical_kernel_presentation(*C.pair(n), C.p)
-        kernels[n] = canon.kernels
-        incoming = kernels.get(n - 1) or tuple(map(kernel_basis, C.pair(n - 1)))
-        _divisibility_check(C, n, canon.sets, canon.kernels, incoming)
-        presentations.append(SeparatedPresentation(rewrite_differential(C.pair(n - 1), canon)))
+        outgoing, incoming = C.pair(n), C.pair(n - 1)
+        canon = canonical_kernel_presentation(*outgoing, C.p)
+        _divisibility_check(C.p, canon.sets, outgoing, incoming)
+        presentations.append(SeparatedPresentation(rewrite_differential(incoming, canon)))
     return presentations
 
 
@@ -477,11 +456,10 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
 
 
 def _divisibility_check(
-    C: ChainComplexR,
-    n: int,
+    p: int,
     gs_out: GeneratorSets,
-    kernels_out: tuple[Lattice, Lattice],
-    kernels_in: tuple[Lattice, Lattice],
+    outgoing: tuple[IntMatrix, IntMatrix],
+    incoming: tuple[IntMatrix, IntMatrix],
 ) -> None:
     """One-sided images of the incoming differential must be p-divisible.
 
@@ -497,22 +475,23 @@ def _divisibility_check(
     built.  The mirror side swaps the two sides.  Violation indicates
     corrupted inputs and is fatal.
 
-    ``kernels_out`` are the outgoing ``kernel_basis(d1)`` and
-    ``kernel_basis(d2)``: the kernel splits in ``generator_sets`` assert
-    that these are span(v12 + v1) and span(v12 + v2).  ``kernels_in`` are
-    ``kernel_basis(din1)`` and ``kernel_basis(din2)``.
+    Every kernel is ``kernel_basis`` of a matrix of the outgoing or the
+    incoming pair, kept on the matrix.  The outgoing ones are those
+    ``generator_sets`` split, so they are span(v12 + v1) and
+    span(v12 + v2); the incoming ones are shared with the previous
+    degree, whichever of the two is built first.
     """
-    p = C.p
-    din1, din2 = C.pair(n - 1)
+    din1, din2 = incoming
     m = din1.rows
-    for label, dmat, one_sided, kernel, sources in (
-        ("d1-image of a side-2 generator", din1, gs_out.v1, kernels_out[0], kernels_in[1]),
-        ("d2-image of a side-1 generator", din2, gs_out.v2, kernels_out[1], kernels_in[0]),
+    for label, dmat, one_sided, dout, dsource in (
+        ("d1-image of a side-2 generator", din1, gs_out.v1, outgoing[0], din2),
+        ("d2-image of a side-1 generator", din2, gs_out.v2, outgoing[1], din1),
     ):
+        kernel = kernel_basis(dout)
         divisible = Lattice.from_generators(
             m, gs_out.v12 + tuple(tuple(p * x for x in v) for v in one_sided)
         )
-        for vec in sources.basis:
+        for vec in kernel_basis(dsource).basis:
             image = dmat.mul_vec(vec)
             if any(x % p for x in image):
                 raise ArithmeticError(f"{label} is not divisible by {p}: {image}")

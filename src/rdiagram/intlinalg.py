@@ -43,6 +43,9 @@ Conventions the rest of the package relies on:
   nonnegative, each diagonal entry dividing the next.  Its in-place
   kernel carries any of ``U``, ``V`` and ``U^-1`` that the caller asks
   for; ``ZModulePresentation.normal_form`` asks for none.
+* ``kernel_basis(M)`` is computed once per matrix object and kept on it,
+  outside ``==``, ``hash`` and ``repr``, as ``FpMatrix`` and ``ModuleMap``
+  keep theirs; an equal matrix built anew gets its own evaluation.
 
 Sublattices of ``Z^n`` are represented by ``Lattice``: ambient rank plus
 the canonical HNF basis with zero columns dropped.  Membership tests and
@@ -83,6 +86,8 @@ class IntMatrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+    # unset until ``kernel_basis`` fills it: a default would cost every construction
+    _kernel: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -606,9 +611,14 @@ def kernel_basis(M: IntMatrix) -> Lattice:
 
     The canonical form of ``M`` stacked over an identity block: columns
     whose top part vanishes record, in the bottom part, integer
-    combinations of the original columns that cancel.
+    combinations of the original columns that cancel.  It is computed
+    once per matrix and kept on it.
     """
-    return preimage_lattice(M, Lattice.zero(M.rows))
+    cached = getattr(M, "_kernel", None)
+    if cached is None:
+        cached = preimage_lattice(M, Lattice.zero(M.rows))
+        object.__setattr__(M, "_kernel", cached)
+    return cached
 
 
 def lattice_intersection(A: Lattice, B: Lattice) -> Lattice:

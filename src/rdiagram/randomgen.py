@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .intlinalg import IntMatrix, Lattice, kernel_basis
+from .intlinalg import IntMatrix, Lattice
 from .presentations import ModuleMap
 from .fplinalg import FpMatrix
 from .pullback import DiagramMorphism, LatticeRModule, _matching_lattice, separate
@@ -146,9 +146,7 @@ def random_complex_differentials(
     diffs: list[tuple[IntMatrix, IntMatrix] | None] = [None] * (n - 1)
     diffs[n - 2] = random_congruent_pair(rng, p, sizes[n - 1], sizes[n - 2], bound)
     for k in range(n - 3, -1, -1):
-        nxt1, nxt2 = diffs[k + 1]
-        kernels = (kernel_basis(nxt1), kernel_basis(nxt2))
-        pairs = congruent_kernel_lattice(p, nxt1, nxt2, kernels)
+        pairs = congruent_kernel_lattice(p, *diffs[k + 1])
         m = sizes[k + 1]
         cols1, cols2 = [], []
         for _ in range(sizes[k]):

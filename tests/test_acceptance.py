@@ -199,9 +199,7 @@ def test_criterion_5_canonical_kernel_presentations():
             rng, p, rng.randint(1, 6), rng.randint(1, 6), bound=3
         )
         canon = canonical_kernel_presentation(d1, d2, p)
-        assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(
-            p, d1, d2, (kernel_basis(d1), kernel_basis(d2))
-        )
+        assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(p, d1, d2)
     _announce(
         5,
         "embedded pullback equals the brute-force kernel lattice",
@@ -329,10 +327,9 @@ def test_criterion_10_divisibility_assertion(complex_corpus):
     checked = 0
     for C, per_degree in complex_corpus:
         for n, _, _ in per_degree:
-            dout1, dout2 = C.pair(n)
-            canon = canonical_kernel_presentation(dout1, dout2, C.p)
-            incoming = tuple(map(kernel_basis, C.pair(n - 1)))
-            _divisibility_check(C, n, canon.sets, canon.kernels, incoming)  # fatal if violated
+            outgoing = C.pair(n)
+            canon = canonical_kernel_presentation(*outgoing, C.p)
+            _divisibility_check(C.p, canon.sets, outgoing, C.pair(n - 1))  # fatal if violated
             checked += 1
     _announce(
         10,

@@ -412,22 +412,56 @@ class TestRDiagramCommand:
         assert main(["rdiagram", write(tmp_path, doc), "--degree", "0"]) == 1
 
 
+@pytest.mark.parametrize("command", ["rdiagram", "invariants"])
+class TestExitCodes:
+    """An invalid complex is bad input; any failure on a valid one is a bug."""
+
+    def test_invalid_complex_exits_1_with_its_report(self, command, tmp_path, capsys):
+        doc = {"p": 2, "differentials": [{"d1": [[1]], "d2": [[0]]}]}
+        assert main([command, write(tmp_path, doc), "--all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid complex: ComplexReport([('congruence', 0, (0, 0))])\n"
+
+    def test_pipeline_fault_on_a_valid_complex_is_internal(self, command, monkeypatch, tmp_path, capsys):
+        # a quotient that drops its extra generators breaks a map's well-definedness
+        monkeypatch.setattr(presentations.ZModulePresentation, "quotient_by", lambda self, extra: self)
+        assert main([command, write(tmp_path, WORKED), "--all"]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency failure: map does not carry source relations" in err
+        assert "reproducer: rerun with the same input document" in err
+
+    def test_square_2_fault_is_internal(self, command, monkeypatch, tmp_path, capsys):
+        # one more on a side-2 coordinate moves its bar image
+        real = pullback.Separation.class_coordinates
+
+        def corrupted(self, vectors, side):
+            cols = real(self, vectors, side)
+            return [(cols[0][0] + 1,) + cols[0][1:]] + cols[1:] if side == 2 and cols else cols
+
+        monkeypatch.setattr(pullback.Separation, "class_coordinates", corrupted)
+        assert main([command, write(tmp_path, WORKED), "--all"]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency failure: square 2 does not commute" in err
+        assert "reproducer: rerun with the same input document" in err
+
+
 # calls per degree built alone: each builder runs once, and only reduce_combined reduces
 PER_DEGREE = {
     "canonical_kernel_presentation": 1,
-    "validate_complex": 1,
     "generator_sets": 1,
-    "kernel_basis": 6,
     "reduce_K": 0,
     "reduce_barf": 0,
     "reduce_monos": 0,
 }
+# these keep their result on their argument; a call that finds it kept is not counted
+MEMO_FIELDS = {"validate_complex": "_report", "kernel_basis": "_kernel"}
 
 
 @pytest.fixture
 def build_counts(monkeypatch):
     """Count the calls that build and reduce a degree's presentation."""
-    counts = dict.fromkeys(PER_DEGREE, 0)
+    counts = dict.fromkeys([*PER_DEGREE, *MEMO_FIELDS], 0)
     for module in (homology, reduction, cli):
         for name in counts:
             if not hasattr(module, name):
@@ -435,7 +469,9 @@ def build_counts(monkeypatch):
             original = getattr(module, name)
 
             def shim(*args, _name=name, _original=original):
-                counts[_name] += 1
+                memo = MEMO_FIELDS.get(_name)
+                if memo is None or getattr(args[0], memo, None) is None:
+                    counts[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(module, name, shim)
@@ -445,11 +481,6 @@ def build_counts(monkeypatch):
 @pytest.mark.parametrize("flags", [["rdiagram"], ["rdiagram", "--trace"], ["invariants"]])
 def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
     diffs = random_complex_differentials(random.Random(7), 3, [2, 3, 2], bound=2)
-    C = homology.ChainComplexR(3, diffs)
-    for n in range(C.terms):
-        build_counts.update(dict.fromkeys(build_counts, 0))
-        homology.homology_rdiagram(C, n)
-        assert build_counts == PER_DEGREE
     doc = {
         "p": 3,
         "differentials": [
@@ -457,13 +488,22 @@ def test_each_degree_is_built_once(build_counts, flags, tmp_path, capsys):
             for d1, d2 in diffs
         ],
     }
+    # parsed anew, so no kernel of its matrices has been taken yet
+    C, _ = load_document(json.dumps(doc))
+    build_counts.update(dict.fromkeys(build_counts, 0))
+    for n in range(C.terms):
+        before = dict(build_counts)
+        homology.homology_rdiagram(C, n)
+        assert {name: build_counts[name] - before[name] for name in PER_DEGREE} == PER_DEGREE
+    # the complex is validated once; each differential has its two kernel
+    # bases taken once, each zero pair at either end one (both of its sides
+    # are one matrix), and each degree takes one inner kernel
+    per_run = {name: k * C.terms for name, k in PER_DEGREE.items()}
+    per_run.update(validate_complex=1, kernel_basis=2 * (C.terms - 1) + 2 + C.terms)
+    assert build_counts == per_run
     build_counts.update(dict.fromkeys(build_counts, 0))
     assert main([*flags, write(tmp_path, doc), "--all"]) == 0
     assert len(json.loads(capsys.readouterr().out)["degrees"]) == C.terms
-    # one pass over the complex validates it once, and takes the kernel bases
-    # of each differential's pair once: degree n reuses degree n-1's
-    per_run = {name: k * C.terms for name, k in PER_DEGREE.items()}
-    per_run.update(validate_complex=1, kernel_basis=6 * C.terms - 2 * (C.terms - 1))
     assert build_counts == per_run
 
 

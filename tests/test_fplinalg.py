@@ -29,7 +29,7 @@ from rdiagram.homology import (
     generator_sets,
     homology_rdiagram,
 )
-from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis, preimage_lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
@@ -715,7 +715,7 @@ def test_pipeline_entry_points_reject_a_composite_modulus():
         lambda q: ChainComplexR(q, [(Z, Z)]),
         lambda q: LatticeRModule(q, 1, 1, Lattice.full(2)),
         lambda q: quotient_ring_check(q),
-        lambda q: generator_sets(Z, Z, q, (kernel_basis(Z), kernel_basis(Z))),
+        lambda q: generator_sets(Z, Z, q),
         lambda q: canonical_kernel_presentation(Z, Z, q),
         lambda q: free_diagram(q, 1),
         lambda q: separate_presented(q, 1, 1, Lattice.full(2), Lattice.zero(2)),

@@ -56,6 +56,26 @@ def two_by_two(p):
     return rows([[2, 0]]), rows([[0, 2]])
 
 
+def count_kernel_evaluations(monkeypatch):
+    """The matrices whose kernel basis ``homology`` evaluates; memo hits are left out."""
+    evaluations = []
+    real = homology.kernel_basis
+
+    def counting(M):
+        if getattr(M, "_kernel", None) is None:
+            evaluations.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "kernel_basis", counting)
+    return evaluations
+
+
+def fresh(C):
+    """A copy of ``C`` on newly built matrices, whose kernels nobody has taken yet."""
+    degrees = [tuple(IntMatrix.from_rows(d.entries, cols=d.cols) for d in pair) for pair in C.degrees]
+    return ChainComplexR(C.p, degrees, ranks=C.ranks)
+
+
 class TestChainComplexR:
     def test_shapes_must_chain(self):
         with pytest.raises(ValueError, match="chain"):
@@ -107,48 +127,78 @@ class TestValidateComplex:
         assert kinds == {("composition-d1", 0), ("composition-d2", 0)}
 
 
+def split_along(f, g):
+    """Split ker f along ker f ∩ ker g, whose coordinates are the kernel of g on ker f's basis."""
+    ker = kernel_basis(f)
+    return kernel_split(ker, kernel_basis(g @ ker.basis_matrix()))
+
+
+def two_split_sets(d1, d2):
+    """The generator families from one split of each kernel along the other matrix."""
+    v12, v1 = split_along(d1, d2)
+    _, v2 = split_along(d2, d1)
+    return tuple(map(tuple, v12)), tuple(map(tuple, v1)), tuple(map(tuple, v2))
+
+
 class TestKernelSplit:
     def test_transverse_kernels(self):
-        f = rows([[1, 0]])
-        K, U = kernel_split(f, rows([[0, 1]]), kernel_basis(f))
+        K, U = split_along(rows([[1, 0]]), rows([[0, 1]]))
         assert K == []
         assert U == [(0, 1)]
 
     def test_zero_against_projection(self):
-        f = rows([[0, 0]])
-        K, U = kernel_split(f, rows([[1, 0]]), kernel_basis(f))
+        K, U = split_along(rows([[0, 0]]), rows([[1, 0]]))
         assert K == [(0, 1)]
         assert U == [(1, 0)]
 
     def test_equal_maps_put_everything_in_K(self):
         f = rows([[2, 4]])
-        K, U = kernel_split(f, f, kernel_basis(f))
+        K, U = split_along(f, f)
         assert U == []
         assert Lattice.from_generators(2, K) == kernel_basis(f)
-
-    def test_domain_mismatch(self):
-        with pytest.raises(ValueError, match="domain"):
-            kernel_split(rows([[1, 0]]), rows([[1]]), Lattice.full(2))
 
 
 class TestGeneratorSets:
     def test_zero_maps_make_everything_diagonal(self):
         z = rows([[0, 0]])
-        gs = generator_sets(z, z, 3, (kernel_basis(z), kernel_basis(z)))
+        gs = generator_sets(z, z, 3)
         assert gs.v12 == ((1, 0), (0, 1))
         assert gs.v1 == () and gs.v2 == ()
 
     def test_running_example(self):
         d1, d2 = two_by_two(2)
-        gs = generator_sets(d1, d2, 2, (kernel_basis(d1), kernel_basis(d2)))
+        gs = generator_sets(d1, d2, 2)
         assert gs.v12 == ()
         assert gs.v1 == ((0, 1),)
         assert gs.v2 == ((1, 0),)
 
     def test_identity_differential_kills_all_sets(self):
         eye = IntMatrix.identity(2)
-        gs = generator_sets(eye, eye, 5, (kernel_basis(eye), kernel_basis(eye)))
+        gs = generator_sets(eye, eye, 5)
         assert gs.v12 == () and gs.v1 == () and gs.v2 == ()
+
+    def test_one_product_kernel_per_call(self, monkeypatch):
+        # the intersection comes from the kernel of d2 on ker d1's basis alone;
+        # side 2 reads v12's coordinates in ker d2's basis instead of a second one
+        d1, d2 = rows([[2, 0, 1], [0, 0, 0]]), rows([[0, 0, 1], [2, 0, 0]])
+        evaluations = count_kernel_evaluations(monkeypatch)
+        gs = generator_sets(d1, d2, 2)
+        assert evaluations == [d1, d2, d2 @ kernel_basis(d1).basis_matrix()]
+        assert (gs.v12, gs.v1, gs.v2) == two_split_sets(d1, d2)
+
+    def test_intersection_outside_ker_d2_is_fatal(self, monkeypatch):
+        # side 1's split must hand side 2 vectors of ker d2; a corrupted one
+        # has no coordinates in its basis
+        d1, d2 = two_by_two(2)
+        real = homology.kernel_split
+
+        def corrupted(ker, inner):
+            K, U = real(ker, inner)
+            return (K + [(0, 1)], U) if ker is kernel_basis(d1) else (K, U)
+
+        monkeypatch.setattr(homology, "kernel_split", corrupted)
+        with pytest.raises(AssertionError, match="not inside ker d2"):
+            generator_sets(d1, d2, 2)
 
 
 class TestCanonicalKernel:
@@ -161,7 +211,7 @@ class TestCanonicalKernel:
         assert D.M2.gens == free.M2.gens and D.M2.relations == free.M2.relations
         assert D.mbar_dim == free.mbar_dim
         assert D.p1 == free.p1 and D.p2 == free.p2
-        assert canon.plain_form
+        assert not canon.mixed
 
     def test_running_example_components(self):
         d1, d2 = two_by_two(2)
@@ -172,7 +222,7 @@ class TestCanonicalKernel:
         expected = Lattice.from_generators(4, [(0, 2, 0, 0), (0, 0, 2, 0)])
         assert canon.separation.module_lattice == expected
         assert canon.separation.embedded_pullback_lattice() == expected
-        assert canon.plain_form
+        assert not canon.mixed
 
     def test_identity_differential_gives_zero_diagram(self):
         eye = IntMatrix.identity(2)
@@ -187,7 +237,6 @@ class TestCanonicalKernel:
         d1 = rows([[1, -1]])
         d2 = rows([[1, 1]])
         canon = canonical_kernel_presentation(d1, d2, 2)
-        assert not canon.plain_form
         assert len(canon.mixed) == 1
         plain = [v + v for v in canon.sets.v12]
         plain += [tuple(2 * x for x in v) + (0, 0) for v in canon.sets.v1]
@@ -217,65 +266,85 @@ class TestCanonicalKernel:
             assert is_separated(canon.diagram).separated
 
 
-def check_divisibility(C, n, gs):
-    """The divisibility check with outgoing kernels span(v12 + v1), span(v12 + v2)."""
-    spans = tuple(Lattice.from_generators(C.rank(n), gs.v12 + v) for v in (gs.v1, gs.v2))
-    _divisibility_check(C, n, gs, spans, tuple(map(kernel_basis, C.pair(n - 1))))
-
-
 class TestDivisibilityCheck:
     def test_image_outside_an_empty_kernel_basis_is_fatal(self):
-        # v2 = (1,) has d1-image (2,): divisible by p, but no kernel generator spans it
-        C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
+        # v2 = (1,) has d1-image (2,): divisible by p, but the outgoing [1]
+        # has no kernel to hold it
+        one = rows([[1]])
         with pytest.raises(ArithmeticError, match="outside the kernel"):
-            check_divisibility(C, 1, GeneratorSets([], [], []))
+            _divisibility_check(2, GeneratorSets([], [], []), (one, one), (rows([[2]]), rows([[0]])))
 
     def test_non_divisible_one_sided_coordinate_is_fatal(self):
         # the same image (2,) on the one-sided generator (2,) has coordinate 1
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            check_divisibility(C, 1, GeneratorSets([], [(2,)], []))
+            _divisibility_check(2, GeneratorSets([], [(2,)], []), C.pair(1), C.pair(0))
 
     def test_mirror_side_non_divisible_coordinate_is_fatal(self):
         # swapped sides: the d2-image (2,) of a side-1 generator on v2 = (2,)
         C = ChainComplexR(2, [(rows([[0]]), rows([[2]]))])
         with pytest.raises(ArithmeticError, match="not divisible"):
-            check_divisibility(C, 1, GeneratorSets([], [], [(2,)]))
+            _divisibility_check(2, GeneratorSets([], [], [(2,)]), C.pair(1), C.pair(0))
 
 
 def test_divisibility_check_reuses_the_outgoing_kernels(monkeypatch):
-    # the check reads every kernel it tests off the canonical kernels it is
-    # handed: it builds only the two divisible lattices and takes no kernel
-    # basis, and a pass over all degrees hands degree n-1's kernels to
-    # degree n, two kernel bases fewer per shared differential
-    C = ChainComplexR(3, random_complex_differentials(random.Random(4), 3, [2, 3, 2], bound=2))
-    lattices, kernels = [], []
-    real_lattice, real_kernel = Lattice.from_generators, homology.kernel_basis
+    # the check reads every kernel it tests off the matrices of the two
+    # pairs: once the canonical kernel of the outgoing pair is built and the
+    # incoming pair's kernels are taken, it builds only the two divisible
+    # lattices and evaluates no kernel basis
+    C = fresh(ChainComplexR(3, random_complex_differentials(random.Random(4), 3, [2, 3, 2], bound=2)))
+    lattices = []
+    real_lattice = Lattice.from_generators
     monkeypatch.setattr(
         Lattice, "from_generators", staticmethod(lambda *a: lattices.append(a) or real_lattice(*a))
     )
-    monkeypatch.setattr(homology, "kernel_basis", lambda M: kernels.append(M) or real_kernel(M))
-    one_by_one = 0
+    evaluations = count_kernel_evaluations(monkeypatch)
     for n in range(C.terms):
-        canon = canonical_kernel_presentation(*C.pair(n), C.p)
-        assert canon.kernels == tuple(map(real_kernel, C.pair(n)))
-        incoming = tuple(map(real_kernel, C.pair(n - 1)))
+        outgoing, incoming = C.pair(n), C.pair(n - 1)
+        canon = canonical_kernel_presentation(*outgoing, C.p)
+        for d in incoming:
+            kernel_basis(d)
         lattices.clear()
-        kernels.clear()
-        _divisibility_check(C, n, canon.sets, canon.kernels, incoming)
-        assert (len(lattices), len(kernels)) == (2, 0)
+        evaluations.clear()
+        _divisibility_check(C.p, canon.sets, outgoing, incoming)
+        assert (len(lattices), evaluations) == (2, [])
         lattices.clear()
-        validate_complex(C)
-        rewrite_differential(C.pair(n - 1), canonical_kernel_presentation(*C.pair(n), C.p))
+        rewrite_differential(incoming, canonical_kernel_presentation(*outgoing, C.p))
         parts = len(lattices)
         lattices.clear()
-        kernels.clear()
         homology_presentation(C, n)
         assert len(lattices) == parts + 2
-        one_by_one += len(kernels)
-    kernels.clear()
-    homology.homology_presentations(C, range(C.terms))
-    assert len(kernels) == one_by_one - 2 * (C.terms - 1)
+
+
+def test_each_differential_has_its_kernels_taken_once(monkeypatch):
+    # two kernel bases per differential, one per zero pair at either end
+    # (both of its sides are one matrix), and one inner kernel per degree;
+    # the complex is validated once, however many calls read it
+    sizes = [2, 3, 3, 3, 2]
+    base = ChainComplexR(3, random_complex_differentials(random.Random(7), 3, sizes, bound=2))
+    validations = []
+    real_validate = homology.validate_complex
+    monkeypatch.setattr(
+        homology, "validate_complex", lambda C: validations.append(C._report is None) or real_validate(C)
+    )
+    evaluations = count_kernel_evaluations(monkeypatch)
+    C = fresh(base)
+    for pres in homology.homology_presentations(C, range(C.terms)):
+        reduce_homology(pres)
+    assert len(evaluations) == 2 * len(sizes[1:]) + 2 + len(sizes) == 15
+    assert validations == [True]
+    evaluations.clear()
+    validations.clear()
+    C = fresh(base)
+    for n in range(C.terms):
+        homology_rdiagram(C, n)
+    assert len(evaluations) == 15
+    assert validations == [True] + [False] * (C.terms - 1)
+    # a complex straight from the generator has the kernels of every
+    # differential but the first taken already, by congruent_kernel_lattice
+    evaluations.clear()
+    homology.homology_presentations(base, range(base.terms))
+    assert len(evaluations) == 15 - 2 * len(sizes[2:])
 
 
 class TestRewriteDifferential:
@@ -308,6 +377,20 @@ class TestRewriteDifferential:
         m = rewrite_differential((din, din), canon)
         assert m.f1.matrix.column(0) == (1, 0)
         assert m.f2.matrix.column(0) == (1, 0)
+
+    def test_corrupted_side_2_coordinate_breaks_square_2(self, monkeypatch):
+        # the bar component is read along side 1 only; the morphism's square-2
+        # check is what catches a side-2 coordinate with the wrong bar image
+        real = pullback.Separation.class_coordinates
+
+        def corrupted(self, vectors, side):
+            cols = real(self, vectors, side)
+            return [(cols[0][0] + 1,) + cols[0][1:]] + cols[1:] if side == 2 else cols
+
+        monkeypatch.setattr(pullback.Separation, "class_coordinates", corrupted)
+        C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
+        with pytest.raises(ValueError, match="square 2 does not commute"):
+            homology_presentation(C, 1)
 
     def test_image_outside_the_kernel_is_an_expression_failure(self):
         d1, d2 = two_by_two(2)
@@ -556,7 +639,7 @@ def test_kernel_split_is_an_exact_direct_sum(p, seed):
     m = rng.randint(1, 4)
     f = random_int_matrix(rng, rng.randint(1, 3), m, bound=3)
     g = random_int_matrix(rng, rng.randint(1, 3), m, bound=3)
-    K, U = kernel_split(f, g, kernel_basis(f))
+    K, U = split_along(f, g)
     ksp = Lattice.from_generators(m, K)
     usp = Lattice.from_generators(m, U)
     assert ksp.sum(usp) == kernel_basis(f)
@@ -567,22 +650,17 @@ def test_kernel_split_is_an_exact_direct_sum(p, seed):
 @given(p=ps, seed=seeds)
 @settings(max_examples=80, deadline=None)
 def test_congruent_kernel_lattice_is_the_intersection_with_the_congruence(p, seed):
-    # the F_p kernel route against the intersection it replaced, on the
-    # kernels of a pair and on arbitrary lattices in their place
+    # the F_p kernel route against the intersection it replaced, on a
+    # congruent pair and on two unrelated matrices of one shape
     rng = random.Random(seed)
     m = rng.randint(0, 4)
-    d1, d2 = random_congruent_pair(rng, p, rng.randint(0, 3), m)
+    height = rng.randint(0, 3)
     diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
     congruent = lift_span(p, 2 * m, diagonal)
-    arbitrary = tuple(
-        Lattice.from_generators(
-            m, [[rng.randint(-5, 5) for _ in range(m)] for _ in range(rng.randint(0, m))]
-        )
-        for _ in "12"
-    )
-    for ker1, ker2 in ((kernel_basis(d1), kernel_basis(d2)), arbitrary):
-        reference = lattice_intersection(ker1.direct_sum(ker2), congruent)
-        assert congruent_kernel_lattice(p, d1, d2, (ker1, ker2)) == reference
+    unrelated = tuple(random_int_matrix(rng, height, m, bound=3) for _ in "12")
+    for d1, d2 in (random_congruent_pair(rng, p, height, m), unrelated):
+        reference = lattice_intersection(kernel_basis(d1).direct_sum(kernel_basis(d2)), congruent)
+        assert congruent_kernel_lattice(p, d1, d2) == reference
 
 
 @given(p=ps, seed=seeds)
@@ -591,11 +669,23 @@ def test_canonical_presentation_embeds_onto_the_kernel(p, seed):
     rng = random.Random(seed)
     d1, d2 = random_congruent_pair(rng, p, rng.randint(1, 3), rng.randint(1, 4))
     canon = canonical_kernel_presentation(d1, d2, p)
-    kernels = (kernel_basis(d1), kernel_basis(d2))
-    assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(
-        p, d1, d2, kernels
-    )
+    assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(p, d1, d2)
     assert is_separated(canon.diagram).separated
+
+
+@given(p=ps, seed=seeds)
+@settings(max_examples=80, deadline=None)
+def test_generator_sets_match_the_two_split_construction(p, seed):
+    # one split and a coordinate solve give the same families as splitting
+    # each kernel along the other matrix, on random congruent pairs and on
+    # the differentials of random complexes
+    rng = random.Random(seed)
+    pairs = [random_congruent_pair(rng, p, rng.randint(0, 3), rng.randint(0, 4), bound=3)]
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+    pairs += random_complex_differentials(rng, p, sizes, bound=2)
+    for d1, d2 in pairs:
+        gs = generator_sets(d1, d2, p)
+        assert (gs.v12, gs.v1, gs.v2) == two_split_sets(d1, d2)
 
 
 @given(p=ps, seed=seeds)

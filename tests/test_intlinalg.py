@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdiagram.intlinalg as intlinalg
 from rdiagram.intlinalg import (
     IntMatrix,
     _hnf_in_place,
@@ -143,6 +144,21 @@ def test_kernel_single_row():
 
 def test_kernel_zero_map():
     assert kernel_basis(IntMatrix.zeros(1, 2)) == Lattice.full(2)
+
+
+def test_kernel_is_evaluated_once_per_matrix_object(monkeypatch):
+    evaluated = []
+    real = intlinalg.preimage_lattice
+    monkeypatch.setattr(
+        intlinalg, "preimage_lattice", lambda M, L: evaluated.append(M) or real(M, L)
+    )
+    M, twin = mat([[2, -1, 0]]), mat([[2, -1, 0]])
+    K = kernel_basis(M)
+    assert kernel_basis(M) is K
+    assert evaluated == [M]
+    # an equal matrix built anew is another object, with its own evaluation
+    assert kernel_basis(twin) == K and kernel_basis(twin) is not K
+    assert len(evaluated) == 2 and evaluated[1] is twin
 
 
 def test_intersection_2z_3z():

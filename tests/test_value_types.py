@@ -2,8 +2,8 @@
 
 Six classes compare by value (their fields, memo fields excluded); the
 rest compare by identity.  Memo fields (cached normal form, separation
-report, R-diagram report, echelon form) and derived fields never take part
-in ``==``, ``hash`` or ``repr``.
+report, R-diagram report, complex report, echelon form, kernel) and
+derived fields never take part in ``==``, ``hash`` or ``repr``.
 """
 
 import dataclasses
@@ -85,7 +85,7 @@ def _build() -> dict:
         epi_conditions(m),
         C,
         validate_complex(C),
-        generator_sets(d1, d2, C.p, (kernel_basis(d1), kernel_basis(d2))),
+        generator_sets(d1, d2, C.p),
         canonical_kernel_presentation(d1, d2, C.p),
         pres,
         closed_form_components(pres),
@@ -158,6 +158,16 @@ def test_memo_fields_do_not_affect_equality_or_hash():
     before = hash(rd)
     validate_rdiagram(rd)
     assert rd._report is not None and hash(rd) == before
+
+    A, fresh = IntMatrix.from_rows([[2, 4]]), IntMatrix.from_rows([[2, 4]])
+    kernel_basis(A)
+    assert A._kernel is not None and not hasattr(fresh, "_kernel")
+    assert A == fresh and hash(A) == hash(fresh) and repr(A) == repr(fresh)
+
+    C = ChainComplexR(2, [(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[0]]))])
+    before = hash(C)
+    validate_complex(C)
+    assert C._report is not None and hash(C) == before and C == C
 
 
 def test_fp_subspace_equality_ignores_pivots():
