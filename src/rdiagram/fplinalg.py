@@ -46,17 +46,20 @@ before dividing: below that bound one call costs at most about 65 000
 divisions, and a larger modulus fails at once instead of starting a loop
 whose length grows with its square root.
 
-Integer lattices between ``p Z^n`` and ``Z^n`` are the lifts of subspaces
-of F_p^n, and ``lift_span``/``lift_kernel`` build them from an echelon
-form instead of an integer normal form: the RREF rows, with ``p e_i`` at
-the non-pivot columns, are already the canonical column HNF basis.  They
-trust the ``p`` they are given, which the caller has already validated.
+A lattice between ``p Z^n`` and ``Z^n`` is the lift of a subspace of
+F_p^n, and it stays that subspace until a lattice is actually read.
+``null_space`` is the one kernel routine, and ``FpSubspace.lift`` the one
+lift: the RREF rows, with ``p e_i`` at the non-pivot columns, are already
+the canonical column HNF basis, so no integer normal form runs.  A check
+that only compares such lattices, like the separation check, compares the
+subspaces and lifts nothing.  ``null_space`` trusts the ``p`` it is
+given, which the caller has already validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .intlinalg import IntMatrix, Lattice
@@ -68,8 +71,7 @@ __all__ = [
     "FpSubspace",
     "relative_complement",
     "quotient_projection",
-    "lift_span",
-    "lift_kernel",
+    "null_space",
 ]
 
 
@@ -133,19 +135,24 @@ def _rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], l
     return rows, pivots
 
 
-def _kernel_rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
-    """The RREF basis of ``{x : A x = 0}`` over F_p and its pivots.
+def null_space(p: int, rows: Iterable[Sequence[int]], width: int) -> "FpSubspace":
+    """The subspace ``{x in F_p^width : A x = 0}``, A given by integer rows.
 
-    ``rows`` are A's rows, reduced mod p; they are reversed in place and
-    brought to RREF, one elimination in all.  With the columns reversed,
-    the null vector of a free column c has its 1 at c and its other
-    entries only at pivot columns to the right of c in the original
-    order.  So, taken by increasing c, the null vectors are already in
-    RREF with the free columns as pivots.
+    Its ``lift()`` is ``preimage_lattice(A, Lattice.scaled_full(rows, p))``.
+    ``p`` must already be a validated prime.
+
+    The rows, reduced mod p and reversed, are brought to RREF, one
+    elimination in all.  With the columns reversed, the null vector of a
+    free column c has its 1 at c and its other entries only at pivot
+    columns to the right of c in the original order.  So, taken by
+    increasing c, the null vectors are already in RREF with the free
+    columns as pivots.
     """
-    for r in rows:
-        r.reverse()
-    rows, pivots = _rref(p, rows, width)
+    a = [[index(x) % p for x in reversed(r)] for r in rows]
+    for r in a:
+        if len(r) != width:
+            raise ValueError("row has wrong length")
+    a, pivots = _rref(p, a, width)
     top = width - 1
     bound = set(pivots)
     basis, free = [], []
@@ -155,14 +162,14 @@ def _kernel_rref(p: int, rows: list[list[int]], width: int) -> tuple[list[list[i
             continue
         v = [0] * width
         v[c] = 1
-        for row, pc in zip(rows, pivots):
+        for row, pc in zip(a, pivots):
             if pc > rc:
                 break
             if row[rc]:
                 v[top - pc] = p - row[rc]
-        basis.append(v)
+        basis.append(tuple(v))
         free.append(c)
-    return basis, free
+    return FpSubspace._derived(p, width, tuple(basis), tuple(free))
 
 
 def _mul_entries(p: int, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
@@ -174,53 +181,6 @@ def _mul_entries(p: int, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sum(map(mul, row, col)) % p for col in bcols) for row in a)
 
 
-def _lift_rref(p: int, ambient: int, rows: list[list[int]], pivots: list[int]) -> Lattice:
-    """The lattice lift(span of the RREF ``rows``) + p Z^ambient, canonically.
-
-    Column i is the row with pivot i, or ``p e_i`` where there is none.
-    Pivots are 1 or p and increase; an RREF row is zero at the other
-    pivots and in ``[0, p)`` elsewhere, so the entries beside each pivot
-    are already reduced as the canonical column HNF requires.
-    """
-    basis = []
-    r = 0
-    for i in range(ambient):
-        if r < len(pivots) and pivots[r] == i:
-            basis.append(tuple(rows[r]))
-            r += 1
-        else:
-            basis.append(tuple(p if t == i else 0 for t in range(ambient)))
-    return Lattice(ambient, tuple(basis))
-
-
-def lift_span(p: int, ambient: int, vecs: Iterable[Sequence[int]]) -> Lattice:
-    """The integer lattice ``lift(span of vecs mod p) + p Z^ambient``.
-
-    Equal to ``Lattice.from_generators`` on ``vecs`` and the ``p e_i``,
-    read off one echelon form.  ``p`` must already be a validated prime.
-    """
-    rows = [[int(x) % p for x in v] for v in vecs]
-    for v in rows:
-        if len(v) != ambient:
-            raise ValueError("vector has wrong length")
-    rows, pivots = _rref(p, rows, ambient)
-    return _lift_rref(p, ambient, rows, pivots)
-
-
-def lift_kernel(p: int, rows: Iterable[Sequence[int]], width: int) -> Lattice:
-    """The integer lattice ``{x in Z^width : A x = 0 mod p}``, A given by rows.
-
-    Equal to ``preimage_lattice(A, Lattice.scaled_full(rows, p))``: the
-    kernel of A over F_p, lifted and summed with ``p Z^width``.  ``p``
-    must already be a validated prime.
-    """
-    a = [[int(x) % p for x in r] for r in rows]
-    for r in a:
-        if len(r) != width:
-            raise ValueError("row has wrong length")
-    return _lift_rref(p, width, *_kernel_rref(p, a, width))
-
-
 @dataclass(frozen=True, slots=True)
 class FpMatrix:
     """A dense immutable matrix over F_p with entries in ``[0, p)``."""
@@ -229,7 +189,6 @@ class FpMatrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-    _rank: int | None = field(default=None, init=False, repr=False, compare=False)
     _kernel: FpSubspace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -251,13 +210,12 @@ class FpMatrix:
         object.__setattr__(M, "rows", rows)
         object.__setattr__(M, "cols", cols)
         object.__setattr__(M, "entries", entries)
-        object.__setattr__(M, "_rank", None)
         object.__setattr__(M, "_kernel", None)
         return M
 
     @staticmethod
     def from_rows(p: int, rows: Iterable[Sequence[int]], cols: int | None = None) -> "FpMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
+        data = tuple(tuple(map(index, r)) for r in rows)
         if data:
             width = len(data[0])
         else:
@@ -310,18 +268,12 @@ class FpMatrix:
         """Solution space of ``Mx = 0`` as a subspace of F_p^cols."""
         cached = self._kernel
         if cached is None:
-            basis, free = _kernel_rref(self.p, [list(r) for r in self.entries], self.cols)
-            cached = FpSubspace._derived(self.p, self.cols, tuple(map(tuple, basis)), tuple(free))
+            cached = null_space(self.p, self.entries, self.cols)
             object.__setattr__(self, "_kernel", cached)
         return cached
 
     def rank(self) -> int:
-        # kept as a number: a wide matrix's kernel is larger than the matrix
-        cached = self._rank
-        if cached is None:
-            cached = len(_rref(self.p, [list(r) for r in self.entries], self.cols)[1])
-            object.__setattr__(self, "_rank", cached)
-        return cached
+        return self.cols - self.kernel().dim
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``Mx = b`` (entries in ``[0, p)``), or ``None``."""
@@ -341,7 +293,7 @@ class FpMatrix:
         if not rhs:
             return []
         p, n = self.p, self.cols
-        aug = [list(r) + [int(b[i]) % p for b in rhs] for i, r in enumerate(self.entries)]
+        aug = [list(r) + [index(b[i]) % p for b in rhs] for i, r in enumerate(self.entries)]
         rows, pivots = _rref(p, aug, n)
         rank = len(pivots)
         out: list[tuple[int, ...] | None] = []
@@ -415,7 +367,7 @@ class FpSubspace:
         p = validate_prime(p)
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        rows = [[int(x) % p for x in v] for v in vecs]
+        rows = [[index(x) % p for x in v] for v in vecs]
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector has wrong length")
@@ -445,6 +397,22 @@ class FpSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def lift(self) -> Lattice:
+        """The integer lattice ``lift(self) + p Z^ambient``, canonically.
+
+        Column i is the basis row with pivot i, or ``p e_i`` where there is
+        none.  Pivots are 1 or p and increase; an RREF row is zero at the
+        other pivots and in ``[0, p)`` elsewhere, so the entries beside each
+        pivot are already reduced as the canonical column HNF requires.
+        """
+        p, n = self.p, self.ambient
+        rows = dict(zip(self.pivots, self.basis))
+        basis = tuple(
+            rows[i] if i in rows else tuple(p if t == i else 0 for t in range(n))
+            for i in range(n)
+        )
+        return Lattice(n, basis)
+
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords_in(v) is not None
 
@@ -456,7 +424,7 @@ class FpSubspace:
         the pivots and then verified.
         """
         p = self.p
-        w = [int(x) % p for x in v]
+        w = [index(x) % p for x in v]
         if len(w) != self.ambient:
             raise ValueError("vector has wrong length")
         coords = tuple(w[c] for c in self.pivots)

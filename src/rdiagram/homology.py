@@ -7,8 +7,8 @@ the incoming differential in Q's generators to obtain a separated
 presentation of H^n, built once per degree, and reduces that to an
 R-diagram.  A closed-form evaluation of the reduced components from the
 same presentation, without diagram quotients, checks the reduction; it
-shares the memoised ``kernel_lattice``, Lbar, ``lift_span`` and
-``quotient_by`` with ``reduce_combined``, so it is not independent of it.
+shares the memoised ``kernel_lattice``, Lbar, its lift and ``quotient_by``
+with ``reduce_combined``, so it is not independent of it.
 The complex's validation report and each matrix's kernel basis are kept
 on the objects, so a complex is validated once and each differential's
 kernels are taken once, however many degrees or calls read them.
@@ -25,6 +25,7 @@ kernel lattice on every construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import index
 from typing import Sequence
 
 from .intlinalg import (
@@ -36,8 +37,7 @@ from .intlinalg import (
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    lift_kernel,
-    lift_span,
+    null_space,
     relative_complement,
     validate_prime,
 )
@@ -83,7 +83,7 @@ def congruent_kernel_lattice(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
     K1, K2 = (kernel_basis(d).basis_matrix() for d in (d1, d2))
     rows = [r1 + tuple(-x for x in r2) for r1, r2 in zip(K1.entries, K2.entries)]
     r1 = K1.cols
-    pairs = lift_kernel(p, rows, r1 + K2.cols)
+    pairs = null_space(p, rows, r1 + K2.cols).lift()
     images = (K1.mul_vec(x[:r1]) + K2.mul_vec(x[r1:]) for x in pairs.basis)
     return Lattice.from_generators(2 * m, images)
 
@@ -103,6 +103,8 @@ class ChainComplexR:
     degrees: Sequence[tuple[IntMatrix, IntMatrix]]
     ranks: Sequence[int] | None = None
     _report: ComplexReport | None = field(default=None, init=False, repr=False, compare=False)
+    # unset until ``pair`` first reads an end: a default would cost every construction
+    _ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_prime(self.p)
@@ -114,7 +116,7 @@ class ChainComplexR:
             if b1.cols != a1.rows:
                 raise ValueError("consecutive differentials do not chain")
         expected = tuple(d.cols for d, _ in degrees) + (degrees[-1][0].rows,) if degrees else None
-        ranks = expected if self.ranks is None else tuple(int(r) for r in self.ranks)
+        ranks = expected if self.ranks is None else tuple(map(index, self.ranks))
         if ranks is None:
             raise ValueError("ranks are required when there are no differentials")
         if any(r < 0 for r in ranks):
@@ -132,16 +134,22 @@ class ChainComplexR:
         return self.ranks[k]
 
     def pair(self, k: int) -> tuple[IntMatrix, IntMatrix]:
-        """The differential out of term k, zero outside the complex."""
+        """The differential out of term k, zero outside the complex.
+
+        The two zero pairs at the ends are built on first use and kept, so
+        their kernels, like those of the differentials, are taken once.
+        """
         if 0 <= k < len(self.degrees):
             return self.degrees[k]
-        if k == -1:
-            z = IntMatrix.zeros(self.rank(0), 0)
-            return z, z
-        if k == self.terms - 1:
-            z = IntMatrix.zeros(0, self.rank(k))
-            return z, z
-        raise ValueError(f"no differential at position {k}")
+        if k not in (-1, self.terms - 1):
+            raise ValueError(f"no differential at position {k}")
+        ends = getattr(self, "_ends", None)
+        if ends is None:
+            first = IntMatrix.zeros(self.rank(0), 0)
+            last = IntMatrix.zeros(0, self.rank(self.terms - 1))
+            ends = (first, first), (last, last)
+            object.__setattr__(self, "_ends", ends)
+        return ends[k != -1]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -396,7 +404,7 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     ``pres`` is the one built by ``homology_presentation`` and reduced by
     ``reduce_combined``.  The components are re-derived without
     ``_apply_quotient``, but not independently: both sides use the
-    memoised ``kernel_lattice`` of f_i, the same Lbar, ``lift_span`` and
+    memoised ``kernel_lattice`` of f_i, the same Lbar, its lift and
     ``quotient_by``.
 
     With T_i the kernel of the rewritten component f_i and U a complement
@@ -439,7 +447,7 @@ def closed_form_components(pres: SeparatedPresentation) -> ClosedFormComponents:
     sbar_dim = D.mbar_dim - im_fbar.dim
 
     # L_i = lift(U + Tbar_{3-i}) + p Z^ell + T_i is lift(Lbar) + p Z^ell on both sides
-    L = lift_span(p, ell, Lbar.basis)
+    L = Lbar.lift()
 
     s1 = f1.target.quotient_by(f1.matrix.mul_vec(v) for v in L.basis)
     s2 = f2.target.quotient_by(f2.matrix.mul_vec(v) for v in L.basis)

@@ -56,7 +56,7 @@ much cheaper than re-running a normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -107,7 +107,7 @@ class IntMatrix:
         ``cols`` is required when there are no rows (otherwise the column
         count cannot be inferred).
         """
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(index, row)) for row in rows)
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -119,7 +119,7 @@ class IntMatrix:
 
     @staticmethod
     def from_cols(cols: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        data = [tuple(map(int, col)) for col in cols]
+        data = [tuple(map(index, col)) for col in cols]
         if rows is None:
             rows = len(data[0]) if data else 0
         for j, col in enumerate(data):
@@ -511,7 +511,7 @@ class Lattice:
 
     @staticmethod
     def from_generators(ambient: int, gens: Iterable[Sequence[int]]) -> "Lattice":
-        cols = [list(map(int, g)) for g in gens]
+        cols = [list(map(index, g)) for g in gens]
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("generator has wrong length")
@@ -551,7 +551,7 @@ class Lattice:
         """
         if len(v) != self.ambient:
             raise ValueError("vector has wrong length")
-        w = [int(x) for x in v]
+        w = list(map(index, v))
         coords = []
         for col, r in zip(self.basis, self._pivots):
             q, rem = divmod(w[r], col[r])

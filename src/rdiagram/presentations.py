@@ -20,6 +20,7 @@ lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -86,7 +87,7 @@ class ZModulePresentation:
         return self.normal_form()[1]
 
     def elements_equal(self, v: Sequence[int], w: Sequence[int]) -> bool:
-        diff = [int(a) - int(b) for a, b in zip(v, w)]
+        diff = [index(a) - index(b) for a, b in zip(v, w)]
         if len(diff) != self.gens:
             raise ValueError("element vectors have wrong length")
         return self.relations.contains(diff)

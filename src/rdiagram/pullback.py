@@ -24,6 +24,7 @@ something to paper over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -37,8 +38,7 @@ from .fplinalg import (
     FpMatrix,
     FpSubspace,
     _mul_entries,
-    lift_kernel,
-    lift_span,
+    null_space,
     quotient_projection,
     validate_prime,
 )
@@ -190,14 +190,17 @@ _SEPARATED = SeparationReport(True, True, ())
 def is_separated(D: PullbackDiagram) -> SeparationReport:
     """Check surjectivity of the p_i and the kernel condition ker p_i = p M_i.
 
-    The kernel condition is decided on lattices: the preimage of p Z^d
-    under an integer lift of p_i must equal p*(generators) + relations.
-    Both contain p Z^gens, so both are built from echelon forms over F_p.
-    A structure map that both sides share (``p2 is p1``) has its rank and
-    kernel computed once; each side still compares against its own
-    relations.  Witnesses name the failing side and, for kernel failures,
-    a vector in the symmetric difference.  The report is kept on the
-    diagram; every separated diagram keeps the same shared report.
+    Both conditions are decided on subspaces of F_p^gens.  p_i is onto
+    when its kernel over F_p has codimension ``mbar_dim``.  The kernel
+    condition says that the preimage of p Z^d under an integer lift of
+    p_i equals p*(generators) + relations; both lattices contain
+    p Z^gens, so they are equal exactly when the kernel of p_i equals the
+    span of the relations mod p, and no lattice is built.  A structure
+    map that both sides share (``p2 is p1``) has its kernel taken once;
+    each side still compares against its own relations.  Witnesses name
+    the failing side and, for kernel failures, a basis vector of one
+    subspace outside the other.  The report is kept on the diagram;
+    every separated diagram keeps the same shared report.
     """
     cached = D._sep_cache
     if cached is None:
@@ -210,16 +213,17 @@ def _separation_report(D: PullbackDiagram) -> SeparationReport:
     """Evaluate the conditions of ``is_separated``.
 
     Side 2 is evaluated only when it is not the same objects as side 1, and
-    a shared map's kernel is lifted once; each side keeps its own witnesses.
+    a shared map's kernel is taken once; each side keeps its own witnesses.
+    The kernels are not kept on the maps, which every kept diagram retains.
     """
-    kernel = lift_kernel(D.p, D.p1.entries, D.M1.gens)
-    first = _side_conditions(D, D.M1, D.p1, kernel)
+    kernel = null_space(D.p, D.p1.entries, D.M1.gens)
+    first = _side_conditions(D, D.M1, kernel)
     if D.p2 is D.p1 and D.M2 is D.M1:
         second = first
     else:
         if D.p2 is not D.p1:
-            kernel = lift_kernel(D.p, D.p2.entries, D.M2.gens)
-        second = _side_conditions(D, D.M2, D.p2, kernel)
+            kernel = null_space(D.p, D.p2.entries, D.M2.gens)
+        second = _side_conditions(D, D.M2, kernel)
     sides = ((1, first), (2, second))
     witnesses = [("not-surjective", i, None) for i, (onto, _, _) in sides if not onto]
     witnesses += [("kernel-mismatch", i, bad) for i, (_, ok, bad) in sides if not ok]
@@ -229,20 +233,23 @@ def _separation_report(D: PullbackDiagram) -> SeparationReport:
 
 
 def _side_conditions(
-    D: PullbackDiagram, mod: ZModulePresentation, mat: FpMatrix, kernel: Lattice
+    D: PullbackDiagram, mod: ZModulePresentation, kernel: FpSubspace
 ) -> tuple[bool, bool, tuple | None]:
     """``(onto, kernel condition holds, witness)`` for one side of ``D``.
 
-    ``kernel`` is the lifted kernel of ``mat``.  The witness is a vector in
-    the symmetric difference of it and ``p*(generators) + relations``.
+    ``kernel`` is the kernel over F_p of the side's structure map.  The
+    witness is a basis vector of it outside the relations mod p, or else
+    one of the relations' echelon basis outside it: the same vectors as
+    the lifted lattices' basis columns that fail, since their ``p e_i``
+    columns lie in both.
     """
-    onto = mat.rank() == D.mbar_dim
-    expected = lift_span(D.p, mod.gens, mod.relations.basis)
+    onto = mod.gens - kernel.dim == D.mbar_dim
+    expected = FpSubspace.from_vectors(D.p, mod.gens, mod.relations.basis)
     if kernel == expected:
         return onto, True, None
-    bad = next((col for col in kernel.basis if not expected.contains(col)), None)
+    bad = next((v for v in kernel.basis if not expected.contains(v)), None)
     if bad is None:
-        bad = next((col for col in expected.basis if not kernel.contains(col)), None)
+        bad = next((v for v in expected.basis if not kernel.contains(v)), None)
     return onto, False, bad
 
 
@@ -363,7 +370,7 @@ def separate_presented(
     if generators is None:
         gens = list(module_lattice.basis)
     else:
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple(map(index, g)) for g in generators]
     for g in gens:
         if not module_lattice.contains(g):
             raise ValueError(f"generator {g} is not an element of the module")
@@ -408,7 +415,7 @@ def _matching_lattice(a: FpMatrix, b: FpMatrix) -> Lattice:
     """The pairs ``(x, y)`` with ``a x = b y`` mod p, as an integer lattice."""
     p = a.p
     rows = [ra + tuple(-y % p for y in rb) for ra, rb in zip(a.entries, b.entries)]
-    return lift_kernel(p, rows, a.cols + b.cols)
+    return null_space(p, rows, a.cols + b.cols).lift()
 
 
 @dataclass(frozen=True, slots=True, eq=False)

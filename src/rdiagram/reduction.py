@@ -27,7 +27,6 @@ from .intlinalg import IntMatrix, Lattice, preimage_lattice
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
-    lift_kernel,
     quotient_projection,
     validate_prime,
 )
@@ -155,21 +154,10 @@ def _image_subspace(q: FpMatrix, L: Lattice) -> FpSubspace:
 def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
     """The integer lattice {x : q(x) in V mod p}.
 
-    Reducing modulo V's echelon basis is linear and zeroes V's pivot
-    coordinates, so this is the kernel mod p of q's rows at the other
-    coordinates, each reduced by the basis rows.
+    It is the lifted kernel of q followed by the projection onto
+    F_p^rows / V.
     """
-    pivot_of = dict(zip(V.pivots, V.basis))
-    rows = []
-    for t in range(q.rows):
-        if t in pivot_of:
-            continue
-        row = q.entries[t]
-        for c, b in pivot_of.items():
-            if b[t]:
-                row = [x - b[t] * y for x, y in zip(row, q.entries[c])]
-        rows.append(row)
-    return lift_kernel(q.p, rows, q.cols)
+    return (quotient_projection(V)[0] @ q).kernel().lift()
 
 
 def _preimage_subdiagram(K: PullbackDiagram, Lbar: FpSubspace) -> SubDiagram:
@@ -184,19 +172,11 @@ def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatri
     return m1, (m1 if D.p2 is D.p1 else proj @ D.p2)
 
 
-def _apply_quotient(
-    pres: SeparatedPresentation, L: SubDiagram, sides: tuple[int, ...] = (1, 2)
-) -> SeparatedPresentation:
-    """Quotient K by L, and S_i by f_i(L_i) for each i in ``sides``.
+def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPresentation:
+    """Quotient K by L, each S_i by f_i(L_i), and Sbar by fbar(Lbar).
 
-    With both sides the whole of S is quotiented, Sbar by fbar(Lbar) too;
-    when fbar(Lbar) = 0 that projection would be the identity, so it is
-    not built and Sbar and S's structure maps are kept as they are.
-    With one side only that component of S changes: Sbar and both
-    structure maps of S are kept as they are.  That is the one-sided form,
-    well-defined only when fbar(Lbar) = 0 and f_j(L_j) = 0 on the other
-    side j; the rebuilt morphism's commuting-square and well-definedness
-    checks enforce both.
+    When fbar(Lbar) = 0 the projection of Sbar would be the identity, so
+    it is not built and Sbar and S's structure maps are kept as they are.
 
     A structure map that both sides of K or S share (``p2 is p1``, as in
     every diagram the pipeline builds) is multiplied by the projection
@@ -218,12 +198,10 @@ def _apply_quotient(
         S.component(i).quotient_by(
             pres.morphism.component(i).matrix.mul_vec(v) for v in L.side(i).basis
         )
-        if i in sides
-        else S.component(i)
         for i in (1, 2)
     )
     newfbar = pres.fbar @ sectionK
-    images = [pres.fbar.mul_vec(l) for l in L.Lbar.basis] if len(sides) == 2 else []
+    images = [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
     if any(map(any, images)):
         projS, _ = quotient_projection(FpSubspace.from_vectors(p, S.mbar_dim, images))
         newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
@@ -263,10 +241,12 @@ def quotient_presentation(
 def _one_sided_quotient(
     pres: SeparatedPresentation, L: SubDiagram, j: int
 ) -> SeparatedPresentation:
-    """Quotient K by L and S_{3-j} alone by f_{3-j}(L_{3-j}), killing L_j.
+    """Quotient K by L and S_{3-j} by f_{3-j}(L_{3-j}), killing L_j.
 
     Requires u_j: L_j -> Lbar surjective, f_j(L_j) = 0 and fbar(Lbar) = 0;
     violations raise ``HypothesisViolation`` naming the condition and side.
+    Under them the quotient of S_j and Sbar changes neither as a value, so
+    this is the two-sided quotient.
     """
     f, q = pres.morphism.component(j), pres.K.structure_map(j)
     if _image_subspace(q, L.side(j)) != L.Lbar:
@@ -278,7 +258,7 @@ def _one_sided_quotient(
     for l in L.Lbar.basis:
         if any(pres.fbar.mul_vec(l)):
             raise HypothesisViolation("fbar-nonzero-on-Lbar", f"fbar({l}) != 0")
-    return _apply_quotient(pres, L, (3 - j,))
+    return _apply_quotient(pres, L)
 
 
 def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
@@ -290,7 +270,6 @@ def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
     isomorphisms.  A side that is the same objects as side 1 (``q is
     K.p1`` and ``mod is K.M1``) reuses side 1's check and lifts.
     """
-    p = pres.p
     K = pres.K
     d = K.mbar_dim
     maps = []
@@ -298,8 +277,7 @@ def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
         q = K.structure_map(i)
         mod = K.component(i)
         if i == 1 or not (q is K.p1 and mod is K.M1):
-            ker_lat = lift_kernel(p, q.entries, q.cols)
-            if not mod.relations.contains_lattice(ker_lat):
+            if not mod.relations.contains_lattice(q.kernel().lift()):
                 raise AssertionError(
                     f"structure map {i} of K is not injective; quotient the kernels first"
                 )

@@ -16,8 +16,7 @@ from rdiagram.fplinalg import (
     PRIME_BOUND,
     FpMatrix,
     FpSubspace,
-    lift_kernel,
-    lift_span,
+    null_space,
     quotient_projection,
     relative_complement,
     validate_prime,
@@ -291,6 +290,11 @@ def test_coords_in_roundtrip(W):
 # --------------------------------------------------------------------------
 
 
+# The lift of a span is ``FpSubspace.lift`` and the lift of a kernel is
+# ``null_space(...).lift()``; each is checked against the integer normal
+# form it stands in for.
+
+
 @given(st.data())
 def test_lift_span_and_lift_kernel_equal_the_integer_lattices(data):
     p = data.draw(st.sampled_from((2, 3, 5, 1_000_000_007)))
@@ -299,31 +303,35 @@ def test_lift_span_and_lift_kernel_equal_the_integer_lattices(data):
     entry = st.integers(-2 * p, 2 * p)
     vecs = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
     scaled_units = [[p * int(i == j) for i in range(n)] for j in range(n)]
-    assert lift_span(p, n, vecs) == Lattice.from_generators(n, vecs + scaled_units)
+    span = FpSubspace.from_vectors(p, n, vecs)
+    assert span.lift() == Lattice.from_generators(n, vecs + scaled_units)
     A = IntMatrix.from_rows(vecs, cols=n)
-    assert lift_kernel(p, vecs, n) == preimage_lattice(A, Lattice.scaled_full(k, p))
+    kernel = null_space(p, vecs, n)
+    assert kernel.lift() == preimage_lattice(A, Lattice.scaled_full(k, p))
+    assert_same_subspace(kernel, FpMatrix.from_rows(p, vecs, cols=n).kernel())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1_000_000_007])
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_lift_span_and_lift_kernel_of_nothing(p, n):
-    assert lift_span(p, n, []) == Lattice.scaled_full(n, p)
-    assert lift_kernel(p, [], n) == Lattice.full(n)
+    assert FpSubspace.zero(p, n).lift() == Lattice.scaled_full(n, p)
+    assert FpSubspace.full(p, n).lift() == Lattice.full(n)
+    assert null_space(p, [], n).lift() == Lattice.full(n)
 
 
 def test_lift_constructors_reject_wrong_lengths():
     with pytest.raises(ValueError, match="wrong length"):
-        lift_span(3, 2, [[1, 2, 0]])
+        FpSubspace.from_vectors(3, 2, [[1, 2, 0]])
     with pytest.raises(ValueError, match="wrong length"):
-        lift_kernel(3, [[1]], 2)
+        null_space(3, [[1]], 2)
 
 
 def test_lift_constructors_trust_their_prime(monkeypatch):
     calls = []
     monkeypatch.setattr(fplinalg, "validate_prime", lambda p: calls.append(p) or p)
     p = 1_000_000_007
-    lift_span(p, 3, [[1, 2, 3], [p + 1, 0, 5]])
-    lift_kernel(p, [[1, 2, 3], [4, 5, 6]], 3)
+    null_space(p, [[1, 2, 3], [4, 5, 6]], 3).lift()
+    FpSubspace._derived(p, 3, ((1, 2, p - 1),), (0,)).lift()
     assert calls == []
     FpSubspace.zero(p, 3)  # the counter does see a constructor that validates
     assert calls == [p]
@@ -444,7 +452,7 @@ def test_kernel_equals_the_two_pass_kernel(case, data):
     ref = ref_kernel(M)
     assert_same_subspace(M.kernel(), ref)
     assert M.rank() == n - ref.dim
-    assert lift_kernel(p, rows, n) == lift_span(p, n, ref.basis)
+    assert_same_subspace(null_space(p, rows, n), ref)
 
 
 @given(eq_case(), st.data())
@@ -511,18 +519,19 @@ def test_derived_objects_take_one_elimination_at_most(monkeypatch):
     W.complement()
     FpSubspace.full(3, 4)
     assert calls == []
-    lift_kernel(3, [[1, 2, 0, 1, 1], [0, 0, 1, 2, 0]], 5)
+    null_space(3, [[1, 2, 0, 1, 1], [0, 0, 1, 2, 0]], 5).lift()
+    W.lift()
     assert len(calls) == 1
     M = FpMatrix.from_rows(3, [[1, 2, 0], [2, 1, 0]])
     M.kernel(), M.kernel()
     assert len(calls) == 2
-    M.rank(), M.rank()
-    assert len(calls) == 3
+    M.rank(), M.rank()  # read off the kept kernel
+    assert len(calls) == 2
     W.intersect(FpSubspace.from_vectors(3, 5, [[1, 2, 1, 0, 1]]))
-    assert len(calls) == 5  # the from_vectors above, then the intersection
+    assert len(calls) == 4  # the from_vectors above, then the intersection
     relative_complement(FpSubspace.zero(3, 5), W)
     M.solve_many([(1, 2), (0, 1)])
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +543,7 @@ def assert_public_matrix(M):
     """M is the public construction from its entries, with empty memo slots."""
     assert type(M) is FpMatrix
     assert M == FpMatrix(M.p, M.rows, M.cols, M.entries)
-    assert M._rank is None and M._kernel is None
+    assert M._kernel is None
 
 
 def assert_public_subspace(W):
@@ -591,7 +600,7 @@ def test_constructors_given_a_checked_prime_equal_the_bare_ones(case, data):
     ):
         assert type(got) is FpMatrix
         assert got == ref  # the same p, shape and entries
-        assert got._rank is None and got._kernel is None
+        assert got._kernel is None
     assert FpMatrix.from_int(M, p) == reduced
     W = FpSubspace.from_vectors(checked, n, M.entries)
     assert type(W) is FpSubspace

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdiagram.fplinalg as fplinalg
 import rdiagram.homology as homology
 import rdiagram.intlinalg as intlinalg
 import rdiagram.pullback as pullback
-from rdiagram.fplinalg import FpMatrix, lift_span
+from rdiagram.fplinalg import FpMatrix
 from rdiagram.homology import (
     ChainComplexR,
     GeneratorSets,
@@ -340,11 +341,36 @@ def test_each_differential_has_its_kernels_taken_once(monkeypatch):
         homology_rdiagram(C, n)
     assert len(evaluations) == 15
     assert validations == [True] + [False] * (C.terms - 1)
+    # the zero pairs at the ends are kept on the complex, so once every
+    # degree has run, each further run takes only its inner kernel
+    assert C.pair(-1) is C.pair(-1) and C.pair(C.terms - 1) is C.pair(C.terms - 1)
+    for n in range(C.terms):
+        evaluations.clear()
+        homology_rdiagram(C, n)
+        assert len(evaluations) == 1
     # a complex straight from the generator has the kernels of every
     # differential but the first taken already, by congruent_kernel_lattice
     evaluations.clear()
     homology.homology_presentations(base, range(base.terms))
     assert len(evaluations) == 15 - 2 * len(sizes[2:])
+
+
+def test_the_five_term_complex_takes_its_pinned_eliminations(monkeypatch):
+    # F_p eliminations and integer normal forms over every degree of the
+    # complex above, on fresh matrices.  The separation check decides on
+    # F_p subspaces with no rank elimination, and each lattice between
+    # p Z^n and Z^n is read off the echelon form it was computed as
+    base = ChainComplexR(3, random_complex_differentials(random.Random(7), 3, [2, 3, 3, 3, 2], bound=2))
+    C = fresh(base)
+    eliminations, normal_forms = [], []
+    rref, hnf = fplinalg._rref, intlinalg._hnf_in_place
+    monkeypatch.setattr(fplinalg, "_rref", lambda *a: eliminations.append(a) or rref(*a))
+    monkeypatch.setattr(
+        intlinalg, "_hnf_in_place", lambda *a, **kw: normal_forms.append(a) or hnf(*a, **kw)
+    )
+    for pres in homology.homology_presentations(C, range(C.terms)):
+        reduce_homology(pres)
+    assert (len(eliminations), len(normal_forms)) == (149, 142)
 
 
 class TestRewriteDifferential:
@@ -656,7 +682,8 @@ def test_congruent_kernel_lattice_is_the_intersection_with_the_congruence(p, see
     m = rng.randint(0, 4)
     height = rng.randint(0, 3)
     diagonal = [tuple(int(i == j) for i in range(m)) * 2 for j in range(m)]
-    congruent = lift_span(p, 2 * m, diagonal)
+    scaled_units = [tuple(p * int(i == j) for i in range(2 * m)) for j in range(2 * m)]
+    congruent = Lattice.from_generators(2 * m, diagonal + scaled_units)
     unrelated = tuple(random_int_matrix(rng, height, m, bound=3) for _ in "12")
     for d1, d2 in (random_congruent_pair(rng, p, height, m), unrelated):
         reference = lattice_intersection(kernel_basis(d1).direct_sum(kernel_basis(d2)), congruent)

@@ -185,6 +185,91 @@ class TestIsSeparated:
         return report.preseparated, report.separated, report.witnesses
 
 
+def _lattice_separation_report(D):
+    """``(preseparated, separated, witnesses)`` of ``D``, decided on integer lattices.
+
+    The decision ``is_separated`` made before it moved to F_p: p_i is onto
+    when its columns and p Z^d span Z^d, and the kernel condition compares
+    the preimage of p Z^d under the lifted map with p*(generators) +
+    relations, with a failing basis column of either as the witness.
+    """
+    p, d = D.p, D.mbar_dim
+
+    def units(n, k):
+        return [tuple(k * int(i == j) for i in range(n)) for j in range(n)]
+
+    def side(mod, mat):
+        columns = [mat.column(j) for j in range(mat.cols)]
+        onto = Lattice.from_generators(d, columns + units(d, p)) == Lattice.full(d)
+        kernel = preimage_lattice(mat.lift(), Lattice.scaled_full(d, p))
+        expected = Lattice.from_generators(mod.gens, list(mod.relations.basis) + units(mod.gens, p))
+        if kernel == expected:
+            return onto, True, None
+        bad = next((col for col in kernel.basis if not expected.contains(col)), None)
+        if bad is None:
+            bad = next((col for col in expected.basis if not kernel.contains(col)), None)
+        return onto, False, bad
+
+    sides = ((1, side(D.M1, D.p1)), (2, side(D.M2, D.p2)))
+    witnesses = [("not-surjective", i, None) for i, (onto, _, _) in sides if not onto]
+    witnesses += [("kernel-mismatch", i, bad) for i, (_, ok, bad) in sides if not ok]
+    return sides[0][1][0] and sides[1][1][0], not witnesses, tuple(witnesses)
+
+
+def _disturbed_diagram(rng, p):
+    """A separated diagram, with each side perhaps made non-separated.
+
+    A side's map may be left-multiplied by a random square matrix, which
+    can break surjectivity and enlarge the kernel; its relations may then
+    lose some basis vectors, or gain vectors that the map kills.  Both
+    sides may end up the same objects.
+    """
+    D = separate(random_rmodule(rng, p, rng.randint(1, 3), rng.randint(1, 3))).diagram
+    d = D.mbar_dim
+    maps, mods = [D.p1, D.p2], [D.M1, D.M2]
+    for i in (0, 1):
+        if rng.random() < 0.5:
+            A = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+            maps[i] = FpMatrix.from_rows(p, A, cols=d) @ maps[i]
+        change = rng.randrange(3)
+        if change == 1:
+            kept = [r for r in mods[i].relations.basis if rng.random() < 0.5]
+            mods[i] = ZModulePresentation(mods[i].gens, Lattice.from_generators(mods[i].gens, kept))
+        elif change == 2:
+            mods[i] = mods[i].quotient_by(v for v in maps[i].kernel().basis if rng.random() < 0.5)
+    if rng.random() < 0.25:
+        maps[1], mods[1] = maps[0], mods[0]
+    return PullbackDiagram(p, mods[0], mods[1], d, maps[0], maps[1])
+
+
+@given(p=st.sampled_from([2, 3, 5]), seed=st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_is_separated_matches_the_lattice_decision(p, seed):
+    D = _disturbed_diagram(random.Random(seed), p)
+    report = is_separated(D)
+    assert (report.preseparated, report.separated, report.witnesses) == _lattice_separation_report(D)
+
+
+def test_disturbed_diagrams_reach_every_outcome():
+    outcomes = set()
+    for seed in range(200):
+        report = is_separated(_disturbed_diagram(random.Random(seed), (2, 3, 5)[seed % 3]))
+        outcomes.add((report.preseparated, report.separated))
+        outcomes.update(kind for kind, _, _ in report.witnesses)
+    assert outcomes == {(True, True), (True, False), (False, False), "not-surjective", "kernel-mismatch"}
+
+
+def test_the_separation_check_builds_no_lattice(monkeypatch):
+    built = []
+    real = Lattice.__post_init__
+    monkeypatch.setattr(Lattice, "__post_init__", lambda L: built.append(L) or real(L))
+    diagrams = [_disturbed_diagram(random.Random(seed), 3) for seed in range(20)]
+    built.clear()
+    for D in diagrams:
+        is_separated(D)
+    assert built == []
+
+
 class TestSeparateMorphism:
     def test_identity_blocks_give_identity_triple(self):
         sep = separate(LatticeRModule.free(3, 2))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rdiagram import pullback, reduction
 from rdiagram.fplinalg import FpMatrix, FpSubspace
 from rdiagram.homology import ChainComplexR, homology_presentations, homology_rdiagram
-from rdiagram.intlinalg import IntMatrix, Lattice
+from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.morphisms import induced_pullback_map, pullback_group
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
@@ -238,6 +238,41 @@ def _stepwise_subdiagram(pres):
     )
 
 
+def _hand_preimage(q, V):
+    """{x : q(x) in V mod p}, by reducing q's rows modulo V's echelon basis.
+
+    Reducing modulo the basis is linear and zeroes V's pivot coordinates,
+    so the lattice is the kernel mod p of q's rows at the other
+    coordinates, each reduced by the basis rows.
+    """
+    pivot_of = dict(zip(V.pivots, V.basis))
+    rows = []
+    for t in range(q.rows):
+        if t in pivot_of:
+            continue
+        row = q.entries[t]
+        for c, b in pivot_of.items():
+            if b[t]:
+                row = [x - b[t] * y for x, y in zip(row, q.entries[c])]
+        rows.append(row)
+    A = IntMatrix.from_rows(rows, cols=q.cols)
+    return preimage_lattice(A, Lattice.scaled_full(len(rows), q.p))
+
+
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_subspace_preimage_equals_the_hand_elimination(p, data):
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    entry = st.integers(0, p - 1)
+    q = FpMatrix.from_rows(p, [[data.draw(entry) for _ in range(n)] for _ in range(m)], cols=n)
+    vecs = [[data.draw(entry) for _ in range(m)] for _ in range(data.draw(st.integers(0, 4)))]
+    V = FpSubspace.from_vectors(p, m, vecs)
+    got = reduction._subspace_preimage(q, V)
+    assert got == _hand_preimage(q, V)
+    scaled_units = [tuple(p * int(i == j) for i in range(m)) for j in range(m)]
+    assert got == preimage_lattice(q.lift(), Lattice.from_generators(m, vecs + scaled_units))
+
+
 def _with_copied_p2(D):
     """D with p2 an equal but distinct matrix, so its sides share no map."""
     p2 = FpMatrix(D.p, D.p2.rows, D.p2.cols, D.p2.entries)
@@ -273,8 +308,10 @@ class TestSharedStructureMaps:
             outputs = []
             for pres in (shared, copied):
                 maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
+                # the sub-diagram's preimages multiply K's maps too; count only the quotient's
+                L = _stepwise_subdiagram(pres)
                 products.clear()
-                out = reduction._apply_quotient(pres, _stepwise_subdiagram(pres))
+                out = reduction._apply_quotient(pres, L)
                 outputs.append(out)
                 # products with a structure map, apart from fbar's two factors
                 structure_products = sum(any(b is q for q in maps) for b in products)

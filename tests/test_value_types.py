@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from rdiagram.fplinalg import FpMatrix, FpSubspace
+from rdiagram.fplinalg import FpMatrix, FpSubspace, null_space
 from rdiagram.homology import (
     ChainComplexR,
     canonical_kernel_presentation,
@@ -24,7 +24,13 @@ from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis
 from rdiagram.oracle import underlying_invariants_of_rdiagram
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.morphisms import epi_conditions, kernel_diagram, pullback_group
-from rdiagram.pullback import DiagramMorphism, LatticeRModule, is_separated, separate
+from rdiagram.pullback import (
+    DiagramMorphism,
+    LatticeRModule,
+    is_separated,
+    separate,
+    separate_presented,
+)
 from rdiagram.reduction import SubDiagram, free_diagram, validate_rdiagram
 
 VALUE_EQUALITY = {
@@ -142,8 +148,7 @@ def test_memo_fields_do_not_affect_equality_or_hash():
     assert P == fresh and hash(P) == hash(fresh)
 
     M, fresh = FpMatrix.from_rows(3, [[1, 2], [2, 1]]), FpMatrix.from_rows(3, [[1, 2], [2, 1]])
-    M.rank(), M.kernel()
-    assert M._rank is not None and fresh._rank is None
+    M.rank()
     assert M._kernel is not None and fresh._kernel is None
     assert M == fresh and hash(M) == hash(fresh)
 
@@ -167,6 +172,7 @@ def test_memo_fields_do_not_affect_equality_or_hash():
     C = ChainComplexR(2, [(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[0]]))])
     before = hash(C)
     validate_complex(C)
+    C.pair(-1)
     assert C._report is not None and hash(C) == before and C == C
 
 
@@ -177,3 +183,35 @@ def test_fp_subspace_equality_ignores_pivots():
     assert [f.name for f in dataclasses.fields(W) if f.compare] == ["p", "ambient", "basis"]
     with pytest.raises(ValueError, match="pivots"):
         dataclasses.replace(W, pivots=())
+
+
+def _float_entry_points(x):
+    """Each library entry point that converts entries, handed the float ``x``."""
+    ring = LatticeRModule.free(2, 1).lattice
+    return {
+        "IntMatrix.from_rows": lambda: IntMatrix.from_rows([[x]]),
+        "IntMatrix.from_cols": lambda: IntMatrix.from_cols([[x]]),
+        "Lattice.from_generators": lambda: Lattice.from_generators(1, [(x,)]),
+        "Lattice.solve": lambda: Lattice.full(1).solve((x,)),
+        "FpMatrix.from_rows": lambda: FpMatrix.from_rows(3, [[x]]),
+        "FpMatrix.solve_many": lambda: FpMatrix.identity(3, 1).solve_many([(x,)]),
+        "FpSubspace.from_vectors": lambda: FpSubspace.from_vectors(3, 1, [(x,)]),
+        "FpSubspace.coords_in": lambda: FpSubspace.full(3, 1).coords_in((x,)),
+        "null_space": lambda: null_space(3, [[x]], 1),
+        "ChainComplexR ranks": lambda: ChainComplexR(3, [], ranks=[x]),
+        "separate_presented generators": lambda: separate_presented(
+            2, 1, 1, ring, Lattice.zero(2), generators=[(x, x)]
+        ),
+        "ZModulePresentation.elements_equal": lambda: ZModulePresentation.free(1).elements_equal(
+            (x,), (0,)
+        ),
+    }
+
+
+@pytest.mark.parametrize("x", [2.5, 0.4, 2.0])
+@pytest.mark.parametrize("name", sorted(_float_entry_points(0)))
+def test_library_entry_points_refuse_float_entries(name, x):
+    # int() would truncate 2.5 to 2, and even an integral float is refused:
+    # the library computes on integers only
+    with pytest.raises(TypeError):
+        _float_entry_points(x)[name]()
