@@ -97,9 +97,14 @@ class InvalidComplex(Exception):
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _parse_entry(x, where: str) -> int:
+def _entry_error(where: str, i: int, j: int, message: str) -> DocumentError:
+    return DocumentError(f"{where}[{i}][{j}]: {message}")
+
+
+def _parse_entry(x, where: str, i: int, j: int) -> int:
+    """Entry ``[i][j]`` of the matrix at ``where``; the location is spelled out only in an error."""
     if isinstance(x, bool):
-        raise DocumentError(f"{where}: boolean is not an integer entry")
+        raise _entry_error(where, i, j, "boolean is not an integer entry")
     if isinstance(x, str):
         value = None
         if _DECIMAL.fullmatch(x):
@@ -108,13 +113,13 @@ def _parse_entry(x, where: str) -> int:
             except ValueError:  # more digits than int() converts
                 pass
         if value is None:
-            raise DocumentError(f"{where}: {x!r} is not a decimal integer")
+            raise _entry_error(where, i, j, f"{x!r} is not a decimal integer")
         x = value
     elif not isinstance(x, int):
-        raise DocumentError(f"{where}: entries must be integers or decimal strings")
+        raise _entry_error(where, i, j, "entries must be integers or decimal strings")
     if x.bit_length() > MAX_ENTRY_BITS:
-        raise DocumentError(
-            f"{where}: an entry of {x.bit_length()} bits exceeds the cap of {MAX_ENTRY_BITS} bits"
+        raise _entry_error(
+            where, i, j, f"an entry of {x.bit_length()} bits exceeds the cap of {MAX_ENTRY_BITS} bits"
         )
     return x
 
@@ -126,7 +131,7 @@ def _parse_matrix(data, where: str) -> IntMatrix:
         if size > MAX_RANK:
             raise DocumentError(f"{where}: a side of {size} exceeds the rank cap of {MAX_RANK}")
     rows = [
-        [_parse_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+        [_parse_entry(x, where, i, j) for j, x in enumerate(row)]
         for i, row in enumerate(data)
     ]
     widths = {len(r) for r in rows}
@@ -159,6 +164,9 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
         isinstance(ranks, list) and all(type(r) is int and r >= 0 for r in ranks)
     ):
         raise DocumentError('"ranks" must be a list of non-negative integers')
+    if not diffs and ranks is not None and len(ranks) != 1:
+        # more terms than differentials would leave a term with no map out of it
+        raise DocumentError('"ranks" must have exactly one entry when there are no differentials')
     terms = max(len(diffs) + 1, len(ranks or ()))
     if terms > MAX_TERMS:
         raise DocumentError(f"{terms} terms exceed the cap of {MAX_TERMS} terms")
@@ -242,8 +250,10 @@ def rdiagram_from_payload(p: int, payload: dict) -> RDiagram:
     """Rebuild an R-diagram from an emitted JSON degree block.
 
     Inverse of the ``rdiagram`` output: used to check that documents
-    round-trip to an object with the identical validation report.
+    round-trip to an object with the identical validation report.  ``p``
+    is checked once, and the checked value is what every part receives.
     """
+    p = validate_prime(p)
 
     def pres(d):
         gens = d["gens"]

@@ -25,8 +25,10 @@ function that takes a bare ``p`` (``from_int``, ``identity``,
 ``from_vectors`` and the pipeline's entry points) runs
 ``p = validate_prime(p)`` and passes the result on, so every value it
 builds carries the checked ``p`` and no later check divides again.  The
-dataclass constructors (``FpMatrix(...)``, ``FpSubspace(...)`` and the
-diagrams built on them) check their ``p`` and keep it as given.
+dataclass constructors ``FpMatrix(...)`` and ``FpSubspace(...)`` check
+their ``p`` and keep it as given; the diagrams built on them
+(``PullbackDiagram``, ``RDiagram``, ``LatticeRModule``) store the
+checked value, so what is read off a hand-built diagram divides no more.
 ``from_int`` still reduces its entries mod p.  A value computed from F_p
 values that already exist (a product, a kernel, a sum, an intersection,
 a complement, a quotient projection) takes its ``p`` from them, has its

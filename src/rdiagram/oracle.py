@@ -1,18 +1,23 @@
 """Brute-force underlying-group invariants, independent of the reductions.
 
-Everything here works with raw lattices in generator coordinates and a
-single Smith normal form at the end.  None of the diagram-quotient or
-matching machinery is used, so agreement between these invariants and
-the reduction pipeline is evidence for both.  The contract is abelian
-group isomorphism only — a necessary condition for module isomorphism
-that is exactly computable.
+Everything here works with raw lattices in generator coordinates.  Each
+group is ``num / den``: ``num`` is one ``preimage_lattice`` (the
+congruent coordinate pairs, or the pairs a differential kills), ``den``
+is one ``Lattice.from_generators`` over the relation pairs and the image
+generators, and the group is read off one Smith diagonal computed
+without transforms.  The oracle stays on the integer route: it uses
+``intlinalg``'s kernels and nothing of ``fplinalg`` or of the
+diagram-quotient and matching machinery, so agreement between these
+invariants and the reduction pipeline is evidence for both.  The
+contract is abelian group isomorphism only — a necessary condition for
+module isomorphism that is exactly computable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix, Lattice, kernel_basis, snf
+from .intlinalg import IntMatrix, Lattice, _snf_in_place, preimage_lattice
 from .pullback import PullbackDiagram
 from .reduction import RDiagram, SeparatedPresentation, validate_rdiagram
 
@@ -52,42 +57,46 @@ def invariants_equal(a: GroupInvariants, b: GroupInvariants) -> bool:
 
 
 def _quotient_invariants(num: Lattice, den: Lattice) -> GroupInvariants:
-    """Invariants of num/den for lattices den within num."""
-    coords = []
+    """Invariants of num/den for lattices den within num: one Smith diagonal.
+
+    The Smith form runs without transforms on den's basis in num's
+    coordinates, taken as rows (a transpose has the same diagonal).  Both
+    bases are independent, so every diagonal entry is nonzero.
+    """
+    rows = []
     for g in den.basis:
         c = num.solve(g)
         if c is None:
             raise ValueError("denominator lattice is not contained in the numerator")
-        coords.append(c)
-    rank = num.rank
-    rel = IntMatrix.from_cols(coords, rows=rank)
-    _, D, _ = snf(rel)
-    diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-    nonzero = [d for d in diag if d]
-    return GroupInvariants(rank - len(nonzero), [d for d in nonzero if d > 1])
+        rows.append(list(c))
+    _snf_in_place(rows, num.rank)
+    diag = [row[i] for i, row in enumerate(rows)]
+    return GroupInvariants(num.rank - len(diag), [d for d in diag if d > 1])
 
 
 def _congruence_lattice(D: PullbackDiagram) -> Lattice:
-    """Pairs of generator coordinates whose bar images agree, plus torsion.
+    """Pairs (x, y) of generator coordinates with P1 x = P2 y mod p.
 
-    The underlying group of the pullback of D is this lattice modulo the
-    direct sum of the two relation lattices.
+    The preimage of p Z^mbar under [P1 | -P2].  With mbar = 0 every pair
+    qualifies, and the preimage would cost a normal form of an identity.
+    """
+    if not D.mbar_dim:
+        return Lattice.full(D.M1.gens + D.M2.gens)
+    stacked = D.p1.lift().hstack(D.p2.lift().scale(-1))
+    return preimage_lattice(stacked, Lattice.scaled_full(D.mbar_dim, D.p))
+
+
+def _pullback_invariants(D: PullbackDiagram, image: list) -> GroupInvariants:
+    """Invariants of the pullback of D modulo the subgroup that ``image`` generates.
+
+    The pullback is the congruent pairs modulo the relation pairs, so the
+    denominator is one lattice over the relation pairs and ``image``.
     """
     g1, g2 = D.M1.gens, D.M2.gens
-    stacked = D.p1.lift().hstack(D.p2.lift().scale(-1))
-    if D.mbar_dim == 0:
-        pairs = Lattice.full(g1 + g2)
-    else:
-        aux = stacked.hstack(IntMatrix.identity(D.mbar_dim).scale(-D.p))
-        sols = kernel_basis(aux)
-        pairs = Lattice.from_generators(
-            g1 + g2, [v[: g1 + g2] for v in sols.basis]
-        )
-    return pairs
-
-
-def _relation_pairs(D: PullbackDiagram) -> Lattice:
-    return D.M1.relations.direct_sum(D.M2.relations)
+    gens = [col + (0,) * g2 for col in D.M1.relations.basis]
+    gens += [(0,) * g1 + col for col in D.M2.relations.basis]
+    den = Lattice.from_generators(g1 + g2, gens + image)
+    return _quotient_invariants(_congruence_lattice(D), den)
 
 
 def underlying_invariants_of_presentation(
@@ -95,21 +104,15 @@ def underlying_invariants_of_presentation(
 ) -> GroupInvariants:
     """Group invariants of coker(f) = S/f(K), computed from raw lattices.
 
-    Elements of the pullback of a diagram are congruent coordinate pairs
-    modulo relation pairs; the image of f is generated by the images of
-    the source's congruent pairs under the block map (f1, f2).
+    The image of f is generated by the images of the source's congruent
+    pairs under the block map (f1, f2).
     """
-    S, K = pres.S, pres.K
-    num = _congruence_lattice(S)
-    ck = _congruence_lattice(K)
-    g1 = S.M1.gens
-    k1 = K.M1.gens
+    k1 = pres.K.M1.gens
     image = [
-        tuple(pres.f1.matrix.mul_vec(v[:k1])) + tuple(pres.f2.matrix.mul_vec(v[k1:]))
-        for v in ck.basis
+        pres.f1.matrix.mul_vec(v[:k1]) + pres.f2.matrix.mul_vec(v[k1:])
+        for v in _congruence_lattice(pres.K).basis
     ]
-    den = _relation_pairs(S).sum(Lattice.from_generators(g1 + S.M2.gens, image))
-    return _quotient_invariants(num, den)
+    return _pullback_invariants(pres.S, image)
 
 
 def underlying_invariants_of_rdiagram(rd: RDiagram) -> GroupInvariants:
@@ -117,49 +120,38 @@ def underlying_invariants_of_rdiagram(rd: RDiagram) -> GroupInvariants:
     report = validate_rdiagram(rd)
     if not report.ok:
         raise ValueError(f"invalid R-diagram: {report.failed()}")
-    num = _congruence_lattice(rd.S)
-    g1, g2 = rd.S.M1.gens, rd.S.M2.gens
-    diag = [
-        tuple(rd.q1.column(r)) + tuple(rd.q2.column(r)) for r in range(rd.kdim)
-    ]
-    den = _relation_pairs(rd.S).sum(Lattice.from_generators(g1 + g2, diag))
-    return _quotient_invariants(num, den)
+    diag = [rd.q1.column(r) + rd.q2.column(r) for r in range(rd.kdim)]
+    return _pullback_invariants(rd.S, diag)
 
 
 def _pair_kernel(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
-    """Solutions of d1 u = 0, d2 v = 0, u = v mod p as a lattice in Z^{2m}.
+    """Pairs (u, v) in Z^m + Z^m with d1 u = 0, d2 v = 0 and u = v mod p.
 
-    Solved via an auxiliary unknown w with u - v = p w, then projected;
-    w is determined by (u, v), so the projection is exact.
+    The preimage of 0 + 0 + p Z^m under the block matrix (d1 u, d2 v, u - v);
+    that target's basis p e_i is already canonical.
     """
-    m = d1.cols
-    zero = IntMatrix.zeros(d1.rows, m)
-    eye = IntMatrix.identity(m)
-    top = d1.hstack(zero).hstack(IntMatrix.zeros(d1.rows, m))
-    mid = zero.hstack(d2).hstack(IntMatrix.zeros(d2.rows, m))
-    bot = eye.hstack(eye.scale(-1)).hstack(eye.scale(-p))
-    sols = kernel_basis(top.vstack(mid).vstack(bot))
-    return Lattice.from_generators(2 * m, [v[: 2 * m] for v in sols.basis])
+    m, r = d1.cols, d1.rows + d2.rows
+    rows = [row + (0,) * m for row in d1.entries]
+    rows += [(0,) * m + row for row in d2.entries]
+    rows += [tuple(int(j == i) - int(j == m + i) for j in range(2 * m)) for i in range(m)]
+    target = tuple(tuple(p * int(i == r + j) for i in range(r + m)) for j in range(m))
+    return preimage_lattice(IntMatrix(r + m, 2 * m, tuple(rows)), Lattice(r + m, target))
 
 
 def integer_homology_invariants(C, n: int) -> GroupInvariants:
     """Degreewise homology invariants of the underlying integer complex.
 
     The term in each degree is the group of congruent pairs in
-    Z^m + Z^m; the differential acts blockwise.  Kernel and image are
-    plain lattices and the quotient is a single SNF computation.
+    Z^m + Z^m; the differential acts blockwise.  The image is generated
+    by the images of the basis (e_i, e_i), (0, p e_i) of the congruent
+    pairs one degree down, so it needs no kernel.
     """
     if not 0 <= n < C.terms:
         raise ValueError(f"degree {n} outside the complex (0..{C.terms - 1})")
     p = C.p
     dout1, dout2 = C.pair(n)
     din1, din2 = C.pair(n - 1)
-    ker = _pair_kernel(p, dout1, dout2)
-    ell = din1.cols
-    dom = _pair_kernel(p, IntMatrix.zeros(0, ell), IntMatrix.zeros(0, ell))
     m = dout1.cols
-    image = [
-        tuple(din1.mul_vec(v[:ell])) + tuple(din2.mul_vec(v[ell:]))
-        for v in dom.basis
-    ]
-    return _quotient_invariants(ker, Lattice.from_generators(2 * m, image))
+    image = [a + b for a, b in zip(din1.columns(), din2.columns())]
+    image += [(0,) * m + tuple(p * x for x in b) for b in din2.columns()]
+    return _quotient_invariants(_pair_kernel(p, dout1, dout2), Lattice.from_generators(2 * m, image))

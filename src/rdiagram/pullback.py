@@ -76,7 +76,8 @@ class LatticeRModule:
     """A sublattice of Z^a + Z^b closed under the p-pullback ring action.
 
     Closure is checked on basis vectors against the ring generators (1,1)
-    and (0,p) only; that suffices since (p,0) = p(1,1) - (0,p).
+    and (0,p) only; that suffices since (p,0) = p(1,1) - (0,p).  The
+    prime is stored as the value ``validate_prime`` returned.
     """
 
     p: int
@@ -85,7 +86,7 @@ class LatticeRModule:
     lattice: Lattice
 
     def __post_init__(self):
-        validate_prime(self.p)
+        object.__setattr__(self, "p", validate_prime(self.p))
         if self.lattice.ambient != self.a + self.b:
             raise ValueError("lattice ambient must be a + b")
         _check_rclosed(self.p, self.a, self.b, self.lattice, "lattice")
@@ -114,8 +115,9 @@ class PullbackDiagram:
 
     The middle object is always a literal coordinate space over F_p; ``p1``
     and ``p2`` are matrices on generators.  Construction checks ``p`` and
-    keeps it as given; for a ``p`` that ``validate_prime`` returned, as on
-    every diagram the pipeline builds, the check returns at once.  It also
+    stores the value ``validate_prime`` returned, so nothing built from the
+    diagram checks it again; given that value, as every diagram the
+    pipeline builds is, the check returns at once.  It also
     verifies the maps' moduli and shapes, and that both maps kill the
     relation lattices mod p (well-definedness); a side that is the same
     objects as side 1 (``p2 is p1`` and ``M2 is M1``) is checked once.
@@ -132,7 +134,7 @@ class PullbackDiagram:
     )
 
     def __post_init__(self):
-        validate_prime(self.p)
+        object.__setattr__(self, "p", validate_prime(self.p))
         sides = [("p1", self.p1, self.M1)]
         if not (self.p2 is self.p1 and self.M2 is self.M1):
             sides.append(("p2", self.p2, self.M2))

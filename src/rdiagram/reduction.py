@@ -27,6 +27,7 @@ from .intlinalg import IntMatrix, Lattice, preimage_lattice
 from .fplinalg import (
     FpMatrix,
     FpSubspace,
+    null_space,
     quotient_projection,
     validate_prime,
 )
@@ -155,8 +156,11 @@ def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
     """The integer lattice {x : q(x) in V mod p}.
 
     It is the lifted kernel of q followed by the projection onto
-    F_p^rows / V.
+    F_p^rows / V.  For V = 0 that projection is the identity, so it is the
+    lifted kernel of q itself, taken without leaving a memo on q.
     """
+    if not V.dim:
+        return null_space(q.p, q.entries, q.cols).lift()
     return (quotient_projection(V)[0] @ q).kernel().lift()
 
 
@@ -391,9 +395,9 @@ class RDiagram:
 
     ``q1``/``q2`` are integer matrices sending the standard basis of K to
     generator coordinates of the S components.  Construction checks the
-    prime and keeps it as given (the pipeline passes the value
-    ``validate_prime`` returned, so the check returns at once), and checks
-    the shapes only.  ``validate_rdiagram`` decides the semantic conditions, once per
+    prime and stores the value ``validate_prime`` returned (the pipeline
+    passes that value, so the check returns at once), and checks the
+    shapes only.  ``validate_rdiagram`` decides the semantic conditions, once per
     diagram: the report is kept on the diagram, and when every check
     passes it is one shared object.
     """
@@ -406,7 +410,7 @@ class RDiagram:
     _report: RDiagramReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_prime(self.p)
+        object.__setattr__(self, "p", validate_prime(self.p))
         if self.S.p != self.p:
             raise ValueError("S has a different p")
         if (self.q1.rows, self.q1.cols) != (self.S.M1.gens, self.kdim):

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, document handling, determinism."""
 
+import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -11,6 +13,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdiagram.cli as cli
 import rdiagram.homology as homology
@@ -54,6 +58,15 @@ class TestLoadDocument:
     def test_rejects_ragged_rows(self):
         with pytest.raises(DocumentError, match="ragged"):
             load_document('{"p": 2, "differentials": [{"d1": [[1], [1, 2]], "d2": [[0], [0]]}]}')
+
+    @pytest.mark.parametrize("ranks", [[], [0, 0], [1, 2]])
+    def test_without_differentials_ranks_name_one_term(self, ranks, tmp_path, capsys):
+        # [1, 2] used to load, and `rdiagram --all` then failed on the missing map (exit 3)
+        doc = {"p": 2, "differentials": [], "ranks": ranks}
+        with pytest.raises(DocumentError, match="exactly one entry"):
+            load_document(json.dumps(doc))
+        assert main(["rdiagram", write(tmp_path, doc), "--all"]) == 2
+        assert "exactly one entry" in capsys.readouterr().err
 
     def test_ranks_disambiguate_empty_matrices(self):
         C, _ = load_document('{"p": 3, "differentials": [{"d1": [], "d2": []}], "ranks": [2, 0]}')
@@ -692,3 +705,87 @@ def test_rdiagram_output_matches_the_golden_digest(flags, monkeypatch, capsys):
 
 def test_invariants_output_matches_the_golden_digest(monkeypatch, capsys):
     assert corpus_digest(["invariants", "-", "--all"], monkeypatch, capsys) == INVARIANTS_SHA256
+
+
+# values a perturbed document may hold in place of any part of a valid one
+JUNK = st.sampled_from(
+    [None, True, False, 0, 1, -1, 4, 2**32, 4294967291, 2**70, 1.5, "", "x", "7", "-3",
+     "1" * 40, [], [[]], [[1]], [[1, 2], [3]], [["2", 0]], {}, {"d1": [], "d2": []}]
+)
+
+
+def _paths(node, here=()):
+    """Every position in a JSON tree: keys of objects, indices of lists."""
+    yield here
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, here + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, here + (i,))
+
+
+def _perturb(doc, data):
+    """One change to ``doc``: replace, delete or duplicate a part, or add a key."""
+
+    def junk():  # a copy, since later changes may edit it in place
+        return copy.deepcopy(data.draw(JUNK))
+
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    kind = data.draw(st.sampled_from(["replace", "delete", "duplicate", "add"]))
+    if not path:
+        return junk() if kind == "replace" else doc
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if kind == "replace":
+        parent[last] = junk()
+    elif kind == "delete":
+        del parent[last]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(last, copy.deepcopy(parent[last]))
+    elif isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(["p", "ranks", "labels", "d1", "d2", "extra"]))] = junk()
+    return doc
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(0, 10**9),
+    ranks=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_any_perturbed_document_is_a_complex_or_a_document_error(p, seed, ranks, data):
+    pairs = random_complex_differentials(random.Random(seed), p, ranks, bound=2)
+    doc = {
+        "p": p,
+        "ranks": ranks,
+        "labels": [f"C{k}" for k in range(len(ranks))],
+        "differentials": [
+            {"d1": [list(r) for r in d1.entries], "d2": [list(r) for r in d2.entries]}
+            for d1, d2 in pairs
+        ],
+    }
+    for _ in range(data.draw(st.integers(0, 3))):
+        doc = _perturb(doc, data)
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):  # sometimes not JSON at all
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + data.draw(st.sampled_from(["", "}", "[", ",", "\x00", "\u00e9"])) + text[cut:]
+    try:
+        C, _ = load_document(text)
+    except DocumentError:
+        pass
+    else:
+        assert isinstance(C, homology.ChainComplexR)
+    # the pipeline accepts or refuses it, but never fails on it
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["rdiagram", "-", "--all"])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import io
 import json
 import pathlib
 import random
@@ -696,6 +697,43 @@ def test_homology_rdiagram_validates_only_at_the_boundary(prime_checks):
         prime_checks.clear()
         homology_rdiagram(C, n)
         assert prime_checks == [p] * 1
+
+
+def test_a_rebuilt_degree_validates_its_prime_once(prime_checks, capsys, monkeypatch):
+    # rdiagram_from_payload checks p once and hands the checked value to the
+    # F_p maps and both diagrams, whose stored p validate_rdiagram reads:
+    # 4 divisions to rebuild and 4 more to validate, before diagrams kept p
+    # as given
+    p = 1_000_000_007
+    pairs = random_complex_differentials(random.Random(0), p, [2, 3, 2])
+    diffs = [{"d1": [list(r) for r in a.entries], "d2": [list(r) for r in b.entries]} for a, b in pairs]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"p": p, "differentials": diffs})))
+    assert cli.main(["rdiagram", "-", "--all"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["degrees"]
+    assert len(blocks) == 3
+    for block in blocks:
+        prime_checks.clear()
+        assert reduction.validate_rdiagram(cli.rdiagram_from_payload(p, block)).ok
+        assert prime_checks == [p]
+
+
+def test_a_hand_built_diagram_validates_its_prime_once(prime_checks):
+    # the diagram stores the checked p, so is_separated's subspaces receive
+    # it: 1 division at construction and 2 in is_separated before
+    p = 1_000_000_007
+    M1 = ZModulePresentation(2, Lattice.scaled_full(2, p))
+    M2 = ZModulePresentation.free(1)
+    p1, p2 = FpMatrix.from_rows(p, [[1, 0]]), FpMatrix.from_rows(p, [[1]])
+    prime_checks.clear()
+    D = PullbackDiagram(p, M1, M2, 1, p1, p2)
+    assert type(D.p) is fplinalg._Prime
+    assert not pullback.is_separated(D).separated
+    assert prime_checks == [p]
+    for built in (
+        RDiagram(p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(1, 0)),
+        LatticeRModule.free(p, 1),
+    ):
+        assert type(built.p) is fplinalg._Prime and built.p == p
 
 
 @pytest.mark.parametrize("p", [2, 3, 1_000_000_007])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdiagram import pullback, reduction
-from rdiagram.fplinalg import FpMatrix, FpSubspace
+from rdiagram.fplinalg import FpMatrix, FpSubspace, quotient_projection
 from rdiagram.homology import ChainComplexR, homology_presentations, homology_rdiagram
 from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
 from rdiagram.morphisms import induced_pullback_map, pullback_group
@@ -271,6 +271,39 @@ def test_subspace_preimage_equals_the_hand_elimination(p, data):
     assert got == _hand_preimage(q, V)
     scaled_units = [tuple(p * int(i == j) for i in range(m)) for j in range(m)]
     assert got == preimage_lattice(q.lift(), Lattice.from_generators(m, vecs + scaled_units))
+
+
+def test_subspace_preimages_equal_the_projected_kernel_on_random_presentations(monkeypatch):
+    # every preimage over the sequential reductions, against the route that
+    # multiplies q by the projection onto F_p^rows / V.  For V = 0 that
+    # projection is the identity; such a preimage, as every one in reduce_K,
+    # now forms no product and leaves no kernel memo on q
+    products = []
+    matmul = FpMatrix.__matmul__
+    monkeypatch.setattr(FpMatrix, "__matmul__", lambda a, b: products.append(a) or matmul(a, b))
+    calls = []
+    preimage = reduction._subspace_preimage
+
+    def recorded(q, V):
+        start, memo = len(products), q._kernel
+        got = preimage(q, V)
+        calls.append((q, V, got, products[start:], q._kernel is memo))
+        return got
+
+    monkeypatch.setattr(reduction, "_subspace_preimage", recorded)
+    in_reduce_K = 0
+    for seed in range(30):
+        pres = random_presentation(random.Random(seed), (2, 3, 5)[seed % 3])
+        calls.clear()
+        reduce_K(pres)
+        assert calls and all(not V.dim and formed == [] and kept for _, V, _, formed, kept in calls)
+        in_reduce_K += len(calls)
+        calls.clear()
+        reduce_sequential(pres)
+        for q, V, got, formed, _ in calls:
+            assert not any(a == FpMatrix.identity(a.p, a.rows) for a in formed)
+            assert got == (quotient_projection(V)[0] @ q).kernel().lift()
+    assert in_reduce_K >= 30
 
 
 def _with_copied_p2(D):
