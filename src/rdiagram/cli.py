@@ -164,9 +164,6 @@ def load_document(text: str) -> tuple[ChainComplexR, list]:
         isinstance(ranks, list) and all(type(r) is int and r >= 0 for r in ranks)
     ):
         raise DocumentError('"ranks" must be a list of non-negative integers')
-    if not diffs and ranks is not None and len(ranks) != 1:
-        # more terms than differentials would leave a term with no map out of it
-        raise DocumentError('"ranks" must have exactly one entry when there are no differentials')
     terms = max(len(diffs) + 1, len(ranks or ()))
     if terms > MAX_TERMS:
         raise DocumentError(f"{terms} terms exceed the cap of {MAX_TERMS} terms")

@@ -174,12 +174,8 @@ def null_space(p: int, rows: Iterable[Sequence[int]], width: int) -> "FpSubspace
     return FpSubspace._derived(p, width, tuple(basis), tuple(free))
 
 
-def _mul_entries(p: int, a, b, cols: int) -> tuple[tuple[int, ...], ...]:
-    """The entries of the product of two entry grids, reduced into ``[0, p)``.
-
-    ``b`` has ``cols`` columns; the inner dimensions must agree.
-    """
-    bcols = [tuple(r[j] for r in b) for j in range(cols)]
+def _mul_entries(p: int, a, bcols) -> tuple[tuple[int, ...], ...]:
+    """The product of the rows ``a`` and the columns ``bcols``, reduced into ``[0, p)``."""
     return tuple(tuple(sum(map(mul, row, col)) % p for col in bcols) for row in a)
 
 
@@ -243,7 +239,7 @@ class FpMatrix:
 
     def lift(self) -> IntMatrix:
         """Integer matrix with the least nonnegative residues as entries."""
-        return IntMatrix(self.rows, self.cols, self.entries)
+        return IntMatrix.from_rows(self.entries, cols=self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -257,7 +253,7 @@ class FpMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in multiplication")
         p = self.p
-        entries = _mul_entries(p, self.entries, other.entries, other.cols)
+        entries = _mul_entries(p, self.entries, [other.column(j) for j in range(other.cols)])
         return FpMatrix._derived(p, self.rows, other.cols, entries)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:

@@ -94,9 +94,9 @@ class ChainComplexR:
 
     ``degrees[k]`` is the differential out of term k; shapes must chain
     (columns of one equal rows of the previous).  ``ranks`` may be given
-    explicitly for complexes with no differentials at all.  Congruence
-    mod p and vanishing compositions are semantic conditions reported by
-    ``validate_complex``, not enforced here.
+    explicitly, and a complex with no differentials needs exactly one.
+    Congruence mod p and vanishing compositions are semantic conditions
+    reported by ``validate_complex``, not enforced here.
     """
 
     p: int
@@ -123,6 +123,9 @@ class ChainComplexR:
             raise ValueError("ranks must be nonnegative")
         if expected is not None and ranks != expected:
             raise ValueError("explicit ranks disagree with differential shapes")
+        if not degrees and len(ranks) != 1:
+            # more terms than differentials would leave a term with no map out of it
+            raise ValueError('"ranks" must have exactly one entry when there are no differentials')
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "ranks", ranks)
 
@@ -174,16 +177,16 @@ def validate_complex(C: ChainComplexR) -> ComplexReport:
         return C._report
     failures = []
     for k, (d1, d2) in enumerate(C.degrees):
-        for i in range(d1.rows):
-            for j in range(d1.cols):
-                if (d1.entries[i][j] - d2.entries[i][j]) % C.p:
+        for i, (r1, r2) in enumerate(zip(d1.entries, d2.entries)):
+            for j, (x, y) in enumerate(zip(r1, r2)):
+                if (x - y) % C.p:
                     failures.append(("congruence", k, (i, j)))
     for k in range(len(C.degrees) - 1):
         for label, pick in (("composition-d1", 0), ("composition-d2", 1)):
             comp = C.degrees[k + 1][pick] @ C.degrees[k][pick]
-            for i in range(comp.rows):
-                for j in range(comp.cols):
-                    if comp.entries[i][j]:
+            for i, row in enumerate(comp.entries):
+                for j, x in enumerate(row):
+                    if x:
                         failures.append((label, k, (i, j)))
     object.__setattr__(C, "_report", ComplexReport(tuple(failures)))
     return C._report

@@ -7,7 +7,11 @@ point anywhere and no dependency outside the standard library.
 Conventions the rest of the package relies on:
 
 * ``IntMatrix`` is immutable and dense, with explicit ``rows``/``cols`` so
-  that degenerate shapes (``0 x n``, ``n x 0``) survive round trips.
+  that degenerate shapes (``0 x n``, ``n x 0``) survive round trips.  It
+  is stored by columns, like the kernels below, ``Lattice`` bases and
+  generator families; ``M @ v`` reads only the columns with a nonzero
+  coefficient.  Rows are derived, by ``from_rows`` and ``entries``, only
+  for JSON and for the F_p side, whose rows are the equations it eliminates.
 * ``hnf`` computes a *column* Hermite normal form ``H = M @ U`` with ``U``
   unimodular.  Pivots are positive, pivot rows increase strictly from left
   to right, entries to the left of a pivot (in the pivot's own row) are
@@ -35,10 +39,10 @@ Conventions the rest of the package relies on:
   agree with the integer route.
 * ``factor_modulo(A, L)`` factors ``[A | L]`` once, steered by its top
   rows only, and keeps the result as a ``Factorisation``: the span
-  ``A Z^k + L``, the kernel ``{x : Ax in L}``, and the transform rows that
-  turn a ``Lattice.solve`` on the triangular span basis into coefficients
-  on ``A``.  Solving many vectors modulo one lattice costs one normal
-  form, plus one small one for the kernel.
+  ``A Z^k + L``, the kernel ``{x : Ax in L}``, and the transform columns
+  that turn a ``Lattice.solve`` on the triangular span basis into
+  coefficients on ``A``.  Solving many vectors modulo one lattice costs
+  one normal form, plus one small one for the kernel.
 * ``snf`` computes ``(U, D, V)`` with ``D = U @ M @ V`` diagonal and
   nonnegative, each diagonal entry dividing the next.  Its in-place
   kernel carries any of ``U``, ``V`` and ``U^-1`` that the caller asks
@@ -56,7 +60,7 @@ much cheaper than re-running a normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, mul
+from operator import add, index
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -78,25 +82,25 @@ __all__ = [
 class IntMatrix:
     """A dense immutable integer matrix.
 
-    Entries are stored as a tuple of row tuples.  ``rows`` and ``cols`` are
-    explicit fields rather than being derived from ``entries`` so that
-    matrices with zero rows or zero columns keep their shape.
+    Entries are stored as a tuple of column tuples; ``entries`` derives
+    the rows on each read.  ``rows`` and ``cols`` are explicit fields so
+    that matrices with zero rows or zero columns keep their shape.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    col_entries: tuple[tuple[int, ...], ...]
     # unset until ``kernel_basis`` fills it: a default would cost every construction
     _kernel: Lattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError(f"ragged row: expected {self.cols} entries, got {len(r)}")
+        if len(self.col_entries) != self.cols:
+            raise ValueError(f"expected {self.cols} columns, got {len(self.col_entries)}")
+        for j, col in enumerate(self.col_entries):
+            if len(col) != self.rows:
+                raise ValueError(f"column {j} has {len(col)} entries, expected {self.rows}")
 
     # --- constructors -------------------------------------------------
 
@@ -107,78 +111,81 @@ class IntMatrix:
         ``cols`` is required when there are no rows (otherwise the column
         count cannot be inferred).
         """
-        data = tuple(tuple(map(index, row)) for row in rows)
-        if data:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with row length")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return IntMatrix(len(data), cols, data)
+        data = [tuple(map(index, row)) for row in rows]
+        if not data:
+            return IntMatrix(0, cols or 0, ((),) * (cols or 0))
+        if cols is not None and cols != len(data[0]):
+            raise ValueError("explicit column count disagrees with row length")
+        cols = len(data[0])
+        for r in data:
+            if len(r) != cols:
+                raise ValueError(f"ragged row: expected {cols} entries, got {len(r)}")
+        return IntMatrix(len(data), cols, tuple(zip(*data)))
 
     @staticmethod
     def from_cols(cols: Iterable[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        data = [tuple(map(index, col)) for col in cols]
+        data = tuple(tuple(map(index, col)) for col in cols)
         if rows is None:
             rows = len(data[0]) if data else 0
-        for j, col in enumerate(data):
-            if len(col) != rows:
-                raise ValueError(f"column {j} has {len(col)} entries, expected {rows}")
-        entries = tuple(zip(*data)) if data else ((),) * rows
-        return IntMatrix(rows, len(data), entries)
+        return IntMatrix(rows, len(data), data)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix(rows, cols, ((0,) * rows,) * cols)
 
     # --- access -------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, rebuilt on every read: read them once per matrix."""
+        if not self.cols:
+            return ((),) * self.rows
+        return tuple(zip(*self.col_entries))
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
-        return tuple(r[j] for r in self.entries)
+        return self.col_entries[j]
 
     def columns(self) -> list[tuple[int, ...]]:
-        if not self.rows:
-            return [()] * self.cols
-        return list(zip(*self.entries))
+        return list(self.col_entries)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(map(any, self.col_entries))
 
     # --- arithmetic ---------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bcols = other.columns()
-        entries = tuple(tuple(sum(map(mul, row, col)) for col in bcols) for row in self.entries)
-        return IntMatrix(self.rows, other.cols, entries)
+        return IntMatrix(self.rows, other.cols, tuple(map(self.mul_vec, other.col_entries)))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
+        """``M v``: the sum of ``v_j`` times column j over the nonzero ``v_j`` only."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(map(mul, row, v)) for row in self.entries)
+        acc = [0] * self.rows
+        for c, col in zip(v, self.col_entries):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, col)]
+        return tuple(acc)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries)),
-        )
+        sums = tuple(tuple(map(add, c, d)) for c, d in zip(self.col_entries, other.col_entries))
+        return IntMatrix(self.rows, self.cols, sums)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(k * x for x in r) for r in self.entries))
+        scaled = tuple(tuple(k * x for x in c) for c in self.col_entries)
+        return IntMatrix(self.rows, self.cols, scaled)
 
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
@@ -186,16 +193,13 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(r + s for r, s in zip(self.entries, other.entries)),
-        )
+        return IntMatrix(self.rows, self.cols + other.cols, self.col_entries + other.col_entries)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        stacked = tuple(map(add, self.col_entries, other.col_entries))
+        return IntMatrix(self.rows + other.rows, self.cols, stacked)
 
     # --- misc ---------------------------------------------------------
 
@@ -280,7 +284,7 @@ def _hnf_in_place(cols: list[list[int]], height: int, top: int = 0) -> int:
 def _stacked_over_identity(M: IntMatrix) -> list[list[int]]:
     """The columns of ``M`` with the identity's columns stacked below them."""
     n = M.cols
-    return [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.columns())]
+    return [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(M.col_entries)]
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -300,8 +304,8 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     m = M.rows
     cols = _stacked_over_identity(M)
     _hnf_in_place(cols, m)
-    H = IntMatrix.from_cols([c[:m] for c in cols], rows=m)
-    return H, IntMatrix.from_cols([c[m:] for c in cols], rows=M.cols)
+    H = IntMatrix(m, M.cols, tuple(tuple(c[:m]) for c in cols))
+    return H, IntMatrix(M.cols, M.cols, tuple(tuple(c[m:]) for c in cols))
 
 
 def _snf_in_place(
@@ -542,7 +546,7 @@ class Lattice:
         return len(self.basis)
 
     def basis_matrix(self) -> IntMatrix:
-        return IntMatrix.from_cols(self.basis, rows=self.ambient)
+        return IntMatrix(self.ambient, self.rank, self.basis)
 
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Coordinates of ``v`` in the basis, or ``None`` if ``v`` is outside.
@@ -658,15 +662,15 @@ class Factorisation:
 
     span: Lattice
     kernel: Lattice
-    # row t: entry t of the transform column behind each basis column of ``span``
-    _transform: tuple[tuple[int, ...], ...] = field(repr=False)
+    # column j: the coefficients on ``A`` behind basis column j of ``span``
+    _transform: IntMatrix = field(repr=False)
 
     def solve(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Some ``x`` with ``v - Ax`` in ``L``, or ``None`` if ``v`` is outside ``span``."""
         coords = self.span.solve(v)
         if coords is None:
             return None
-        return tuple(sum(map(mul, coords, row)) for row in self._transform)
+        return self._transform.mul_vec(coords)
 
 
 def factor_modulo(A: IntMatrix, L: Lattice) -> Factorisation:
@@ -687,5 +691,5 @@ def factor_modulo(A: IntMatrix, L: Lattice) -> Factorisation:
     rank = _hnf_in_place(cols, m)
     span = Lattice(m, tuple(tuple(c[:m]) for c in cols[:rank]))
     kernel = Lattice.from_generators(k, (c[m:] for c in cols[rank:]))
-    transform = tuple(tuple(c[t] for c in cols[:rank]) for t in range(m, m + k))
+    transform = IntMatrix(k, rank, tuple(tuple(c[m:]) for c in cols[:rank]))
     return Factorisation(span, kernel, transform)

@@ -131,11 +131,11 @@ def _pair_kernel(p: int, d1: IntMatrix, d2: IntMatrix) -> Lattice:
     that target's basis p e_i is already canonical.
     """
     m, r = d1.cols, d1.rows + d2.rows
-    rows = [row + (0,) * m for row in d1.entries]
-    rows += [(0,) * m + row for row in d2.entries]
-    rows += [tuple(int(j == i) - int(j == m + i) for j in range(2 * m)) for i in range(m)]
+    unit = IntMatrix.identity(m).columns()
+    cols = [c + (0,) * d2.rows + e for c, e in zip(d1.columns(), unit)]
+    cols += [(0,) * d1.rows + c + tuple(-x for x in e) for c, e in zip(d2.columns(), unit)]
     target = tuple(tuple(p * int(i == r + j) for i in range(r + m)) for j in range(m))
-    return preimage_lattice(IntMatrix(r + m, 2 * m, tuple(rows)), Lattice(r + m, target))
+    return preimage_lattice(IntMatrix(r + m, 2 * m, tuple(cols)), Lattice(r + m, target))
 
 
 def integer_homology_invariants(C, n: int) -> GroupInvariants:

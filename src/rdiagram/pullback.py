@@ -294,13 +294,12 @@ class Separation:
 
         Only available for lattice modules: the element of M whose first
         block agrees with the c1 combination and second block with the c2
-        combination.  Only those two blocks are computed, and zero
-        coefficients are skipped.
+        combination.
         """
         if self.relations.rank:
             raise ValueError("embedding is only defined for lattice modules")
-        rows = self.gen_matrix.entries
-        return _combine(rows[: self.a], c1) + _combine(rows[self.a :], c2)
+        G, a = self.gen_matrix, self.a
+        return G.mul_vec(c1)[:a] + G.mul_vec(c2)[a:]
 
     def embedded_pullback_lattice(self) -> Lattice:
         """Image in Z^a + Z^b of the matching-pairs lattice of the diagram."""
@@ -328,12 +327,6 @@ class Separation:
                 raise ValueError(f"column {j}, {tuple(v)}, is not an element of the module")
             coords.append(c)
         return coords
-
-
-def _combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
-    """``rows @ coeffs``, reading only the columns with a nonzero coefficient."""
-    terms = [(j, c) for j, c in enumerate(coeffs) if c]
-    return tuple(sum(row[j] * c for j, c in terms) for row in rows)
 
 
 def _check_rclosed(p: int, a: int, b: int, lat: Lattice, label: str) -> None:
@@ -453,9 +446,9 @@ class DiagramMorphism:
             # target.p_i f_i = fbar source.p_i, compared entrywise mod p;
             # a source map both sides share gives one right-hand side
             to, src = target.structure_map(i), source.structure_map(i)
-            left = _mul_entries(p, to.entries, f.matrix.entries, f.matrix.cols)
+            left = _mul_entries(p, to.entries, f.matrix.columns())
             if right is None or src is not source.p1:
-                right = _mul_entries(p, fbar.entries, src.entries, src.cols)
+                right = _mul_entries(p, fbar.entries, [src.column(j) for j in range(src.cols)])
             if left != right:
                 raise ValueError(f"square {i} does not commute")
 

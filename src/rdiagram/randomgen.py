@@ -53,6 +53,11 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 12) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=n)
 
 
+def _random_element(rng: random.Random, L: Lattice, bound: int) -> tuple[int, ...]:
+    """An element of ``L``: one coefficient in ``[-bound, bound]`` per basis vector."""
+    return L.basis_matrix().mul_vec([rng.randint(-bound, bound) for _ in L.basis])
+
+
 def rclose(p: int, a: int, b: int, lat: Lattice) -> Lattice:
     """Smallest lattice containing ``lat`` closed under the (0,p)-action."""
     while True:
@@ -103,12 +108,9 @@ def random_presentation(
     g1, g2 = D.M1.gens, D.M2.gens
     cols1, cols2 = [], []
     for _ in range(ell):
-        total = [0] * (g1 + g2)
-        for col in matching.basis:
-            c = rng.randint(-bound, bound)
-            total = [t + c * x for t, x in zip(total, col)]
-        cols1.append(tuple(total[:g1]))
-        cols2.append(tuple(total[g1:]))
+        total = _random_element(rng, matching, bound)
+        cols1.append(total[:g1])
+        cols2.append(total[g1:])
     K = free_diagram(p, ell)
     m1 = IntMatrix.from_cols(cols1, rows=g1)
     m2 = IntMatrix.from_cols(cols2, rows=g2)
@@ -150,12 +152,9 @@ def random_complex_differentials(
         m = sizes[k + 1]
         cols1, cols2 = [], []
         for _ in range(sizes[k]):
-            total = [0] * (2 * m)
-            for col in pairs.basis:
-                c = rng.randint(-bound, bound)
-                total = [t + c * x for t, x in zip(total, col)]
-            cols1.append(tuple(total[:m]))
-            cols2.append(tuple(total[m:]))
+            total = _random_element(rng, pairs, bound)
+            cols1.append(total[:m])
+            cols2.append(total[m:])
         diffs[k] = (
             IntMatrix.from_cols(cols1, rows=m),
             IntMatrix.from_cols(cols2, rows=m),

@@ -179,8 +179,9 @@ def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatri
 def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPresentation:
     """Quotient K by L, each S_i by f_i(L_i), and Sbar by fbar(Lbar).
 
-    When fbar(Lbar) = 0 the projection of Sbar would be the identity, so
-    it is not built and Sbar and S's structure maps are kept as they are.
+    When Lbar = 0 the projection of Kbar would be the identity, so it is
+    not built and Kbar, K's structure maps and fbar are kept as they are;
+    likewise for Sbar and S's structure maps when fbar(Lbar) = 0.
 
     A structure map that both sides of K or S share (``p2 is p1``, as in
     every diagram the pipeline builds) is multiplied by the projection
@@ -195,8 +196,13 @@ def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPres
         newK2 = newK1
     else:
         newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
-    projK, sectionK = quotient_projection(L.Lbar)
-    newK = PullbackDiagram(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
+    if L.Lbar.dim:
+        projK, sectionK = quotient_projection(L.Lbar)
+        newK = PullbackDiagram(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
+        newfbar = pres.fbar @ sectionK
+    else:
+        newK = PullbackDiagram(p, newK1, newK2, K.mbar_dim, K.p1, K.p2)
+        newfbar = pres.fbar
 
     newS1, newS2 = (
         S.component(i).quotient_by(
@@ -204,14 +210,12 @@ def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPres
         )
         for i in (1, 2)
     )
-    newfbar = pres.fbar @ sectionK
     images = [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
     if any(map(any, images)):
         projS, _ = quotient_projection(FpSubspace.from_vectors(p, S.mbar_dim, images))
         newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
         newfbar = projS @ newfbar
     else:
-        # fbar(Lbar) = 0, so the projection of Sbar would be the identity
         newS = PullbackDiagram(p, newS1, newS2, S.mbar_dim, S.p1, S.p2)
 
     newf1 = ModuleMap(newK1, newS1, pres.f1.matrix)

@@ -92,6 +92,12 @@ class TestChainComplexR:
         C = ChainComplexR(2, [], ranks=[3])
         assert C.terms == 1 and C.rank(0) == 3
 
+    def test_exactly_one_rank_without_differentials(self):
+        # a second term would have no map out of it, and no rank gives no term
+        for ranks in ([1, 2], []):
+            with pytest.raises(ValueError, match="exactly one entry"):
+                ChainComplexR(2, [], ranks=ranks)
+
     def test_explicit_ranks_checked(self):
         with pytest.raises(ValueError, match="disagree"):
             ChainComplexR(2, [(rows([[2]]), rows([[0]]))], ranks=[1, 2])

@@ -38,10 +38,10 @@ def mat(rows, cols=None):
 def matrices(draw, max_dim=5, max_entry=50, min_dim=0):
     m = draw(st.integers(min_dim, max_dim))
     n = draw(st.integers(min_dim, max_dim))
-    entries = [
-        [draw(st.integers(-max_entry, max_entry)) for _ in range(n)] for _ in range(m)
-    ]
-    return IntMatrix(m, n, tuple(tuple(r) for r in entries))
+    # now and then 70-bit entries, past machine-word size
+    bound = draw(st.sampled_from((max_entry, 2**70)))
+    entries = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    return IntMatrix.from_rows(entries, cols=n)
 
 
 @st.composite
@@ -207,6 +207,20 @@ def test_det_small_cases():
     assert det(mat([[1, 2], [3, 4]])) == -2
     assert det(IntMatrix.zeros(0, 0)) == 1
     assert det(mat([[2, 0, 1], [0, 1, 0], [1, 0, 1]])) == 1
+
+
+def test_mul_vec_never_reads_a_column_with_a_zero_coefficient():
+    class Unreadable(int):
+        def __mul__(self, other):
+            raise AssertionError("a column with coefficient 0 was read")
+
+        __rmul__ = __mul__
+
+    # the dataclass constructor takes the columns as given, with no operator.index
+    bad = Unreadable(7)
+    M = IntMatrix(2, 3, ((1, 2), (bad, bad), (3, 4)))
+    assert M.mul_vec((1, 0, 2)) == (7, 10)
+    assert M @ mat([[1, 0], [0, 0], [2, -1]]) == mat([[7, -3], [10, -4]])
 
 
 def test_matrix_shape_errors():

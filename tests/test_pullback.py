@@ -365,7 +365,7 @@ class TestMorphismSquares:
         products = []
         multiply = pullback._mul_entries
         monkeypatch.setattr(
-            pullback, "_mul_entries", lambda p, a, b, n: products.append(a) or multiply(p, a, b, n)
+            pullback, "_mul_entries", lambda p, a, b: products.append(a) or multiply(p, a, b)
         )
         for source, expected in ((D, 1), (copy, 2)):
             products.clear()

@@ -332,8 +332,10 @@ class TestSharedStructureMaps:
             return matmul(a, b)
 
         monkeypatch.setattr(FpMatrix, "__matmul__", counting)
-        # fbar = 0 on (3, 0), so only K is projected; fbar is a unit on (4, 1)
-        for element, projected in (((3, 0), 1), ((4, 1), 2)):
+        # fbar = 0 on (3, 0): quotienting by ker fbar projects only K, and by
+        # its complement (Lbar = 0) projects nothing; fbar is a unit on (4, 1)
+        cases = (((3, 0), True, 1), ((3, 0), False, 0), ((4, 1), False, 2))
+        for element, by_kernel, projected in cases:
             shared = mult_by_element_presentation(3, element)
             m = shared.morphism
             K, S = _with_copied_p2(m.source), _with_copied_p2(m.target)
@@ -342,7 +344,10 @@ class TestSharedStructureMaps:
             for pres in (shared, copied):
                 maps = [pres.K.p1, pres.K.p2, pres.S.p1, pres.S.p2]
                 # the sub-diagram's preimages multiply K's maps too; count only the quotient's
-                L = _stepwise_subdiagram(pres)
+                if by_kernel:
+                    L = reduction._preimage_subdiagram(pres.K, pres.fbar.kernel())
+                else:
+                    L = _stepwise_subdiagram(pres)
                 products.clear()
                 out = reduction._apply_quotient(pres, L)
                 outputs.append(out)
@@ -358,31 +363,56 @@ class TestSharedStructureMaps:
 
     def test_a_zero_image_of_lbar_builds_no_projection_of_sbar(self, monkeypatch):
         # over the selftest generator, reduce_K's sub-diagram always has
-        # fbar(Lbar) = 0, and reduce_barf's has it whenever fbar is zero
+        # Lbar = 0, and reduce_barf's has it whenever fbar is zero; the
+        # sub-diagram over ker fbar has fbar(Lbar) = 0 with Lbar nonzero
         projected = []
         project = reduction.quotient_projection
         monkeypatch.setattr(
             reduction, "quotient_projection", lambda W: projected.append(W) or project(W)
         )
-        seen = {True: 0, False: 0}
+        seen = {"Lbar = 0": 0, "fbar(Lbar) = 0": 0, "fbar(Lbar) != 0": 0}
         for seed in range(30):
             pres = random_presentation(random.Random(seed), (2, 3, 5)[seed % 3])
             zero = FpSubspace.zero(pres.p, pres.K.mbar_dim)
-            for L in (reduction._preimage_subdiagram(pres.K, zero), _stepwise_subdiagram(pres)):
+            for L in (
+                reduction._preimage_subdiagram(pres.K, zero),
+                reduction._preimage_subdiagram(pres.K, pres.fbar.kernel()),
+                _stepwise_subdiagram(pres),
+            ):
                 projected.clear()
                 out = reduction._apply_quotient(pres, L)
-                vanishes = not any(any(pres.fbar.mul_vec(l)) for l in L.Lbar.basis)
-                seen[vanishes] += 1
-                if not vanishes:
+                if any(any(pres.fbar.mul_vec(l)) for l in L.Lbar.basis):
+                    seen["fbar(Lbar) != 0"] += 1
                     assert len(projected) == 2
                     continue
-                # only K is projected; the identity projection of Sbar would
-                # have given the same Sbar, structure maps and fbar
-                assert len(projected) == 1 and projected[0] is L.Lbar
+                # Sbar is not projected; the identity projection would have
+                # given the same Sbar and structure maps
                 assert out.S.mbar_dim == pres.S.mbar_dim
                 assert out.S.p1 is pres.S.p1 and out.S.p2 is pres.S.p2
-                assert out.fbar == pres.fbar @ project(L.Lbar)[1]
-        assert seen[True] and seen[False]
+                if L.Lbar.dim:
+                    seen["fbar(Lbar) = 0"] += 1
+                    assert len(projected) == 1 and projected[0] is L.Lbar
+                    assert out.fbar == pres.fbar @ project(L.Lbar)[1]
+                else:
+                    # nor is Kbar: K's structure maps and fbar are kept as they are
+                    seen["Lbar = 0"] += 1
+                    assert not projected
+                    assert out.K.mbar_dim == pres.K.mbar_dim
+                    assert out.K.p1 is pres.K.p1 and out.K.p2 is pres.K.p2
+                    assert out.fbar is pres.fbar
+        assert all(seen.values()), seen
+
+    def test_reduce_K_forms_no_product(self, monkeypatch):
+        # its sub-diagram has Lbar = 0, whose projection and section are identities
+        presentations = [
+            random_presentation(random.Random(seed), (2, 3, 5)[seed % 3]) for seed in range(30)
+        ]
+        products = []
+        matmul = FpMatrix.__matmul__
+        monkeypatch.setattr(FpMatrix, "__matmul__", lambda a, b: products.append(b) or matmul(a, b))
+        for pres in presentations:
+            reduce_K(pres)
+        assert products == []
 
     def test_reduce_monos_evaluates_separation_once_per_rebuilt_diagram(self, monkeypatch):
         stage2 = reduce_barf(reduce_K(mult_by_element_presentation(2, (2, 0))))
