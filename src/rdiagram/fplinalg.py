@@ -15,8 +15,8 @@ elimination: the complement and the quotient projection come straight
 from a subspace's stored RREF, an intersection from one elimination of
 the rows ``(a | a)`` and ``(b | 0)``, and a kernel from one elimination of
 the matrix with its columns reversed, whose null vectors are then already
-in RREF.  Each result has a unique form (an RREF, or the inverse of a
-fixed basis), so it is the same object the longer constructions built.
+in RREF.  Each result has a unique form: an RREF, or the inverse of a
+fixed basis.
 
 The prime is checked once, where a bare ``p`` enters, and the proof is
 carried in its type: ``validate_prime`` returns a private ``int``
@@ -242,6 +242,8 @@ class FpMatrix:
         return IntMatrix.from_rows(self.entries, cols=self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
         return tuple(r[j] for r in self.entries)
 
     def is_zero(self) -> bool:

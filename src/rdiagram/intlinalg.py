@@ -501,6 +501,8 @@ class Lattice:
     _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.ambient < 0:
+            raise ValueError("ambient dimension must be nonnegative")
         pivots = []
         for col in self.basis:
             if len(col) != self.ambient:

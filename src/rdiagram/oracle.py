@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, Lattice, _snf_in_place, preimage_lattice
-from .pullback import PullbackDiagram
+from .pullback import PullbackDiagram, per_side
 from .reduction import RDiagram, SeparatedPresentation, validate_rdiagram
 
 __all__ = [
@@ -82,7 +82,8 @@ def _congruence_lattice(D: PullbackDiagram) -> Lattice:
     """
     if not D.mbar_dim:
         return Lattice.full(D.M1.gens + D.M2.gens)
-    stacked = D.p1.lift().hstack(D.p2.lift().scale(-1))
+    lift1, lift2 = per_side(lambda i, q: q.lift(), (D.p1,), (D.p2,))
+    stacked = lift1.hstack(lift2.scale(-1))
     return preimage_lattice(stacked, Lattice.scaled_full(D.mbar_dim, D.p))
 
 

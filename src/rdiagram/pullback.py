@@ -24,8 +24,8 @@ something to paper over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
-from typing import Iterable, Sequence
+from operator import index, is_
+from typing import Callable, Iterable, Sequence
 
 from .intlinalg import (
     Factorisation,
@@ -55,6 +55,19 @@ __all__ = [
     "separate_presented",
     "DiagramMorphism",
 ]
+
+
+def per_side(f: Callable, side1: tuple, side2: tuple) -> tuple:
+    """``(f(1, *side1), f(2, *side2))``, calling ``f`` once when side 2 is side 1.
+
+    Side 2 is side 1 when each of its arguments ``is`` the matching one of
+    side 1: every diagram the pipeline builds has one structure-map object
+    on both sides, and the free source of a homology presentation shares
+    its module too.  Every two-sided step goes through here, so a shared
+    side is computed and checked once.  The index only labels errors.
+    """
+    first = f(1, *side1)
+    return first, (first if all(map(is_, side1, side2)) else f(2, *side2))
 
 
 def quotient_ring_check(p: int) -> bool:
@@ -119,8 +132,8 @@ class PullbackDiagram:
     diagram checks it again; given that value, as every diagram the
     pipeline builds is, the check returns at once.  It also
     verifies the maps' moduli and shapes, and that both maps kill the
-    relation lattices mod p (well-definedness); a side that is the same
-    objects as side 1 (``p2 is p1`` and ``M2 is M1``) is checked once.
+    relation lattices mod p (well-definedness), per side through
+    ``per_side``.
     """
 
     p: int
@@ -135,19 +148,18 @@ class PullbackDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "p", validate_prime(self.p))
-        sides = [("p1", self.p1, self.M1)]
-        if not (self.p2 is self.p1 and self.M2 is self.M1):
-            sides.append(("p2", self.p2, self.M2))
-        for label, mat, mod in sides:
-            if mat.p != self.p:
-                raise ValueError(f"{label} has modulus {mat.p}, expected {self.p}")
-            if (mat.rows, mat.cols) != (self.mbar_dim, mod.gens):
-                raise ValueError(
-                    f"{label} must be {self.mbar_dim}x{mod.gens}, got {mat.rows}x{mat.cols}"
-                )
-            for rel in mod.relations.basis:
-                if any(mat.mul_vec(rel)):
-                    raise ValueError(f"{label} does not vanish on a relation {rel}")
+        per_side(self._check_side, (self.p1, self.M1), (self.p2, self.M2))
+
+    def _check_side(self, i: int, mat: FpMatrix, mod: ZModulePresentation) -> None:
+        if mat.p != self.p:
+            raise ValueError(f"p{i} has modulus {mat.p}, expected {self.p}")
+        if (mat.rows, mat.cols) != (self.mbar_dim, mod.gens):
+            raise ValueError(
+                f"p{i} must be {self.mbar_dim}x{mod.gens}, got {mat.rows}x{mat.cols}"
+            )
+        for rel in mod.relations.basis:
+            if any(mat.mul_vec(rel)):
+                raise ValueError(f"p{i} does not vanish on a relation {rel}")
 
     def component(self, i: int) -> ZModulePresentation:
         if i == 1:
@@ -197,12 +209,10 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
     condition says that the preimage of p Z^d under an integer lift of
     p_i equals p*(generators) + relations; both lattices contain
     p Z^gens, so they are equal exactly when the kernel of p_i equals the
-    span of the relations mod p, and no lattice is built.  A structure
-    map that both sides share (``p2 is p1``) has its kernel taken once;
-    each side still compares against its own relations.  Witnesses name
-    the failing side and, for kernel failures, a basis vector of one
-    subspace outside the other.  The report is kept on the diagram;
-    every separated diagram keeps the same shared report.
+    span of the relations mod p, and no lattice is built.  Witnesses name
+    the failing side, a shared one included, and, for kernel failures, a
+    basis vector of one subspace outside the other.  The report is kept
+    on the diagram; every separated diagram keeps the same shared report.
     """
     cached = D._sep_cache
     if cached is None:
@@ -214,18 +224,12 @@ def is_separated(D: PullbackDiagram) -> SeparationReport:
 def _separation_report(D: PullbackDiagram) -> SeparationReport:
     """Evaluate the conditions of ``is_separated``.
 
-    Side 2 is evaluated only when it is not the same objects as side 1, and
-    a shared map's kernel is taken once; each side keeps its own witnesses.
     The kernels are not kept on the maps, which every kept diagram retains.
     """
-    kernel = null_space(D.p, D.p1.entries, D.M1.gens)
-    first = _side_conditions(D, D.M1, kernel)
-    if D.p2 is D.p1 and D.M2 is D.M1:
-        second = first
-    else:
-        if D.p2 is not D.p1:
-            kernel = null_space(D.p, D.p2.entries, D.M2.gens)
-        second = _side_conditions(D, D.M2, kernel)
+    k1, k2 = per_side(lambda i, q: null_space(D.p, q.entries, q.cols), (D.p1,), (D.p2,))
+    first, second = per_side(
+        lambda i, mod, kernel: _side_conditions(D, mod, kernel), (D.M1, k1), (D.M2, k2)
+    )
     sides = ((1, first), (2, second))
     witnesses = [("not-surjective", i, None) for i, (onto, _, _) in sides if not onto]
     witnesses += [("kernel-mismatch", i, bad) for i, (_, ok, bad) in sides if not ok]
@@ -441,14 +445,14 @@ class DiagramMorphism:
         p = source.p
         if fbar.p != p:
             raise ValueError("mixing different moduli")
-        right = None
-        for i, f in ((1, self.f1), (2, self.f2)):
-            # target.p_i f_i = fbar source.p_i, compared entrywise mod p;
-            # a source map both sides share gives one right-hand side
-            to, src = target.structure_map(i), source.structure_map(i)
-            left = _mul_entries(p, to.entries, f.matrix.columns())
-            if right is None or src is not source.p1:
-                right = _mul_entries(p, fbar.entries, [src.column(j) for j in range(src.cols)])
+        # target.p_i f_i = fbar source.p_i, compared entrywise mod p
+        rights = per_side(
+            lambda i, src: _mul_entries(p, fbar.entries, [src.column(j) for j in range(src.cols)]),
+            (source.p1,),
+            (source.p2,),
+        )
+        for i, f, right in zip((1, 2), (self.f1, self.f2), rights):
+            left = _mul_entries(p, target.structure_map(i).entries, f.matrix.columns())
             if left != right:
                 raise ValueError(f"square {i} does not commute")
 

@@ -36,6 +36,7 @@ from .pullback import (
     DiagramMorphism,
     PullbackDiagram,
     is_separated,
+    per_side,
 )
 
 __all__ = [
@@ -115,7 +116,6 @@ class SubDiagram:
     ``L1``/``L2`` are lattices in the generator spaces of K_1/K_2, ``Lbar``
     a subspace of Kbar; the restrictions of K's structure maps are the
     implicit maps u_i, so the components must satisfy q_i(L_i) <= Lbar.
-    A side with the same lattice and map as side 1 is checked once.
     """
 
     K: InitVar[PullbackDiagram]
@@ -128,13 +128,13 @@ class SubDiagram:
             raise ValueError("sub-diagram lattices must live in the generator spaces")
         if self.Lbar.ambient != K.mbar_dim or self.Lbar.p != K.p:
             raise ValueError("Lbar must be a subspace of Kbar")
-        sides = [(self.L1, K.p1, "L1")]
-        if not (self.L2 is self.L1 and K.p2 is K.p1):
-            sides.append((self.L2, K.p2, "L2"))
-        for lat, mat, name in sides:
+
+        def check(i, lat, mat):
             for v in lat.basis:
                 if not self.Lbar.contains(mat.mul_vec(v)):
-                    raise ValueError(f"structure map carries {name} outside Lbar at {v}")
+                    raise ValueError(f"structure map carries L{i} outside Lbar at {v}")
+
+        per_side(check, (self.L1, K.p1), (self.L2, K.p2))
 
     def side(self, i: int) -> Lattice:
         return self.L1 if i == 1 else self.L2
@@ -165,15 +165,15 @@ def _subspace_preimage(q: FpMatrix, V: FpSubspace) -> Lattice:
 
 
 def _preimage_subdiagram(K: PullbackDiagram, Lbar: FpSubspace) -> SubDiagram:
-    """(L_1, Lbar, L_2) with L_i = {x : q_i(x) in Lbar}, one lattice if the sides share a map."""
-    L1 = _subspace_preimage(K.p1, Lbar)
-    return SubDiagram(K, L1, Lbar, L1 if K.p2 is K.p1 else _subspace_preimage(K.p2, Lbar))
+    """(L_1, Lbar, L_2) with L_i = {x : q_i(x) in Lbar}."""
+    L1, L2 = per_side(lambda i, q: _subspace_preimage(q, Lbar), (K.p1,), (K.p2,))
+    return SubDiagram(K, L1, Lbar, L2)
 
 
-def _project_maps(proj: FpMatrix, D: PullbackDiagram) -> tuple[FpMatrix, FpMatrix]:
-    """``(proj @ D.p1, proj @ D.p2)``, one product when the sides share their map."""
-    m1 = proj @ D.p1
-    return m1, (m1 if D.p2 is D.p1 else proj @ D.p2)
+def _check_onto(i: int, q: FpMatrix, lat: Lattice, Lbar: FpSubspace) -> None:
+    """Raise unless u_i, the restriction of q_i to L_i, maps onto Lbar."""
+    if _image_subspace(q, lat) != Lbar:
+        raise HypothesisViolation(f"u{i}-not-surjective", f"L{i} does not map onto Lbar")
 
 
 def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPresentation:
@@ -182,23 +182,19 @@ def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPres
     When Lbar = 0 the projection of Kbar would be the identity, so it is
     not built and Kbar, K's structure maps and fbar are kept as they are;
     likewise for Sbar and S's structure maps when fbar(Lbar) = 0.
-
-    A structure map that both sides of K or S share (``p2 is p1``, as in
-    every diagram the pipeline builds) is multiplied by the projection
-    once, and the one product is again shared by both sides; so is the
-    quotient of K_1 when K_2 and L_2 are the same objects as K_1 and L_1.
     """
     p = pres.p
     K, S = pres.K, pres.S
 
-    newK1 = ZModulePresentation(K.M1.gens, K.M1.relations.sum(L.L1))
-    if K.M2 is K.M1 and L.L2 is L.L1:
-        newK2 = newK1
-    else:
-        newK2 = ZModulePresentation(K.M2.gens, K.M2.relations.sum(L.L2))
+    newK1, newK2 = per_side(
+        lambda i, mod, lat: ZModulePresentation(mod.gens, mod.relations.sum(lat)),
+        (K.M1, L.L1),
+        (K.M2, L.L2),
+    )
     if L.Lbar.dim:
         projK, sectionK = quotient_projection(L.Lbar)
-        newK = PullbackDiagram(p, newK1, newK2, projK.rows, *_project_maps(projK, K))
+        maps = per_side(lambda i, q: projK @ q, (K.p1,), (K.p2,))
+        newK = PullbackDiagram(p, newK1, newK2, projK.rows, *maps)
         newfbar = pres.fbar @ sectionK
     else:
         newK = PullbackDiagram(p, newK1, newK2, K.mbar_dim, K.p1, K.p2)
@@ -213,7 +209,8 @@ def _apply_quotient(pres: SeparatedPresentation, L: SubDiagram) -> SeparatedPres
     images = [pres.fbar.mul_vec(l) for l in L.Lbar.basis]
     if any(map(any, images)):
         projS, _ = quotient_projection(FpSubspace.from_vectors(p, S.mbar_dim, images))
-        newS = PullbackDiagram(p, newS1, newS2, projS.rows, *_project_maps(projS, S))
+        maps = per_side(lambda i, q: projS @ q, (S.p1,), (S.p2,))
+        newS = PullbackDiagram(p, newS1, newS2, projS.rows, *maps)
         newfbar = projS @ newfbar
     else:
         newS = PullbackDiagram(p, newS1, newS2, S.mbar_dim, S.p1, S.p2)
@@ -234,11 +231,7 @@ def quotient_presentation(
     ``_one_sided_quotient``.
     """
     K = pres.K
-    for i in (1, 2):
-        if _image_subspace(K.structure_map(i), L.side(i)) != L.Lbar:
-            raise HypothesisViolation(
-                f"u{i}-not-surjective", "L{} does not map onto Lbar".format(i)
-            )
+    per_side(lambda i, q, lat: _check_onto(i, q, lat, L.Lbar), (K.p1, L.L1), (K.p2, L.L2))
     if pres.fbar.kernel().intersect(L.Lbar).dim:
         raise HypothesisViolation(
             "fbar-not-injective-on-Lbar", "ker fbar meets Lbar"
@@ -256,9 +249,8 @@ def _one_sided_quotient(
     Under them the quotient of S_j and Sbar changes neither as a value, so
     this is the two-sided quotient.
     """
-    f, q = pres.morphism.component(j), pres.K.structure_map(j)
-    if _image_subspace(q, L.side(j)) != L.Lbar:
-        raise HypothesisViolation(f"u{j}-not-surjective", f"L{j} does not map onto Lbar")
+    f = pres.morphism.component(j)
+    _check_onto(j, pres.K.structure_map(j), L.side(j), L.Lbar)
     relations = pres.S.component(j).relations
     for v in L.side(j).basis:
         if not relations.contains(f.matrix.mul_vec(v)):
@@ -275,28 +267,24 @@ def _maps_from_Kbar(pres: SeparatedPresentation) -> tuple[IntMatrix, IntMatrix]:
     Requires each structure map q_i to be an isomorphism of modules
     K_i -> Kbar (which holds after the K-side kernels have been
     quotiented away); the columns are f_i of integer lifts of the inverse
-    isomorphisms.  A side that is the same objects as side 1 (``q is
-    K.p1`` and ``mod is K.M1``) reuses side 1's check and lifts.
+    isomorphisms.
     """
     K = pres.K
-    d = K.mbar_dim
-    maps = []
-    for i in (1, 2):
-        q = K.structure_map(i)
-        mod = K.component(i)
-        if i == 1 or not (q is K.p1 and mod is K.M1):
-            if not mod.relations.contains_lattice(q.kernel().lift()):
-                raise AssertionError(
-                    f"structure map {i} of K is not injective; quotient the kernels first"
-                )
-            units = [[int(t == r) for t in range(d)] for r in range(d)]
-            lifts = q.solve_many(units)
-            if None in lifts:
-                raise AssertionError(f"structure map {i} of K is not surjective")
-        f = pres.morphism.component(i)
-        cols = [f.matrix.mul_vec(w) for w in lifts]
-        maps.append(IntMatrix.from_cols(cols, rows=pres.S.component(i).gens))
-    return tuple(maps)
+    inverse1, inverse2 = per_side(_inverse_lift, (K.p1, K.M1), (K.p2, K.M2))
+    return pres.f1.matrix @ inverse1, pres.f2.matrix @ inverse2
+
+
+def _inverse_lift(i: int, q: FpMatrix, mod: ZModulePresentation) -> IntMatrix:
+    """An integer lift of the inverse of q_i, after checking q_i: K_i -> Kbar is an isomorphism."""
+    if not mod.relations.contains_lattice(q.kernel().lift()):
+        raise AssertionError(
+            f"structure map {i} of K is not injective; quotient the kernels first"
+        )
+    d = q.rows
+    lifts = q.solve_many([[int(t == r) for t in range(d)] for r in range(d)])
+    if None in lifts:
+        raise AssertionError(f"structure map {i} of K is not surjective")
+    return IntMatrix.from_cols(lifts, rows=q.cols)
 
 
 def _from_elementary(

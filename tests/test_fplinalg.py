@@ -106,6 +106,18 @@ def test_kernel_of_identity_is_zero():
         FpMatrix.identity(3, -1)
 
 
+@pytest.mark.parametrize("j", [-1, 2, 7])
+def test_a_column_index_out_of_range_is_refused_like_an_integer_matrix(j):
+    grid = [[1, 2], [3, 4]]
+    wide = (FpMatrix.from_rows(5, grid), IntMatrix.from_rows(grid))
+    empty = (FpMatrix.from_rows(5, [], cols=2), IntMatrix.zeros(0, 2))
+    for M in wide + empty:
+        with pytest.raises(IndexError, match="column index out of range"):
+            M.column(j)
+    assert [M.column(1) for M in wide] == [(2, 4), (2, 4)]
+    assert [M.column(1) for M in empty] == [(), ()]
+
+
 def test_kernel_mod2_sum_map():
     # x + y = 0 over F_2 is the diagonal line.
     M = FpMatrix.from_rows(2, [[1, 1]])
@@ -173,8 +185,23 @@ def test_a_basis_not_in_reduced_echelon_form_is_refused(basis, pivots, message):
         lambda: FpSubspace.zero(5, -1),
         lambda: FpSubspace.full(5, -1),
         lambda: FpSubspace.from_vectors(5, -1, []),
+        lambda: Lattice(-1, ()),
+        lambda: Lattice.zero(-2),
+        lambda: Lattice.from_generators(-1, []),
+        lambda: Lattice.scaled_full(-2, 3),
+        lambda: ZModulePresentation.free(-3),
     ],
-    ids=["FpSubspace", "zero", "full", "from_vectors"],
+    ids=[
+        "FpSubspace",
+        "zero",
+        "full",
+        "from_vectors",
+        "Lattice",
+        "Lattice.zero",
+        "Lattice.from_generators",
+        "Lattice.scaled_full",
+        "ZModulePresentation.free",
+    ],
 )
 def test_a_negative_ambient_dimension_is_refused(build):
     with pytest.raises(ValueError, match="nonnegative"):

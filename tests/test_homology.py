@@ -1,6 +1,7 @@
 """Homology pipeline: frozen worked examples plus cross-route properties."""
 
 import dataclasses
+import pathlib
 import random
 import signal
 
@@ -31,6 +32,7 @@ from rdiagram.homology import (
 from rdiagram.intlinalg import IntMatrix, Lattice, kernel_basis, lattice_intersection
 from rdiagram.presentations import ZModulePresentation
 from rdiagram.oracle import (
+    GroupInvariants,
     integer_homology_invariants,
     invariants_equal,
     underlying_invariants_of_presentation,
@@ -757,3 +759,27 @@ def test_presentation_cokernel_is_the_homology_group(p, seed):
             byint.free_rank,
             byint.invariant_factors,
         )
+
+
+def test_the_readme_library_tour_runs_and_gives_the_values_it_states():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    # each commented expression line states its value before any two spaces
+    stated = {}
+    for line in code.splitlines():
+        expression, _, comment = line.partition("#")
+        if expression.strip():
+            stated[expression.strip()] = comment.strip().split("  ")[0]
+    expected = {
+        "rd.kdim": 0,
+        "rd.S.M1.normal_form()": (0, (2,)),
+        "rd.S.M2.normal_form()": (1, ()),
+        "rd.S.mbar_dim": 1,
+        "underlying_invariants_of_rdiagram(rd)": GroupInvariants(1, []),
+    }
+    assert {e: stated[e] for e in expected} == {e: repr(v) for e, v in expected.items()}
+    for expression, value in expected.items():
+        assert eval(expression, namespace) == value

@@ -1,5 +1,6 @@
 """Brute-force invariants: frozen values and dual-route agreement."""
 
+import operator
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from rdiagram.oracle import (
 )
 from rdiagram.presentations import ModuleMap
 from rdiagram.morphisms import induced_pullback_map
-from rdiagram.pullback import DiagramMorphism
+from rdiagram.pullback import DiagramMorphism, PullbackDiagram
 from rdiagram.randomgen import random_complex_differentials, random_presentation
 from rdiagram.reduction import (
     RDiagram,
@@ -285,3 +286,18 @@ def test_each_group_takes_one_preimage_one_lattice_and_one_smith_diagonal(monkey
     for n in range(C.terms):
         integer_homology_invariants(C, n)
     assert (len(hnfs), len(smiths), any(smiths)) == (10, 5, False)
+
+
+def test_the_congruence_lattice_lifts_a_shared_structure_map_once(monkeypatch):
+    D = free_diagram(3, 2)
+    assert D.p2 is D.p1
+    copied = PullbackDiagram(3, D.M1, D.M2, 2, D.p1, FpMatrix(3, 2, 2, D.p2.entries))
+    lifted = []
+    lift = FpMatrix.lift
+    monkeypatch.setattr(FpMatrix, "lift", lambda q: lifted.append(q) or lift(q))
+    lattices = []
+    for diagram, maps in ((D, [D.p1]), (copied, [copied.p1, copied.p2])):
+        lifted.clear()
+        lattices.append(oracle._congruence_lattice(diagram))
+        assert len(lifted) == len(maps) and all(map(operator.is_, lifted, maps))
+    assert lattices[0] == lattices[1]

@@ -1,5 +1,7 @@
 """Ring arithmetic, separation, and morphism criteria: frozen cases + properties."""
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -574,3 +576,30 @@ def test_image_closure_morphisms_are_direct_epis(p, seed):
         rng, src, rng.randint(1, 2), rng.randint(1, 2), extra_target_gens=0
     )
     assert epi_conditions(m).direct
+
+
+SIDE_ATTRIBUTES = {"p1", "p2", "M1", "M2", "L1", "L2"}
+
+
+def test_only_per_side_decides_that_side_2_is_side_1():
+    # an identity comparison on a side attribute is the shared-side rule
+    # written inline; every two-sided step reaches it through per_side
+    def compares_a_side(node):
+        return (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(
+                isinstance(x, ast.Attribute) and x.attr in SIDE_ATTRIBUTES
+                for x in (node.left, *node.comparators)
+            )
+        )
+
+    paths = sorted(pathlib.Path(pullback.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    found = [
+        (path.name, node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if compares_a_side(node)
+    ]
+    assert found == []
