@@ -275,17 +275,14 @@ class FpMatrix:
     def rank(self) -> int:
         return self.cols - self.kernel().dim
 
-    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
-        """One solution of ``Mx = b`` (entries in ``[0, p)``), or ``None``."""
-        return self.solve_many([b])[0]
-
     def solve_many(self, rhs: Sequence[Sequence[int]]) -> list[tuple[int, ...] | None]:
-        """``solve`` for each right-hand side, from one elimination.
+        """One solution of ``Mx = b`` for each right-hand side, from one elimination.
 
         Gauss-Jordan runs once on ``[M | b_1 ... b_k]``, with pivots taken
         only among M's columns; the row operations, and so the solutions,
-        are those ``solve`` would make for each b alone.  Returns one
-        solution (entries in ``[0, p)``) or ``None`` per right-hand side.
+        are those an elimination of ``[M | b]`` would make for each b alone.
+        Returns one solution (entries in ``[0, p)``) or ``None`` per
+        right-hand side.
         """
         for b in rhs:
             if len(b) != self.rows:
@@ -378,10 +375,6 @@ class FpSubspace:
     @staticmethod
     def zero(p: int, ambient: int) -> "FpSubspace":
         return FpSubspace(p, ambient, (), ())
-
-    @staticmethod
-    def full(p: int, ambient: int) -> "FpSubspace":
-        return FpSubspace.zero(p, ambient).complement()
 
     @staticmethod
     def _spanned_by_units(p: int, ambient: int, cols: Iterable[int]) -> "FpSubspace":

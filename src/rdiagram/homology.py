@@ -42,7 +42,7 @@ from .fplinalg import (
     validate_prime,
 )
 from .presentations import ModuleMap, ZModulePresentation
-from .pullback import DiagramMorphism, PullbackDiagram, Separation, separate_presented
+from .pullback import DiagramMorphism, Separation, separate_presented
 from .reduction import RDiagram, SeparatedPresentation, free_diagram, reduce_combined
 
 __all__ = [
@@ -275,10 +275,6 @@ class CanonicalKernel:
     separation: Separation
     sets: GeneratorSets
     mixed: tuple
-
-    @property
-    def diagram(self) -> PullbackDiagram:
-        return self.separation.diagram
 
 
 def canonical_kernel_presentation(d1: IntMatrix, d2: IntMatrix, p: int) -> CanonicalKernel:

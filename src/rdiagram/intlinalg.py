@@ -154,9 +154,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return list(self.col_entries)
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.col_entries))
-
     # --- arithmetic ---------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -180,26 +177,14 @@ class IntMatrix:
         sums = tuple(tuple(map(add, c, d)) for c, d in zip(self.col_entries, other.col_entries))
         return IntMatrix(self.rows, self.cols, sums)
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
     def scale(self, k: int) -> "IntMatrix":
         scaled = tuple(tuple(k * x for x in c) for c in self.col_entries)
         return IntMatrix(self.rows, self.cols, scaled)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
         return IntMatrix(self.rows, self.cols + other.cols, self.col_entries + other.col_entries)
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        stacked = tuple(map(add, self.col_entries, other.col_entries))
-        return IntMatrix(self.rows + other.rows, self.cols, stacked)
 
     # --- misc ---------------------------------------------------------
 
@@ -587,13 +572,6 @@ class Lattice:
         if not self.basis:
             return other
         return Lattice.from_generators(self.ambient, self.basis + other.basis)
-
-    def direct_sum(self, other: "Lattice") -> "Lattice":
-        """Block sum inside ``Z^(a+b)``: first block self, second block other."""
-        a, b = self.ambient, other.ambient
-        gens = [col + (0,) * b for col in self.basis]
-        gens += [(0,) * a + col for col in other.basis]
-        return Lattice.from_generators(a + b, gens)
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={list(map(list, self.basis))})"

@@ -62,10 +62,18 @@ def _coordinates(L: Lattice, vectors: Iterable[Sequence[int]], failure: str) -> 
     return coords
 
 
+def _direct_sum(A: Lattice, B: Lattice) -> Lattice:
+    """Block sum inside ``Z^(a+b)``: first block ``A``, second block ``B``."""
+    a, b = A.ambient, B.ambient
+    gens = [col + (0,) * b for col in A.basis]
+    gens += [(0,) * a + col for col in B.basis]
+    return Lattice.from_generators(a + b, gens)
+
+
 def pullback_group(D: PullbackDiagram) -> PullbackModule:
     """Matching pairs of D; see ``PullbackModule``."""
     matching = _matching_lattice(D.p1, D.p2)
-    relations = D.M1.relations.direct_sum(D.M2.relations)
+    relations = _direct_sum(D.M1.relations, D.M2.relations)
     rel_coords = _coordinates(
         matching, relations.basis, "component relations escaped the matching lattice"
     )
@@ -186,9 +194,9 @@ def is_mono(m: DiagramMorphism) -> bool:
     src = m.source
     L1 = m.f1.kernel_lattice()
     L2 = m.f2.kernel_lattice()
-    dom = L1.direct_sum(L2)
+    dom = _direct_sum(L1, L2)
     Z = lattice_intersection(dom, _matching_lattice(src.p1, src.p2))
-    rels = src.M1.relations.direct_sum(src.M2.relations)
+    rels = _direct_sum(src.M1.relations, src.M2.relations)
     return rels.contains_lattice(Z)
 
 
@@ -236,7 +244,7 @@ def _mixed_pullback_map(m: DiagramMorphism, side: int) -> ModuleMap:
     q = m.target.structure_map(side)
     Nside = m.target.component(side)
     match = _matching_lattice(m.fbar, q)
-    rels = Lattice.scaled_full(dm, p).direct_sum(Nside.relations)
+    rels = _direct_sum(Lattice.scaled_full(dm, p), Nside.relations)
     rel_coords = _coordinates(match, rels.basis, "mixed pullback lost its relations")
     P = ZModulePresentation(match.rank, Lattice.from_generators(match.rank, rel_coords))
     Mside = m.source.component(side)

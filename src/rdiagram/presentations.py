@@ -78,14 +78,6 @@ class ZModulePresentation:
             object.__setattr__(self, "_normal_form", cached)
         return cached
 
-    @property
-    def free_rank(self) -> int:
-        return self.normal_form()[0]
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.normal_form()[1]
-
     def elements_equal(self, v: Sequence[int], w: Sequence[int]) -> bool:
         diff = [index(a) - index(b) for a, b in zip(v, w)]
         if len(diff) != self.gens:
@@ -125,10 +117,6 @@ class ModuleMap:
             )
         if not check_map(self):
             raise ValueError("map does not carry source relations into target relations")
-
-    @staticmethod
-    def identity(pres: ZModulePresentation) -> "ModuleMap":
-        return ModuleMap(pres, pres, IntMatrix.identity(pres.gens))
 
     def kernel_lattice(self) -> Lattice:
         """All generator vectors whose image is zero in the target module."""

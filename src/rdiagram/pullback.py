@@ -108,16 +108,6 @@ class LatticeRModule:
     def from_generators(p: int, a: int, b: int, gens: Iterable[Sequence[int]]) -> "LatticeRModule":
         return LatticeRModule(p, a, b, Lattice.from_generators(a + b, gens))
 
-    @staticmethod
-    def free(p: int, rank: int) -> "LatticeRModule":
-        """R^rank, embedded in Z^rank + Z^rank with basis (e_i, e_i), (0, p e_i)."""
-        gens = []
-        for i in range(rank):
-            e = [int(j == i) for j in range(rank)]
-            gens.append(e + e)
-            gens.append([0] * rank + [p * x for x in e])
-        return LatticeRModule.from_generators(p, rank, rank, gens)
-
     def __repr__(self) -> str:
         return f"LatticeRModule(p={self.p}, blocks={self.a}+{self.b}, rank={self.lattice.rank})"
 
@@ -458,16 +448,6 @@ class DiagramMorphism:
 
     def component(self, i: int) -> ModuleMap:
         return self.f1 if i == 1 else self.f2
-
-    @staticmethod
-    def identity(D: PullbackDiagram) -> "DiagramMorphism":
-        return DiagramMorphism(
-            D,
-            D,
-            ModuleMap.identity(D.M1),
-            ModuleMap.identity(D.M2),
-            FpMatrix.identity(D.p, D.mbar_dim),
-        )
 
     def __repr__(self) -> str:
         return f"DiagramMorphism({self.source!r} -> {self.target!r})"

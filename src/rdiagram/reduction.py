@@ -53,7 +53,6 @@ __all__ = [
     "reduce_sequential",
     "reduce_combined",
     "validate_rdiagram",
-    "rdiagram_as_presentation",
 ]
 
 
@@ -520,9 +519,3 @@ def _extract_rdiagram(pres: SeparatedPresentation) -> RDiagram:
     if not report.ok:
         raise AssertionError(f"reduction produced an invalid R-diagram: {report}")
     return rd
-
-
-def rdiagram_as_presentation(rd: RDiagram) -> SeparatedPresentation:
-    """Re-wrap an R-diagram as a separated presentation (K elementary)."""
-    fbar = FpMatrix.zeros(rd.p, rd.S.mbar_dim, rd.kdim)
-    return _from_elementary(rd.S, rd.q1, rd.q2, fbar)

@@ -30,7 +30,7 @@ from rdiagram.homology import (
     homology_rdiagram,
 )
 from rdiagram.intlinalg import IntMatrix, Lattice, preimage_lattice
-from rdiagram.presentations import ModuleMap, ZModulePresentation
+from rdiagram.presentations import ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
     LatticeRModule,
@@ -40,6 +40,8 @@ from rdiagram.pullback import (
 )
 from rdiagram.randomgen import random_complex_differentials
 from rdiagram.reduction import RDiagram, free_diagram
+
+from helpers import free_rmodule, identity_map
 
 PRIMES = (2, 3, 5)
 
@@ -129,12 +131,12 @@ def test_kernel_mod2_sum_map():
 
 def test_kernel_of_zero_map_is_everything():
     M = FpMatrix.zeros(3, 2, 4)
-    assert M.kernel() == FpSubspace.full(3, 4)
+    assert M.kernel() == FpSubspace.zero(3, 4).complement()
 
 
 def test_complement_trivial_cases():
-    assert FpSubspace.full(5, 3).complement().dim == 0
-    assert FpSubspace.zero(5, 3).complement() == FpSubspace.full(5, 3)
+    assert FpSubspace.zero(5, 3).complement().complement().dim == 0
+    assert FpSubspace.zero(5, 3).complement() == FpSubspace.zero(5, 3).complement()
 
 
 def test_complement_of_diagonal_mod2():
@@ -142,7 +144,7 @@ def test_complement_of_diagonal_mod2():
     U = W.complement()
     # pivot in column 0 leaves e_2 as the deterministic choice
     assert U.basis == ((0, 1),)
-    assert W.sum(U) == FpSubspace.full(2, 2)
+    assert W.sum(U) == FpSubspace.zero(2, 2).complement()
     assert W.intersect(U).dim == 0
 
 
@@ -183,7 +185,7 @@ def test_a_basis_not_in_reduced_echelon_form_is_refused(basis, pivots, message):
     [
         lambda: FpSubspace(5, -1, (), ()),
         lambda: FpSubspace.zero(5, -1),
-        lambda: FpSubspace.full(5, -1),
+        lambda: FpSubspace.zero(5, -1).complement(),
         lambda: FpSubspace.from_vectors(5, -1, []),
         lambda: Lattice(-1, ()),
         lambda: Lattice.zero(-2),
@@ -210,9 +212,9 @@ def test_a_negative_ambient_dimension_is_refused(build):
 
 def test_solve_small():
     M = FpMatrix.from_rows(5, [[2, 0], [0, 3]])
-    x = M.solve((4, 1))
+    x = M.solve_many([(4, 1)])[0]
     assert x == (2, 2)
-    assert FpMatrix.zeros(5, 2, 2).solve((1, 0)) is None
+    assert FpMatrix.zeros(5, 2, 2).solve_many([(1, 0)]) == [None]
 
 
 def test_inverse_roundtrip_small():
@@ -239,7 +241,7 @@ def test_kernel_and_rank_consistent(M):
 def test_solve_roundtrip(M, data):
     x = [data.draw(st.integers(0, M.p - 1)) for _ in range(M.cols)]
     b = M.mul_vec(x)
-    sol = M.solve(b)
+    sol = M.solve_many([b])[0]
     assert sol is not None
     assert M.mul_vec(sol) == b
 
@@ -248,7 +250,7 @@ def test_solve_roundtrip(M, data):
 def test_complement_is_complement(W):
     U = W.complement()
     assert W.dim + U.dim == W.ambient
-    assert W.sum(U) == FpSubspace.full(W.p, W.ambient)
+    assert W.sum(U) == FpSubspace.zero(W.p, W.ambient).complement()
     assert W.intersect(U).dim == 0
 
 
@@ -343,7 +345,7 @@ def test_lift_span_and_lift_kernel_equal_the_integer_lattices(data):
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_lift_span_and_lift_kernel_of_nothing(p, n):
     assert FpSubspace.zero(p, n).lift() == Lattice.scaled_full(n, p)
-    assert FpSubspace.full(p, n).lift() == Lattice.full(n)
+    assert FpSubspace.zero(p, n).complement().lift() == Lattice.full(n)
     assert null_space(p, [], n).lift() == Lattice.full(n)
 
 
@@ -516,7 +518,7 @@ def test_solve_many_agrees_with_solve_vector_by_vector(case, data):
     rhs += data.draw(fp_vectors(p, m, max_count=3))
     rhs = data.draw(st.permutations(rhs))
     sols = M.solve_many(rhs)
-    assert sols == [M.solve(b) for b in rhs] == [ref_solve(M, b) for b in rhs]
+    assert sols == [M.solve_many([b])[0] for b in rhs] == [ref_solve(M, b) for b in rhs]
     for b, x in zip(rhs, sols):
         assert x is None or M.mul_vec(x) == tuple(bv % p for bv in b)
 
@@ -545,7 +547,7 @@ def test_derived_objects_take_one_elimination_at_most(monkeypatch):
     calls.clear()
     quotient_projection(W)
     W.complement()
-    FpSubspace.full(3, 4)
+    FpSubspace.zero(3, 4).complement()
     assert calls == []
     null_space(3, [[1, 2, 0, 1, 1], [0, 0, 1, 2, 0]], 5).lift()
     W.lift()
@@ -672,7 +674,7 @@ def test_derived_values_do_not_recheck_the_prime(prime_checks):
     W = FpSubspace.from_vectors(p, 3, [[0, 1, 1], [1, 0, 0]])
     zero = FpSubspace.zero(p, 3)
     D = free_diagram(p, 2)
-    f = ModuleMap.identity(D.M1)
+    f = identity_map(D.M1)
     eye = FpMatrix.identity(p, 2)
     prime_checks.clear()
     A @ B
@@ -705,7 +707,7 @@ def test_every_bare_prime_constructor_validates_once(prime_checks):
         lambda: FpSubspace(p, 2, ((1, 0),), (0,)),
         lambda: FpSubspace.from_vectors(p, 2, [[2, 3]]),
         lambda: FpSubspace.zero(p, 2),
-        lambda: FpSubspace.full(p, 2),
+        lambda: FpSubspace.zero(p, 2).complement(),
         lambda: free_diagram(p, 2),
     ]
     for build in constructions:
@@ -758,7 +760,7 @@ def test_a_hand_built_diagram_validates_its_prime_once(prime_checks):
     assert prime_checks == [p]
     for built in (
         RDiagram(p, 0, D, IntMatrix.zeros(2, 0), IntMatrix.zeros(1, 0)),
-        LatticeRModule.free(p, 1),
+        free_rmodule(p, 1),
     ):
         assert type(built.p) is fplinalg._Prime and built.p == p
 
@@ -801,7 +803,7 @@ def test_pipeline_entry_points_reject_a_composite_modulus():
         lambda q: FpSubspace(q, 1, (), ()),
         lambda q: FpSubspace.from_vectors(q, 1, [[1]]),
         lambda q: FpSubspace.zero(q, 1),
-        lambda q: FpSubspace.full(q, 1),
+        lambda q: FpSubspace.zero(q, 1).complement(),
     ]
     for q in (0, 1, -7, True, 15, 2**32, _FakePrime(4)):
         for build in entries:

@@ -38,14 +38,16 @@ from rdiagram.oracle import (
     underlying_invariants_of_presentation,
     underlying_invariants_of_rdiagram,
 )
-from rdiagram.morphisms import induced_pullback_map
+from rdiagram.morphisms import _direct_sum, induced_pullback_map
 from rdiagram.pullback import is_separated
 from rdiagram.randomgen import (
     random_complex_differentials,
     random_congruent_pair,
     random_int_matrix,
 )
-from rdiagram.reduction import free_diagram, rdiagram_as_presentation, validate_rdiagram
+from rdiagram.reduction import free_diagram, validate_rdiagram
+
+from helpers import rdiagram_as_presentation
 
 rows = IntMatrix.from_rows
 
@@ -215,7 +217,7 @@ class TestCanonicalKernel:
         z = IntMatrix.zeros(1, 2)
         canon = canonical_kernel_presentation(z, z, 2)
         free = free_diagram(2, 2)
-        D = canon.diagram
+        D = canon.separation.diagram
         assert D.M1.gens == free.M1.gens and D.M1.relations == free.M1.relations
         assert D.M2.gens == free.M2.gens and D.M2.relations == free.M2.relations
         assert D.mbar_dim == free.mbar_dim
@@ -225,9 +227,9 @@ class TestCanonicalKernel:
     def test_running_example_components(self):
         d1, d2 = two_by_two(2)
         canon = canonical_kernel_presentation(d1, d2, 2)
-        assert canon.diagram.M1.normal_form() == (1, (2,))
-        assert canon.diagram.M2.normal_form() == (1, (2,))
-        assert canon.diagram.mbar_dim == 2
+        assert canon.separation.diagram.M1.normal_form() == (1, (2,))
+        assert canon.separation.diagram.M2.normal_form() == (1, (2,))
+        assert canon.separation.diagram.mbar_dim == 2
         expected = Lattice.from_generators(4, [(0, 2, 0, 0), (0, 0, 2, 0)])
         assert canon.separation.module_lattice == expected
         assert canon.separation.embedded_pullback_lattice() == expected
@@ -236,9 +238,9 @@ class TestCanonicalKernel:
     def test_identity_differential_gives_zero_diagram(self):
         eye = IntMatrix.identity(2)
         canon = canonical_kernel_presentation(eye, eye, 3)
-        assert canon.diagram.M1.normal_form() == (0, ())
-        assert canon.diagram.M2.normal_form() == (0, ())
-        assert canon.diagram.mbar_dim == 0
+        assert canon.separation.diagram.M1.normal_form() == (0, ())
+        assert canon.separation.diagram.M2.normal_form() == (0, ())
+        assert canon.separation.diagram.mbar_dim == 0
 
     def test_mixed_classes_repair_the_plain_generator_family(self):
         # reduced kernels meet beyond the reduced intersection here, so the
@@ -272,7 +274,7 @@ class TestCanonicalKernel:
         for p in (2, 3):
             d1, d2 = random_congruent_pair(rng, p, 2, 3)
             canon = canonical_kernel_presentation(d1, d2, p)
-            assert is_separated(canon.diagram).separated
+            assert is_separated(canon.separation.diagram).separated
 
 
 class TestDivisibilityCheck:
@@ -401,8 +403,8 @@ class TestRewriteDifferential:
         col = m.f1.matrix.column(0)
         assert col[0] == 2
         assert col[1] % 2 == 0
-        assert canon.diagram.M1.elements_equal(col, (2, 0))
-        assert canon.diagram.M2.elements_equal(m.f2.matrix.column(0), (0, 0))
+        assert canon.separation.diagram.M1.elements_equal(col, (2, 0))
+        assert canon.separation.diagram.M2.elements_equal(m.f2.matrix.column(0), (0, 0))
 
     def test_unit_coordinate_on_a_diagonal_generator(self):
         z = IntMatrix.zeros(0, 2)
@@ -504,9 +506,9 @@ class TestClosedFormComponents:
         cf = closed_form_components(homology_presentation(C, 0))
         canon = canonical_kernel_presentation(z, z, 2)
         assert cf.kdim == 0
-        assert cf.s1.normal_form() == canon.diagram.M1.normal_form()
-        assert cf.s2.normal_form() == canon.diagram.M2.normal_form()
-        assert cf.sbar_dim == canon.diagram.mbar_dim
+        assert cf.s1.normal_form() == canon.separation.diagram.M1.normal_form()
+        assert cf.s2.normal_form() == canon.separation.diagram.M2.normal_form()
+        assert cf.sbar_dim == canon.separation.diagram.mbar_dim
 
     def test_running_example_values(self):
         C = ChainComplexR(2, [(rows([[2]]), rows([[0]]))])
@@ -557,7 +559,7 @@ class TestReduceHomology:
 
         def patched(pres):
             cf = real(pres)
-            s1 = ZModulePresentation(cf.s1.gens + 1, cf.s1.relations.direct_sum(extra))
+            s1 = ZModulePresentation(cf.s1.gens + 1, _direct_sum(cf.s1.relations, extra))
             return dataclasses.replace(cf, s1=s1)
 
         monkeypatch.setattr(homology, "closed_form_components", patched)
@@ -694,7 +696,7 @@ def test_congruent_kernel_lattice_is_the_intersection_with_the_congruence(p, see
     congruent = Lattice.from_generators(2 * m, diagonal + scaled_units)
     unrelated = tuple(random_int_matrix(rng, height, m, bound=3) for _ in "12")
     for d1, d2 in (random_congruent_pair(rng, p, height, m), unrelated):
-        reference = lattice_intersection(kernel_basis(d1).direct_sum(kernel_basis(d2)), congruent)
+        reference = lattice_intersection(_direct_sum(kernel_basis(d1), kernel_basis(d2)), congruent)
         assert congruent_kernel_lattice(p, d1, d2) == reference
 
 
@@ -705,7 +707,7 @@ def test_canonical_presentation_embeds_onto_the_kernel(p, seed):
     d1, d2 = random_congruent_pair(rng, p, rng.randint(1, 3), rng.randint(1, 4))
     canon = canonical_kernel_presentation(d1, d2, p)
     assert canon.separation.embedded_pullback_lattice() == congruent_kernel_lattice(p, d1, d2)
-    assert is_separated(canon.diagram).separated
+    assert is_separated(canon.separation.diagram).separated
 
 
 @given(p=ps, seed=seeds)

@@ -19,7 +19,7 @@ from rdiagram.oracle import (
     underlying_invariants_of_rdiagram,
 )
 from rdiagram.presentations import ModuleMap
-from rdiagram.morphisms import induced_pullback_map
+from rdiagram.morphisms import _direct_sum, induced_pullback_map
 from rdiagram.pullback import DiagramMorphism, PullbackDiagram
 from rdiagram.randomgen import random_complex_differentials, random_presentation
 from rdiagram.reduction import (
@@ -176,7 +176,7 @@ def _reference_congruence(D):
 
 
 def _reference_pullback_quotient(D, image):
-    relations = D.M1.relations.direct_sum(D.M2.relations)
+    relations = _direct_sum(D.M1.relations, D.M2.relations)
     den = relations.sum(Lattice.from_generators(D.M1.gens + D.M2.gens, image))
     return _reference_quotient(_reference_congruence(D), den)
 
@@ -201,7 +201,7 @@ def _reference_pair_kernel(p, d1, d2):
     top = d1.hstack(IntMatrix.zeros(d1.rows, 2 * m))
     mid = IntMatrix.zeros(d2.rows, m).hstack(d2).hstack(IntMatrix.zeros(d2.rows, m))
     bot = eye.hstack(eye.scale(-1)).hstack(eye.scale(-p))
-    sols = kernel_basis(top.vstack(mid).vstack(bot))
+    sols = kernel_basis(IntMatrix.from_rows(top.entries + mid.entries + bot.entries, cols=3 * m))
     return Lattice.from_generators(2 * m, [v[: 2 * m] for v in sols.basis])
 
 

@@ -11,6 +11,8 @@ from rdiagram.presentations import (
     check_map,
 )
 
+from helpers import identity_map
+
 
 def pres(gens, rel_vectors):
     return ZModulePresentation(gens, Lattice.from_generators(gens, rel_vectors))
@@ -71,7 +73,7 @@ def test_normalize_diag_2_4():
 
 def test_check_map_identity():
     P = pres(2, [(2, 0)])
-    assert check_map(ModuleMap.identity(P))
+    assert check_map(identity_map(P))
 
 
 def test_check_map_projection_to_z2():
@@ -122,7 +124,7 @@ def test_kernel_lattice_is_computed_once_per_map():
 
 
 def test_kernel_of_injective_map_is_relations():
-    f = ModuleMap.identity(ZModulePresentation.free(2))
+    f = identity_map(ZModulePresentation.free(2))
     assert f.kernel_lattice() == f.source.relations
     assert f.kernel_lattice().basis == ()
 

@@ -14,7 +14,6 @@ from rdiagram.morphisms import induced_pullback_map, pullback_group
 from rdiagram.presentations import ModuleMap, ZModulePresentation
 from rdiagram.pullback import (
     DiagramMorphism,
-    LatticeRModule,
     PullbackDiagram,
     is_separated,
     separate,
@@ -27,7 +26,6 @@ from rdiagram.reduction import (
     SubDiagram,
     free_diagram,
     quotient_presentation,
-    rdiagram_as_presentation,
     reduce_K,
     reduce_barf,
     reduce_combined,
@@ -35,6 +33,8 @@ from rdiagram.reduction import (
     reduce_sequential,
     validate_rdiagram,
 )
+
+from helpers import free_rmodule, rdiagram_as_presentation
 
 
 def coker_invariants(pres):
@@ -57,7 +57,7 @@ def presentation_from_pairs(p, pairs, D):
 
 def mult_by_element_presentation(p, element):
     """Multiplication by a ring element on the rank-one free module."""
-    sep = separate(LatticeRModule.free(p, 1))
+    sep = separate(free_rmodule(p, 1))
     D = sep.diagram
     (c1,) = sep.class_coordinates([element], side=1)
     (c2,) = sep.class_coordinates([element], side=2)
@@ -109,7 +109,7 @@ class TestQuotientPresentation:
         L = SubDiagram(
             pres.K,
             Lattice.scaled_full(1, 2),
-            FpSubspace.full(2, 1),
+            FpSubspace.zero(2, 1).complement(),
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
@@ -122,7 +122,7 @@ class TestQuotientPresentation:
         L = SubDiagram(
             pres.K,
             Lattice.full(1),
-            FpSubspace.full(2, 1),
+            FpSubspace.zero(2, 1).complement(),
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
@@ -134,7 +134,7 @@ class TestQuotientPresentation:
         L = SubDiagram(
             pres.K,
             Lattice.full(1),
-            FpSubspace.full(2, 1),
+            FpSubspace.zero(2, 1).complement(),
             Lattice.full(1),
         )
         with pytest.raises(HypothesisViolation) as exc:
@@ -517,7 +517,7 @@ class TestOneSidedQuotient:
     def test_side_one_rejects_nonvanishing_f1(self):
         pres = identity_presentation(2, 1)
         L = SubDiagram(
-            pres.K, Lattice.full(1), FpSubspace.full(2, 1), Lattice.full(1)
+            pres.K, Lattice.full(1), FpSubspace.zero(2, 1).complement(), Lattice.full(1)
         )
         with pytest.raises(HypothesisViolation) as exc:
             reduction._one_sided_quotient(pres, L, 1)

@@ -33,6 +33,8 @@ from rdiagram.pullback import (
 )
 from rdiagram.reduction import SubDiagram, free_diagram, validate_rdiagram
 
+from helpers import free_rmodule, identity_map, identity_morphism
+
 VALUE_EQUALITY = {
     "IntMatrix",
     "Lattice",
@@ -71,17 +73,17 @@ def _build() -> dict:
     d1, d2 = C.pair(0)
     pres = homology_presentation(C, 1)
     rd = reduce_homology(pres)
-    sep = separate(LatticeRModule.free(3, 1))
-    m = DiagramMorphism.identity(sep.diagram)
+    sep = separate(free_rmodule(3, 1))
+    m = identity_morphism(sep.diagram)
     K = free_diagram(3, 1)
     objects = [
         IntMatrix.identity(2),
         Lattice.scaled_full(2, 3),
         FpMatrix.from_rows(3, [[1, 2], [2, 1]]),
-        FpSubspace.full(3, 2),
+        FpSubspace.zero(3, 2).complement(),
         ZModulePresentation.fp_elementary(3, 2),
-        ModuleMap.identity(ZModulePresentation.free(2)),
-        LatticeRModule.free(3, 1),
+        identity_map(ZModulePresentation.free(2)),
+        free_rmodule(3, 1),
         sep,
         sep.diagram,
         is_separated(sep.diagram),
@@ -179,7 +181,7 @@ def test_memo_fields_do_not_affect_equality_or_hash():
 def test_fp_subspace_equality_ignores_pivots():
     # the constructor checks that the pivots are those of the RREF basis,
     # so == compares the basis alone and a mismatched pivot list is refused
-    W = FpSubspace.full(3, 2)
+    W = FpSubspace.zero(3, 2).complement()
     assert [f.name for f in dataclasses.fields(W) if f.compare] == ["p", "ambient", "basis"]
     with pytest.raises(ValueError, match="pivots"):
         dataclasses.replace(W, pivots=())
@@ -187,7 +189,7 @@ def test_fp_subspace_equality_ignores_pivots():
 
 def _float_entry_points(x):
     """Each library entry point that converts entries, handed the float ``x``."""
-    ring = LatticeRModule.free(2, 1).lattice
+    ring = free_rmodule(2, 1).lattice
     return {
         "IntMatrix.from_rows": lambda: IntMatrix.from_rows([[x]]),
         "IntMatrix.from_cols": lambda: IntMatrix.from_cols([[x]]),
@@ -196,7 +198,7 @@ def _float_entry_points(x):
         "FpMatrix.from_rows": lambda: FpMatrix.from_rows(3, [[x]]),
         "FpMatrix.solve_many": lambda: FpMatrix.identity(3, 1).solve_many([(x,)]),
         "FpSubspace.from_vectors": lambda: FpSubspace.from_vectors(3, 1, [(x,)]),
-        "FpSubspace.coords_in": lambda: FpSubspace.full(3, 1).coords_in((x,)),
+        "FpSubspace.coords_in": lambda: FpSubspace.zero(3, 1).complement().coords_in((x,)),
         "null_space": lambda: null_space(3, [[x]], 1),
         "ChainComplexR ranks": lambda: ChainComplexR(3, [], ranks=[x]),
         "separate_presented generators": lambda: separate_presented(
